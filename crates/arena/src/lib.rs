@@ -241,90 +241,150 @@ fn arena_flow(config: &ArenaConfig, select: StrategySelect) -> FlowConfig {
         .with_strategy_select(select)
 }
 
+/// Rough scalar-op cost of one contender's run, for `par`'s work gate:
+/// each iteration touches every weight a few times (load, forward,
+/// backward, update) and each evaluation runs the test set forward.
+fn contender_ops(config: &ArenaConfig) -> usize {
+    let weights = arena_net(config.seed).weight_count();
+    let iterations = config.iterations as usize;
+    let evals = iterations / (config.detection_interval as usize).max(1) + 1;
+    weights * (8 * iterations + 2 * config.test_samples * evals)
+}
+
+/// Races one contender from a heat's reference capture: decode, rebind the
+/// strategy id, restore, train, and score.
+fn run_contender(
+    config: &ArenaConfig,
+    data: &Dataset,
+    density: f64,
+    reference: &[u8],
+    select: StrategySelect,
+) -> Result<LeagueRow, FttError> {
+    // Rebind the reference capture to this contender. The id field is the
+    // snapshot's only strategy-dependent datum at iteration zero, so this
+    // is exactly "same chip, different policy".
+    let mut state = ftt_snapshot::decode(reference)
+        .map_err(|e| FttError::InvalidConfig(format!("arena snapshot: {e}")))?;
+    state.strategy_id = select.id().to_string();
+    let mut trainer = FaultTolerantTrainer::restore_state_with(
+        arena_net(config.seed),
+        arena_mapping(config, density),
+        arena_flow(config, select),
+        Recorder::deterministic(),
+        &state,
+        ftt_strategy::build(&select),
+    )?;
+    trainer.train(data, config.iterations)?;
+
+    let stats = trainer.stats();
+    let curve = trainer.curve();
+    let energy_pj = stats
+        .energy(&rram::energy::EnergyModel::typical())
+        .total_pj();
+    let write_pulses = trainer.mapped().total_write_pulses();
+    Ok(LeagueRow {
+        strategy: select.id().to_string(),
+        fault_density: density,
+        rank: 0, // assigned by the heat
+        final_accuracy: curve.final_accuracy(),
+        peak_accuracy: curve.peak_accuracy(),
+        energy_pj,
+        write_pulses,
+        tiles_retired: stats.tiles_retired,
+        logical_cycles: stats.mvm_cell_ops
+            + stats.detection_cycles
+            + stats.strategy_cycles
+            + write_pulses,
+    })
+}
+
 /// Runs the full sweep: for each density, snapshot one reference chip and
 /// race every contender from that bit-identical starting state.
+///
+/// Contenders are independent, so all density × strategy runs go through
+/// one `par` fan-out; each builds its own trainer, strategy and recorder
+/// on its worker. The arena's events, metrics and ranks are then emitted
+/// in sweep order, so the report is byte-identical at any thread budget.
 ///
 /// # Errors
 ///
 /// Propagates configuration/hardware errors from the trainers and codec
-/// errors from the snapshot round trip.
+/// errors from the snapshot round trip; with several failures, the first
+/// in sweep order.
 pub fn run(config: &ArenaConfig) -> Result<ArenaReport, FttError> {
+    race(config, run_contender)
+}
+
+/// [`run`] with the per-contender race passed in, so tests can plant
+/// contender failures (the contenders of a heat share one chip and flow,
+/// so no public config fails only some of them).
+fn race<C>(config: &ArenaConfig, contend: C) -> Result<ArenaReport, FttError>
+where
+    C: Fn(&ArenaConfig, &Dataset, f64, &[u8], StrategySelect) -> Result<LeagueRow, FttError>
+        + Sync,
+{
+    let data: Dataset =
+        SyntheticDataset::mnist_like(config.train_samples, config.test_samples, config.seed);
+
+    // One reference chip per density, captured through the snapshot codec.
+    // The reference trainer never trains — it exists to run the mapping
+    // (fault injection, endurance draws) exactly once.
+    let references = config
+        .densities
+        .iter()
+        .map(|&density| {
+            let mut reference = FaultTolerantTrainer::with_recorder(
+                arena_net(config.seed),
+                arena_mapping(config, density),
+                arena_flow(config, StrategySelect::NoOp),
+                Recorder::deterministic(),
+            )?;
+            Ok(ftt_snapshot::encode(&reference.export_state()))
+        })
+        .collect::<Result<Vec<_>, FttError>>()?;
+
+    let per_heat = config.strategies.len();
+    let results = par::map_indices(
+        config.densities.len() * per_heat,
+        contender_ops(config),
+        |k| {
+            let (heat, contender) = (k / per_heat, k % per_heat);
+            contend(
+                config,
+                &data,
+                config.densities[heat],
+                &references[heat],
+                config.strategies[contender],
+            )
+        },
+    );
+
     let recorder = Recorder::deterministic();
     let sink = obs::JsonlSink::new();
     let view = sink.view();
     recorder.add_sink(Box::new(sink));
-    let data: Dataset = SyntheticDataset::mnist_like(
-        config.train_samples,
-        config.test_samples,
-        config.seed,
-    );
-
+    let mut results = results.into_iter();
     let mut rows = Vec::new();
     for &density in &config.densities {
-        // One reference chip per density, captured through the snapshot
-        // codec. The reference trainer never trains — it exists to run the
-        // mapping (fault injection, endurance draws) exactly once.
-        let mapping = arena_mapping(config, density);
-        let reference_flow = arena_flow(config, StrategySelect::NoOp);
-        let mut reference = FaultTolerantTrainer::with_recorder(
-            arena_net(config.seed),
-            mapping.clone(),
-            reference_flow,
-            Recorder::deterministic(),
-        )?;
-        let bytes = ftt_snapshot::encode(&reference.export_state());
-
-        let mut heat = Vec::new();
-        for select in &config.strategies {
+        let mut heat = Vec::with_capacity(per_heat);
+        for (select, result) in config.strategies.iter().zip(results.by_ref()) {
             let id = select.id();
-            recorder.counter_labeled("arena_runs_total", &[("strategy", id)]).inc();
+            recorder
+                .counter_labeled("arena_runs_total", &[("strategy", id)])
+                .inc();
             recorder.emit(Event::StrategySelected {
                 strategy: id.to_string(),
                 fault_density: density,
             });
-
-            // Rebind the reference capture to this contender. The id field
-            // is the snapshot's only strategy-dependent datum at iteration
-            // zero, so this is exactly "same chip, different policy".
-            let mut state = ftt_snapshot::decode(&bytes)
-                .map_err(|e| FttError::InvalidConfig(format!("arena snapshot: {e}")))?;
-            state.strategy_id = id.to_string();
-            let flow = arena_flow(config, *select);
-            let mut trainer = FaultTolerantTrainer::restore_state_with(
-                arena_net(config.seed),
-                mapping.clone(),
-                flow,
-                Recorder::deterministic(),
-                &state,
-                ftt_strategy::build(select),
-            )?;
-            trainer.train(&data, config.iterations)?;
-
-            let stats = trainer.stats();
-            let curve = trainer.curve();
-            let energy_pj = stats.energy(&rram::energy::EnergyModel::typical()).total_pj();
-            let write_pulses = trainer.mapped().total_write_pulses();
-            let row = LeagueRow {
-                strategy: id.to_string(),
-                fault_density: density,
-                rank: 0, // assigned below
-                final_accuracy: curve.final_accuracy(),
-                peak_accuracy: curve.peak_accuracy(),
-                energy_pj,
-                write_pulses,
-                tiles_retired: stats.tiles_retired,
-                logical_cycles: stats.mvm_cell_ops
-                    + stats.detection_cycles
-                    + stats.strategy_cycles
-                    + write_pulses,
-            };
-            recorder.gauge_labeled("arena_final_accuracy", &[("strategy", id)])
+            let row = result?;
+            recorder
+                .gauge_labeled("arena_final_accuracy", &[("strategy", id)])
                 .set(row.final_accuracy);
             recorder.emit(Event::ArenaRun {
                 strategy: id.to_string(),
                 fault_density: density,
                 accuracy_ppm: (row.final_accuracy * 1e6).round() as u64,
-                write_pulses,
+                write_pulses: row.write_pulses,
             });
             heat.push(row);
         }
@@ -380,18 +440,54 @@ mod tests {
         assert_eq!(report.trace.matches("arena_run").count(), 4);
     }
 
+    /// Runs `f` at a forced thread budget. Serialized, so a parallel test
+    /// cannot change the budget mid-run.
+    fn at_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        static BUDGET: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _g = BUDGET.lock().unwrap_or_else(|e| e.into_inner());
+        par::set_thread_count(threads);
+        let r = f();
+        par::set_thread_count(0);
+        r
+    }
+
     #[test]
     fn league_table_is_thread_budget_invariant() {
-        let run_at = |threads: usize| {
-            par::set_thread_count(threads);
-            let report = run(&tiny()).unwrap();
-            (report.to_jsonl(), report.trace)
+        // tiny()'s contenders clear par's work gate, so budget 4 races them
+        // on four workers.
+        assert!(contender_ops(&tiny()) >= par::PAR_MIN_WORK);
+        let r1 = at_budget(1, || run(&tiny())).unwrap();
+        let r4 = at_budget(4, || run(&tiny())).unwrap();
+        assert_eq!(r1.rows, r4.rows);
+        assert_eq!(r1.to_jsonl(), r4.to_jsonl());
+        assert_eq!(r1.trace, r4.trace);
+    }
+
+    #[test]
+    fn first_contender_failure_in_sweep_order_wins_at_any_budget() {
+        // Two heats of four contenders: at budget 4 each worker races two.
+        // Failures are planted on contender 3 (heat 0, second worker) and
+        // contender 4 (heat 1, third worker); the merge must report
+        // contender 3's at every budget.
+        let config = ArenaConfig {
+            densities: vec![0.1, 0.2],
+            ..tiny()
         };
-        let (j1, t1) = run_at(1);
-        let (j4, t4) = run_at(4);
-        par::set_thread_count(0);
-        assert_eq!(j1, j4);
-        assert_eq!(t1, t4);
+        let planted = |c: &ArenaConfig, d: &Dataset, density: f64, r: &[u8], s: StrategySelect| {
+            match (density < 0.15, s.id()) {
+                (true, "redundant_column") => Err(FttError::InvalidConfig("heat 0".into())),
+                (false, "detect_remap") => Err(FttError::InvalidConfig("heat 1".into())),
+                _ => run_contender(c, d, density, r, s),
+            }
+        };
+        for threads in [1, 4] {
+            let err = at_budget(threads, || race(&config, planted)).unwrap_err();
+            assert_eq!(
+                err,
+                FttError::InvalidConfig("heat 0".into()),
+                "budget {threads}"
+            );
+        }
     }
 
     #[test]

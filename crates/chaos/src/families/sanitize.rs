@@ -77,28 +77,29 @@ pub fn sanitize(seed: u64) -> FamilyReport {
                 par::set_thread_count(budget);
                 let _ = sanitizer::take_report();
 
-                // Every fork-join entry point, sized to actually fan out.
-                let mapped = par::map_indices(n, |i| (i as u64).wrapping_mul(0x9E37));
-                let sum = par::join_reduce(
-                    n,
-                    || 0u64,
-                    |acc, i| acc.wrapping_add(mapped[i]),
-                    u64::wrapping_add,
-                );
+                // Every fork-join entry point, with a per-item work
+                // estimate that clears the gate for the whole budget.
+                let ops = par::PAR_MIN_WORK;
+                let mapped = par::map_indices(n, ops, |i| (i as u64).wrapping_mul(0x9E37));
                 let mut buf: Vec<u64> = (0..n as u64).collect();
-                par::for_each_chunk_mut(&mut buf, 64, |start, chunk| {
+                par::for_each_chunk_mut(&mut buf, ops, |start, chunk| {
                     for (k, v) in chunk.iter_mut().enumerate() {
-                        *v = v.wrapping_add((start + k) as u64);
+                        *v = v.wrapping_add(mapped[start + k]);
                     }
                 });
                 let row = 64;
                 let mut grid: Vec<u64> = vec![1; (n / row) * row];
-                par::for_each_row_block_mut(&mut grid, row, |first_row, block| {
+                par::for_each_row_block_mut(&mut grid, row, ops, |first_row, block| {
                     for v in block.iter_mut() {
                         *v += first_row as u64;
                     }
                 });
-                ensure(sum != 0, "degenerate reduce")?;
+                ensure(
+                    buf.iter().enumerate().all(|(i, &v)| {
+                        v == (i as u64).wrapping_add((i as u64).wrapping_mul(0x9E37))
+                    }),
+                    "chunked pass skipped or repeated an item",
+                )?;
 
                 let rep = sanitizer::take_report();
                 par::set_thread_count(0);
@@ -111,7 +112,7 @@ pub fn sanitize(seed: u64) -> FamilyReport {
                 // actually exercised the checker.
                 if budget > 1 {
                     ensure(
-                        rep.calls_checked >= 4,
+                        rep.calls_checked >= 3,
                         format!(
                             "threads {budget}: only {} schedules checked",
                             rep.calls_checked

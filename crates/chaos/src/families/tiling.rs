@@ -77,27 +77,39 @@ fn twin_arrays(
 pub fn tiling(seed: u64) -> FamilyReport {
     let mut fam = FamilyReport::new("tiling");
 
-    // The acceptance geometry: 1024×784 on 128² tiles — 8 full row bands,
-    // 7 column shards with a clipped 16-wide remainder column.
+    // The acceptance geometry: 1024×2064 on 128² tiles — 8 full row bands,
+    // 17 column shards with a clipped 16-wide remainder column. At ~2.1 M
+    // cells it clears par's work gate, so budgets above 1 run the parallel
+    // column split of `mvm` and the parallel sample split of `mvm_batch`.
     fam.case("remainder_grid_mvm_bit_identical_across_budgets", || {
-        let (mono, chip, tiled) = twin_arrays(1024, 784, 128, seed)?;
-        let dense: Vec<f32> = (0..1024).map(|i| ((i as f32) * 0.37).sin()).collect();
-        let sparse: Vec<f32> = (0..1024)
+        let (rows, cols) = (1024, 2064);
+        ensure(
+            rows * cols >= 2 * par::PAR_MIN_WORK,
+            "the case must clear par's work gate",
+        )?;
+        let (mono, chip, tiled) = twin_arrays(rows, cols, 128, seed)?;
+        let dense: Vec<f32> = (0..rows).map(|i| ((i as f32) * 0.37).sin()).collect();
+        let sparse: Vec<f32> = (0..rows)
             .map(|i| if i % 5 == 0 { (i as f32) * 0.01 } else { 0.0 })
             .collect();
-        for input in [&dense, &sparse] {
-            let reference = mono.mvm(input).map_err(|e| format!("mono mvm: {e}"))?;
-            // 1 worker, a plausible budget, and a hostile one (the cap).
-            for budget in [1usize, 4, par::MAX_THREADS] {
-                par::set_thread_count(budget);
-                let got = tiled.mvm(&chip, input);
-                par::set_thread_count(0);
-                let got = got.map_err(|e| format!("tiled mvm @{budget}: {e}"))?;
+        let batch: Vec<f32> = dense.iter().chain(&sparse).copied().collect();
+        let mut reference = mono.mvm(&dense).map_err(|e| format!("mono mvm: {e}"))?;
+        reference.extend(mono.mvm(&sparse).map_err(|e| format!("mono mvm: {e}"))?);
+        // 1 worker, a plausible budget, and a hostile one (the cap).
+        for budget in [1usize, 4, par::MAX_THREADS] {
+            par::set_thread_count(budget);
+            let singles = (tiled.mvm(&chip, &dense), tiled.mvm(&chip, &sparse));
+            let batched = tiled.mvm_batch(&chip, &batch, 2);
+            par::set_thread_count(0);
+            let mut got = singles.0.map_err(|e| format!("tiled mvm @{budget}: {e}"))?;
+            got.extend(singles.1.map_err(|e| format!("tiled mvm @{budget}: {e}"))?);
+            let batched = batched.map_err(|e| format!("tiled mvm_batch @{budget}: {e}"))?;
+            for (kind, got) in [("mvm", &got), ("mvm_batch", &batched)] {
                 ensure(got.len() == reference.len(), "output length")?;
-                for (c, (a, b)) in reference.iter().zip(&got).enumerate() {
+                for (c, (a, b)) in reference.iter().zip(got).enumerate() {
                     ensure(
                         a.to_bits() == b.to_bits(),
-                        format!("col {c} diverged at {budget} threads: {a} vs {b}"),
+                        format!("{kind} col {c} diverged at {budget} threads: {a} vs {b}"),
                     )?;
                 }
             }

@@ -345,18 +345,8 @@ impl RemapProblem {
             .map(|l| l.rows * l.cols)
             .max()
             .unwrap_or(0);
-        par::map_indices_hinted(self.layers.len(), est, |li| self.layer_cost(perms, li))
+        par::map_indices(self.layers.len(), est, |li| self.layer_cost(perms, li))
             .into_iter()
-            .sum()
-    }
-
-    /// [`Self::cost`] without the fan-out: the same per-layer counts summed
-    /// in layer order on the calling thread. Used inside parallel island
-    /// evolution, where each worker must stay self-contained.
-    fn cost_sequential(&self, perms: &[Permutation]) -> u64 {
-        assert_eq!(perms.len(), self.groups.len(), "one permutation per group");
-        (0..self.layers.len())
-            .map(|li| self.layer_cost(perms, li))
             .sum()
     }
 
@@ -594,7 +584,7 @@ impl RemapProblem {
                 })
                 .collect();
             let frozen: &[Permutation] = perms;
-            let deltas = par::map_indices_hinted(candidates.len(), probe_ops, |k| {
+            let deltas = par::map_indices(candidates.len(), probe_ops, |k| {
                 let (gi, a, b) = candidates[k];
                 let (pa, pb) = (frozen[gi].as_slice()[a], frozen[gi].as_slice()[b]);
                 let before =
@@ -628,7 +618,7 @@ impl RemapProblem {
     /// Each island holds its own population and its own sub-RNG derived
     /// from the search seed, so a round of evolution is a pure function of
     /// the island's snapshot — the rounds fan out over
-    /// [`par::map_indices_hinted`] without perturbing the trajectory. After
+    /// [`par::map_indices`] without perturbing the trajectory. After
     /// each round the best individual of island `i` replaces the worst of
     /// island `(i + 1) % islands` (computed from the pre-migration
     /// snapshot, applied in island order). The final winner is the
@@ -678,7 +668,7 @@ impl RemapProblem {
             let round = remaining.min(MIGRATION_INTERVAL);
             remaining -= round;
             let frozen: &[Island] = &states;
-            states = par::map_indices_hinted(islands, round * cells, |i| {
+            states = par::map_indices(islands, round * cells, |i| {
                 let mut island = frozen[i].clone();
                 self.evolve_island(&mut island, perms, gi, n, round);
                 island
@@ -732,7 +722,7 @@ impl RemapProblem {
     fn group_fitness(&self, perms: &[Permutation], gi: usize, p: &Permutation) -> u64 {
         let mut scratch = perms.to_vec();
         scratch[gi] = p.clone();
-        self.cost_sequential(&scratch)
+        self.cost(&scratch)
     }
 
     /// Evolves one island for `rounds` generations (tournament selection,

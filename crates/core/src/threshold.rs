@@ -205,7 +205,7 @@ impl ThresholdTrainer {
         for &(pos, layer_index) in &mapped_positions {
             let frozen_layer =
                 frozen.and_then(|m| m.layers().iter().find(|l| l.layer_index == layer_index));
-            let targets = mapped.layers()[pos].targets().to_vec();
+            let targets = mapped.layers()[pos].targets();
             let params = net.layer_params_mut(layer_index).ok_or_else(|| {
                 FttError::InvalidConfig(format!(
                     "mapped layer {layer_index} has no parameters in this network"

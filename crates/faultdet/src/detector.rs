@@ -6,9 +6,9 @@
 //! every output line — a purely read-only pass over a `t × cols` slice of
 //! the crossbar's cached conductance plane. Candidate-bearing groups are
 //! therefore independent work items, and [`OnlineFaultDetector::kind_pass`]
-//! fans them out across the [`par`] worker budget via
-//! [`par::map_indices_hinted`] (groups are few but heavy, so the fan-out is
-//! gated on total estimated work, not item count). The mutating steps — the
+//! fans them out across the [`par`] worker budget via [`par::map_indices`]
+//! (groups are few but heavy; `par` gates the fan-out on total estimated
+//! work, not item count). The mutating steps — the
 //! `±δ` test writes before the sweep and the restore writes after — stay
 //! sequential. Per-group flags are merged back in group order, so the
 //! predicted fault map is bit-identical to the sequential sweep at any
@@ -476,7 +476,7 @@ impl OnlineFaultDetector {
                 })
             });
             let xbar: &Crossbar = xbar;
-            let per_group = par::map_indices_hinted(row_groups.len(), t * cols, |gi| {
+            let per_group = par::map_indices(row_groups.len(), t * cols, |gi| {
                 let group = row_groups[gi].1.clone();
                 let actual = xbar.column_group_sums(group.clone())?;
                 let expected = if cached_refs {
@@ -509,7 +509,7 @@ impl OnlineFaultDetector {
             }
 
             // Repeat in the column direction to derive row information.
-            let per_group = par::map_indices_hinted(col_groups.len(), t * rows, |gi| {
+            let per_group = par::map_indices(col_groups.len(), t * rows, |gi| {
                 let group = col_groups[gi].1.clone();
                 let actual = xbar.row_group_sums(group.clone())?;
                 let expected = if cached_refs {

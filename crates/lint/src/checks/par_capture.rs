@@ -1,9 +1,9 @@
 //! **C1 — par-capture determinism.**
 //!
-//! Closures passed to the `par` fork-join helpers
-//! (`map_indices*` / `join_reduce` / `for_each_chunk_mut*` /
-//! `for_each_row_block_mut`) run concurrently across the worker budget,
-//! so the determinism contract (DESIGN.md §6) forbids them from:
+//! Closures passed to the `par` fork-join helpers (`map_indices` /
+//! `for_each_chunk_mut` / `for_each_row_block_mut`) run concurrently
+//! across the worker budget, so the determinism contract (DESIGN.md §6)
+//! forbids them from:
 //!
 //! * **mutating captured bindings** — an assignment whose target is not
 //!   a closure parameter or a local declared inside the closure races
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn captured_mutation_is_flagged() {
         let out = run(
-            "fn f(n: usize) {\n    let mut total = 0usize;\n    par::map_indices(n, |i| {\n        total += i;\n        i\n    });\n}\n",
+            "fn f(n: usize) {\n    let mut total = 0usize;\n    par::map_indices(n, 1, |i| {\n        total += i;\n        i\n    });\n}\n",
         );
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("total"));
@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn atomic_mutation_is_flagged() {
         let out = run(
-            "fn f(n: usize, c: &std::sync::atomic::AtomicUsize) {\n    par::map_indices(n, |i| {\n        c.fetch_add(i, Ordering::Relaxed);\n        i\n    });\n}\n",
+            "fn f(n: usize, c: &std::sync::atomic::AtomicUsize) {\n    par::map_indices(n, 1, |i| {\n        c.fetch_add(i, Ordering::Relaxed);\n        i\n    });\n}\n",
         );
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("fetch_add"));
@@ -330,12 +330,12 @@ mod tests {
     #[test]
     fn unsalted_rng_is_flagged_salted_is_not() {
         let bad = run(
-            "fn f(n: usize, seed: u64) {\n    par::map_indices(n, |_i| {\n        let rng = sim_rng(seed);\n        rng\n    });\n}\n",
+            "fn f(n: usize, seed: u64) {\n    par::map_indices(n, 1, |_i| {\n        let rng = sim_rng(seed);\n        rng\n    });\n}\n",
         );
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert!(bad[0].message.contains("per-index salt"));
         let ok = run(
-            "fn f(n: usize, seed: u64) {\n    par::map_indices(n, |i| {\n        let salt = 0x9e37u64.wrapping_mul(i as u64);\n        let rng = sim_rng(seed.wrapping_add(salt));\n        rng\n    });\n}\n",
+            "fn f(n: usize, seed: u64) {\n    par::map_indices(n, 1, |i| {\n        let salt = 0x9e37u64.wrapping_mul(i as u64);\n        let rng = sim_rng(seed.wrapping_add(salt));\n        rng\n    });\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
     }
@@ -343,7 +343,7 @@ mod tests {
     #[test]
     fn test_scoped_call_sites_are_exempt() {
         let out = run(
-            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let mut total = 0;\n        par::map_indices(8, |i| { total += i; i });\n    }\n}\n",
+            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let mut total = 0;\n        par::map_indices(8, 1, |i| { total += i; i });\n    }\n}\n",
         );
         assert!(out.is_empty(), "{out:?}");
     }

@@ -32,13 +32,10 @@ use crate::model::{FileRole, SourceFile, Workspace};
 
 /// The `par` fork-join entry points whose closure arguments cross a
 /// determinism boundary (C1).
-pub const PAR_HELPERS: [&str; 6] = [
+pub const PAR_HELPERS: [&str; 3] = [
     "for_each_chunk_mut",
-    "for_each_chunk_mut_hinted",
     "for_each_row_block_mut",
     "map_indices",
-    "map_indices_hinted",
-    "join_reduce",
 ];
 
 /// One call site inside a fn body.
@@ -743,7 +740,7 @@ mod tests {
     #[test]
     fn par_call_closures_are_parsed() {
         let (m, _) = model_of(
-            "fn k(n: usize) -> Vec<usize> {\n    par::map_indices(n, |i| i * 2)\n}\n",
+            "fn k(n: usize) -> Vec<usize> {\n    par::map_indices(n, 1, |i| i * 2)\n}\n",
         );
         assert_eq!(m.par_calls.len(), 1);
         assert_eq!(m.par_calls[0].helper, "map_indices");
@@ -754,12 +751,12 @@ mod tests {
     #[test]
     fn empty_param_closures_and_multiple_args() {
         let (m, _) = model_of(
-            "fn k(n: usize) -> u64 {\n    join_reduce(n, || 0u64, |acc, i| acc + i as u64, |a, b| a + b)\n}\n",
+            "fn k(d: &mut [u64]) {\n    for_each_chunk_mut(d, 1, || 0u64, |start, chunk| chunk[0] += start as u64)\n}\n",
         );
         assert_eq!(m.par_calls.len(), 1);
-        assert_eq!(m.par_calls[0].closures.len(), 3);
+        assert_eq!(m.par_calls[0].closures.len(), 2);
         assert!(m.par_calls[0].closures[0].params.is_empty());
-        assert_eq!(m.par_calls[0].closures[1].params, vec!["acc", "i"]);
+        assert_eq!(m.par_calls[0].closures[1].params, vec!["start", "chunk"]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub trait Registrar {
 /// binding and builds an RNG with no per-index salt.
 pub fn c1_racy(n: usize, seed: u64) -> usize {
     let mut total = 0usize;
-    par::map_indices(n, |i| {
+    par::map_indices(n, 1, |i| {
         total += i;
         let _rng = sim_rng(seed);
         i

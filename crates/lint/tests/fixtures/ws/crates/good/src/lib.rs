@@ -71,7 +71,7 @@ mod tests {
 /// C1 negative: the closure touches only its parameter and locals, and
 /// the RNG seed mixes in the per-index salt.
 pub fn deterministic_map(n: usize, seed: u64) -> Vec<u64> {
-    par::map_indices(n, |i| {
+    par::map_indices(n, 1, |i| {
         let mut acc = 0u64;
         acc += i as u64;
         let _rng = sim_rng(seed.wrapping_add(i as u64));

@@ -99,19 +99,24 @@ impl Layer for Conv2d {
         let (oh, ow) = conv_output_size(h, w, self.k, self.stride, self.pad);
         let positions = oh * ow;
         let sample_len = c * h * w;
-        let mut out = vec![0.0f32; batch * self.out_ch * positions];
-        for bidx in 0..batch {
-            let sample = &input.data()[bidx * sample_len..(bidx + 1) * sample_len];
-            let cols = im2col(sample, c, h, w, self.k, self.stride, self.pad);
-            let y = cols.matmul(&self.w); // [positions, out_ch]
-            let dst =
-                &mut out[bidx * self.out_ch * positions..(bidx + 1) * self.out_ch * positions];
-            for p in 0..positions {
-                for oc in 0..self.out_ch {
-                    dst[oc * positions + p] = y.at2(p, oc) + self.b[oc];
+        let out_len = self.out_ch * positions;
+        let mut out = vec![0.0f32; batch * out_len];
+        // Samples are independent, so the batch fans out in whole-sample
+        // blocks; each sample's im2col + GEMM stays on its worker.
+        let sample_ops = positions * self.w.len();
+        par::for_each_row_block_mut(&mut out, out_len, sample_ops, |b0, block| {
+            for (i, dst) in block.chunks_mut(out_len).enumerate() {
+                let bidx = b0 + i;
+                let sample = &input.data()[bidx * sample_len..(bidx + 1) * sample_len];
+                let cols = im2col(sample, c, h, w, self.k, self.stride, self.pad);
+                let y = cols.matmul(&self.w); // [positions, out_ch]
+                for p in 0..positions {
+                    for oc in 0..self.out_ch {
+                        dst[oc * positions + p] = y.at2(p, oc) + self.b[oc];
+                    }
                 }
             }
-        }
+        });
         if train {
             self.cached_input = Some(input.clone());
             self.in_hw = (h, w);
@@ -287,6 +292,29 @@ mod tests {
         assert_eq!(p.weight_shape, (27, 8));
         assert_eq!(conv.weight_count(), 27 * 8);
         assert_eq!(conv.kind(), "conv2d");
+    }
+
+    #[test]
+    fn conv_forward_is_thread_count_invariant() {
+        let mut rng = init_rng(7);
+        let mut conv = Conv2d::new(8, 16, 3, 1, 1, &mut rng);
+        // 5 samples × ~1.2 M MACs each: clears par's gate for 4 workers.
+        let x = Tensor::from_vec(
+            vec![5, 8, 32, 32],
+            (0..5 * 8 * 32 * 32)
+                .map(|i| ((i as f32) * 0.173).sin())
+                .collect(),
+        );
+        par::set_thread_count(1);
+        let seq = conv.forward(&x, false);
+        par::set_thread_count(4);
+        let parl = conv.forward(&x, false);
+        par::set_thread_count(0);
+        assert_eq!(
+            seq.data(),
+            parl.data(),
+            "conv forward must be bit-identical"
+        );
     }
 
     #[test]

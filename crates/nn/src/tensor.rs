@@ -176,8 +176,8 @@ impl Tensor {
     /// Matrix product `self · other` for 2-D tensors (`[m,k] · [k,n] → [m,n]`).
     ///
     /// Output rows are computed independently (row-blocked across worker
-    /// threads above a FLOP gate); results are identical to the sequential
-    /// kernel at any thread count.
+    /// threads past `par`'s work gate); results are identical to the
+    /// sequential kernel at any thread count.
     ///
     /// # Panics
     ///
@@ -189,7 +189,7 @@ impl Tensor {
         let mut out = vec![0.0f32; m * n];
         let a = &self.data;
         let b = &other.data;
-        run_row_blocked(&mut out, n, m * k * n, |i0, block| {
+        par::for_each_row_block_mut(&mut out, n, k * n, |i0, block| {
             for (bi, c_row) in block.chunks_mut(n).enumerate() {
                 let i = i0 + bi;
                 saxpy_row_kernel(&a[i * k..(i + 1) * k], b, c_row);
@@ -224,7 +224,7 @@ impl Tensor {
         }
         let mut out = vec![0.0f32; m * n];
         let b = &other.data;
-        run_row_blocked(&mut out, n, m * k * n, |i0, block| {
+        par::for_each_row_block_mut(&mut out, n, k * n, |i0, block| {
             for (bi, c_row) in block.chunks_mut(n).enumerate() {
                 let i = i0 + bi;
                 saxpy_row_kernel(&at[i * k..(i + 1) * k], b, c_row);
@@ -247,7 +247,7 @@ impl Tensor {
         let mut out = vec![0.0f32; m * n];
         let a = &self.data;
         let b = &other.data;
-        run_row_blocked(&mut out, n, m * k * n, |i0, block| {
+        par::for_each_row_block_mut(&mut out, n, k * n, |i0, block| {
             for (bi, c_row) in block.chunks_mut(n).enumerate() {
                 let a_row = &a[(i0 + bi) * k..(i0 + bi + 1) * k];
                 for (c, b_row) in c_row.iter_mut().zip(b.chunks_exact(k)) {
@@ -283,23 +283,6 @@ impl Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
-    }
-}
-
-/// MAC-count gate below which the GEMM kernels stay on the calling thread
-/// (a thread spawn costs ~10 µs ≈ tens of thousands of MACs).
-const PAR_MIN_FLOPS: usize = 1 << 16;
-
-/// Runs `f(first_row, row_block)` over `out` split into whole-row blocks,
-/// in parallel when `flops` clears the gate, sequentially otherwise.
-fn run_row_blocked<F>(out: &mut [f32], row_len: usize, flops: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    if flops >= PAR_MIN_FLOPS && par::thread_count() > 1 {
-        par::for_each_row_block_mut(out, row_len, f);
-    } else {
-        f(0, out);
     }
 }
 
@@ -513,8 +496,8 @@ mod tests {
 
     #[test]
     fn matmul_family_is_thread_count_invariant() {
-        // Large enough to clear PAR_MIN_FLOPS so the parallel path runs.
-        let (m, k, n) = (37, 65, 41);
+        // Large enough to clear par's work gate so the parallel path runs.
+        let (m, k, n) = (37, 650, 131);
         let fill =
             |len: usize, f: f32| -> Vec<f32> { (0..len).map(|i| ((i as f32) * f).sin()).collect() };
         let a = Tensor::from_vec(vec![m, k], fill(m * k, 0.37));
@@ -541,8 +524,11 @@ mod tests {
 
     #[test]
     fn matmul_tn_packed_matches_naive_on_sparse_input() {
-        // Mostly-zero operand: exercises the sparsity-gated zero-skip.
-        let (k, m, n) = (50, 30, 46); // 69k MACs clears the parallel gate too
+        // Mostly-zero operand: exercises the sparsity-gated zero-skip. The
+        // product clears par's work gate for four workers, so budget 4 runs
+        // the parallel sparse path.
+        let (k, m, n) = (512, 64, 130);
+        assert!(m * k * n >= 4 * par::PAR_MIN_WORK);
         let mut a = vec![0.0f32; k * m];
         for (i, v) in a.iter_mut().enumerate() {
             if i % 5 == 0 {
@@ -559,8 +545,14 @@ mod tests {
                 at[i * k + p] = v;
             }
         }
+        par::set_thread_count(1);
         let reference = Tensor::from_vec(vec![m, k], at).matmul(&b_t);
-        assert_eq!(a_t.matmul_tn(&b_t).data(), reference.data());
+        let seq = a_t.matmul_tn(&b_t);
+        par::set_thread_count(4);
+        let parl = a_t.matmul_tn(&b_t);
+        par::set_thread_count(0);
+        assert_eq!(seq.data(), reference.data());
+        assert_eq!(parl.data(), reference.data());
     }
 
     #[test]

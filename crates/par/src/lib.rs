@@ -1,4 +1,4 @@
-//! Scoped-thread data-parallel helpers for the workspace's wide loops.
+//! Scoped-thread data-parallel helpers for the workspace's coarse loops.
 //!
 //! The build environment is offline (no crates.io registry), so instead of
 //! `rayon` this crate provides the minimal fork-join surface the kernels
@@ -7,22 +7,25 @@
 //! * [`thread_count`] — the worker budget: `RRAM_FTT_THREADS` env override,
 //!   else [`std::thread::available_parallelism`].
 //! * [`for_each_chunk_mut`] — split a `&mut [T]` into contiguous chunks and
-//!   process them on worker threads (the backbone of row-blocked matmul and
-//!   plane-backed MVM batching).
+//!   process them on worker threads (MVM output columns, chip tile slots).
+//! * [`for_each_row_block_mut`] — the same over whole rows of a row-major
+//!   buffer (GEMM output rows, batched MVM and convolution samples).
 //! * [`map_indices`] — evaluate an independent `Fn(usize) -> T` for
 //!   `0..n` and collect results in index order (detection-group sweeps,
-//!   remap candidate scoring).
-//! * [`join_reduce`] — partition `0..n` into ranges, fold each range on a
-//!   worker, then combine partial results (cost sums).
+//!   remap candidate scoring, arena contenders).
 //!
-//! All helpers fall back to plain sequential execution when the budget is
-//! one thread or the problem is below [`PAR_THRESHOLD`], so small inputs
-//! never pay thread-spawn overhead and unit tests stay deterministic.
+//! **One work gate.** Every helper takes an estimate of the scalar
+//! operations per item and never gives a worker less than
+//! [`PAR_MIN_WORK`] of them; below that it calls the closure once, on the
+//! calling thread, over the whole input. A helper called from inside a
+//! fan-out (nested parallelism) always runs inline, so the budget is spent
+//! once, at the coarsest level that clears the gate.
 //!
 //! Determinism note: every helper assigns work by index and writes results
 //! into pre-sliced disjoint regions, so outputs are bit-identical to the
 //! sequential order regardless of the thread count.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -37,13 +40,13 @@ pub mod sanitizer;
 /// `par` has no recorder parameter to thread through (it sits below every
 /// instrumented crate), so this is the one sanctioned use of the global
 /// recorder. Only commutative metrics are touched; no events.
-fn record_fanout(helper: &'static str, workers: usize) -> Option<obs::SpanGuard> {
+fn record_fanout(helper: &'static str, spawned: usize) -> Option<obs::SpanGuard> {
     if !obs::enabled() {
         return None;
     }
     let rec = obs::global();
     rec.counter("par_fanouts_total").inc();
-    rec.counter("par_workers_spawned_total").add(workers as u64);
+    rec.counter("par_workers_spawned_total").add(spawned as u64);
     Some(rec.span(helper))
 }
 
@@ -56,9 +59,15 @@ fn worker_span() -> Option<obs::SpanGuard> {
     Some(obs::global().span("par_worker"))
 }
 
-/// Problems smaller than this many work items run sequentially: spawning
-/// even one scoped thread costs ~10 µs, which dwarfs small kernels.
-pub const PAR_THRESHOLD: usize = 64;
+/// The work gate: the fewest estimated scalar operations a worker may be
+/// given. Calibrated from the measured fan-out cost — one scoped fan-out
+/// costs ~30 µs on a 2-core VM (the caller running one chunk itself), and
+/// the workspace's lane kernels retire roughly one to two scalar ops per
+/// nanosecond per core — so a worker holding at least 2^20 ops (≈ 0.5–1
+/// ms) keeps the spawn under ~5 % of its work. Estimates are rough by
+/// design; the gate only has to separate per-sample kernels from coarse
+/// jobs, which differ by orders of magnitude.
+pub const PAR_MIN_WORK: usize = 1 << 20;
 
 /// Sparsity gate shared by `Crossbar::mvm` and `Tensor::matmul`: skipping a
 /// zero input element saves a row-length SAXPY, but the branch costs a
@@ -168,103 +177,28 @@ pub fn set_thread_count(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// Splits `data` into at most `thread_count()` contiguous chunks of at
-/// least `min_chunk` items and runs `f(chunk_start_index, chunk)` for each,
-/// in parallel. Falls back to one sequential call for small inputs.
-pub fn for_each_chunk_mut<T, F>(data: &mut [T], min_chunk: usize, f: F)
+/// Splits `data` into contiguous chunks, one per worker, and runs
+/// `f(chunk_start_index, chunk)` for each. `ops_per_item` estimates the
+/// scalar operations one item costs; below the [`PAR_MIN_WORK`] gate this
+/// is one call `f(0, data)` on the calling thread.
+pub fn for_each_chunk_mut<T, F>(data: &mut [T], ops_per_item: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let n = data.len();
-    if n == 0 {
-        return;
-    }
-    let workers = worker_count(n.div_ceil(min_chunk.max(1)));
-    if workers <= 1 {
-        f(0, data);
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    let _obs = record_fanout("par_chunk", workers);
-    let san = sanitizer::enabled();
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    std::thread::scope(|scope| {
-        for (ci, slice) in data.chunks_mut(chunk).enumerate() {
-            if san {
-                spans.push((ci * chunk, slice.len()));
-            }
-            let f = &f;
-            scope.spawn(move || {
-                let _w = worker_span();
-                f(ci * chunk, slice);
-            });
-        }
-    });
-    if san {
-        let order: Vec<usize> = (0..spans.len()).collect();
-        sanitizer::record_schedule("par_chunk", n, &spans, &order);
-    }
-}
-
-/// Like [`for_each_chunk_mut`], but sized for *few, heavy* items (e.g. a
-/// handful of crossbar tiles each running a whole detection campaign): the
-/// fan-out engages whenever `data.len() · est_ops_per_item` clears
-/// [`PAR_MIN_WORK`], even far below [`PAR_THRESHOLD`] items.
-pub fn for_each_chunk_mut_hinted<T, F>(data: &mut [T], est_ops_per_item: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = data.len();
-    if n == 0 {
-        return;
-    }
-    let workers = if n < 2 || n.saturating_mul(est_ops_per_item) < PAR_MIN_WORK {
-        1
-    } else {
-        thread_count().min(n)
-    };
-    if workers <= 1 {
-        f(0, data);
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    let _obs = record_fanout("par_chunk_hinted", workers);
-    let san = sanitizer::enabled();
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    std::thread::scope(|scope| {
-        for (ci, slice) in data.chunks_mut(chunk).enumerate() {
-            if san {
-                spans.push((ci * chunk, slice.len()));
-            }
-            let f = &f;
-            scope.spawn(move || {
-                let _w = worker_span();
-                f(ci * chunk, slice);
-            });
-        }
-    });
-    if san {
-        let order: Vec<usize> = (0..spans.len()).collect();
-        sanitizer::record_schedule("par_chunk_hinted", n, &spans, &order);
-    }
+    fan_out("par_chunk", data, 1, ops_per_item, f);
 }
 
 /// Splits a row-major matrix buffer (`data.len() == rows * row_len`) into
 /// contiguous blocks of *whole rows* and runs `f(first_row, block)` for
-/// each block on the worker budget. Unlike [`for_each_chunk_mut`] this
-/// never splits a row across workers, so per-row kernels (matmul output
-/// rows, crossbar MVM lanes) stay contiguous.
-///
-/// The caller decides *whether* parallelism pays (e.g. by a FLOP-count
-/// gate); this helper only refuses to split when there is a single row or
-/// a single worker.
+/// each block. Unlike [`for_each_chunk_mut`] this never splits a row across
+/// workers, so per-row kernels (matmul output rows, per-sample passes) stay
+/// contiguous. `ops_per_row` feeds the [`PAR_MIN_WORK`] gate.
 ///
 /// # Panics
 ///
 /// Panics if `row_len` is zero or does not divide `data.len()`.
-pub fn for_each_row_block_mut<T, F>(data: &mut [T], row_len: usize, f: F)
+pub fn for_each_row_block_mut<T, F>(data: &mut [T], row_len: usize, ops_per_row: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -275,186 +209,131 @@ where
         "buffer length {} is not a multiple of row_len {row_len}",
         data.len()
     );
-    let rows = data.len() / row_len;
-    let workers = thread_count().min(rows);
-    if workers <= 1 {
-        f(0, data);
-        return;
-    }
-    let rows_per_block = rows.div_ceil(workers);
-    let block = rows_per_block * row_len;
-    let _obs = record_fanout("par_row_block", workers);
-    let san = sanitizer::enabled();
-    let n = data.len();
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    std::thread::scope(|scope| {
-        for (ci, slice) in data.chunks_mut(block).enumerate() {
-            if san {
-                spans.push((ci * block, slice.len()));
-            }
-            let f = &f;
-            scope.spawn(move || {
-                let _w = worker_span();
-                f(ci * rows_per_block, slice);
-            });
-        }
-    });
-    if san {
-        let order: Vec<usize> = (0..spans.len()).collect();
-        sanitizer::record_schedule("par_row_block", n, &spans, &order);
-    }
+    fan_out("par_row_block", data, row_len, ops_per_row, f);
 }
 
-/// Evaluates `f(i)` for every `i in 0..n` on the worker budget and returns
-/// the results in index order. `f` must be independent across indices.
-pub fn map_indices<T, F>(n: usize, f: F) -> Vec<T>
+/// Evaluates `f(i)` for every `i in 0..n` and returns the results in index
+/// order. `f` must be independent across indices; `ops_per_item` feeds the
+/// [`PAR_MIN_WORK`] gate.
+pub fn map_indices<T, F>(n: usize, ops_per_item: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    map_indices_on(worker_count(n), n, f)
-}
-
-/// Estimated scalar operations below which a fan-out is not worth a thread
-/// spawn (see [`map_indices_hinted`]).
-pub const PAR_MIN_WORK: usize = 1 << 14;
-
-/// Like [`map_indices`], but sized for *few, heavy* items: the caller
-/// passes an estimate of the scalar operations per item, and the fan-out
-/// engages whenever `n · est_ops_per_item` clears [`PAR_MIN_WORK`] — even
-/// for item counts far below [`PAR_THRESHOLD`] (e.g. 8 detection groups
-/// that each sweep a 512-column crossbar slice).
-pub fn map_indices_hinted<T, F>(n: usize, est_ops_per_item: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = if n < 2 || n.saturating_mul(est_ops_per_item) < PAR_MIN_WORK {
-        1
-    } else {
-        thread_count().min(n)
-    };
-    map_indices_on(workers, n, f)
-}
-
-fn map_indices_on<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if workers <= 1 {
+    // Below the gate, skip the slot vector: per-item kernels (remap swap
+    // scoring, detection groups) call this often on small `n`.
+    if workers_for(n, ops_per_item) <= 1 {
         return (0..n).map(f).collect();
     }
     let mut out: Vec<Option<T>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    let chunk = n.div_ceil(workers);
-    let _obs = record_fanout("par_map", workers);
-    let san = sanitizer::enabled();
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    std::thread::scope(|scope| {
-        for (ci, slice) in out.chunks_mut(chunk).enumerate() {
-            if san {
-                spans.push((ci * chunk, slice.len()));
-            }
-            let f = &f;
-            scope.spawn(move || {
-                let _w = worker_span();
-                for (k, slot) in slice.iter_mut().enumerate() {
-                    *slot = Some(f(ci * chunk + k));
-                }
-            });
+    fan_out("par_map", &mut out, 1, ops_per_item, |start, slots| {
+        for (k, slot) in slots.iter_mut().enumerate() {
+            *slot = Some(f(start + k));
         }
     });
-    if san {
-        let order: Vec<usize> = (0..spans.len()).collect();
-        sanitizer::record_schedule("par_map", n, &spans, &order);
-    }
     out.into_iter()
-        // PANIC-OK: the workers above cover `0..n` exactly (disjoint
-        // chunks of the same Vec); an empty slot is a bug in this module,
-        // not a caller-reachable state.
+        // PANIC-OK: `fan_out` hands every slot of `out` to exactly one
+        // call of the closure above, which fills it; an empty slot is a bug
+        // in this module, not a caller-reachable state.
         .map(|v| {
             #[allow(clippy::expect_used)]
-            v.expect("worker filled every slot")
+            v.expect("fan-out filled every slot")
         })
         .collect()
 }
 
-/// Folds `0..n` in parallel: each worker folds its contiguous index range
-/// with `fold(acc, i)` starting from `init()`, and the per-worker partials
-/// are combined left-to-right (in range order) with `combine`.
-///
-/// With a commutative+associative `combine` (e.g. `f64` cost sums where
-/// per-range grouping differences are acceptable) this is a drop-in
-/// replacement for a sequential fold.
-pub fn join_reduce<A, I, F, C>(n: usize, init: I, fold: F, combine: C) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, usize) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    let workers = worker_count(n);
-    if workers <= 1 {
-        return (0..n).fold(init(), &fold);
-    }
-    let chunk = n.div_ceil(workers);
-    let mut partials: Vec<Option<A>> = Vec::new();
-    partials.resize_with(n.div_ceil(chunk), || None);
-    let _obs = record_fanout("par_reduce", workers);
-    let san = sanitizer::enabled();
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    std::thread::scope(|scope| {
-        for (ci, slot) in partials.iter_mut().enumerate() {
-            let lo = ci * chunk;
-            let hi = (lo + chunk).min(n);
-            if san {
-                spans.push((lo, hi - lo));
-            }
-            let init = &init;
-            let fold = &fold;
-            scope.spawn(move || {
-                let _w = worker_span();
-                *slot = Some((lo..hi).fold(init(), fold));
-            });
-        }
-    });
-    // Combine partials left-to-right in range order, recording the order
-    // actually used so the sanitizer can fingerprint it.
-    let mut order: Vec<usize> = Vec::new();
-    let mut acc: Option<A> = None;
-    for (ci, p) in partials.into_iter().enumerate() {
-        // PANIC-OK: one worker is spawned per partial slot and each writes
-        // `Some` before the scope joins; a `None` here is a bug in this
-        // module, not a caller-reachable state.
-        #[allow(clippy::expect_used)]
-        let p = p.expect("worker produced a partial");
-        if san {
-            order.push(ci);
-        }
-        acc = Some(match acc {
-            None => p,
-            Some(a) => combine(a, p),
-        });
-    }
-    if san {
-        sanitizer::record_schedule("par_reduce", n, &spans, &order);
-    }
-    acc.unwrap_or_else(init)
+thread_local! {
+    /// Set while this thread runs one chunk of a fan-out; helpers called
+    /// from inside it run inline instead of fanning out again.
+    static IN_FANOUT: Cell<bool> = const { Cell::new(false) };
 }
 
-/// How many workers a problem of `n` independent items warrants.
-fn worker_count(n: usize) -> usize {
-    if n < PAR_THRESHOLD {
-        1
-    } else {
-        thread_count().min(n)
+/// Restores the nesting flag when a chunk finishes (or unwinds).
+struct ChunkGuard(bool);
+
+impl Drop for ChunkGuard {
+    fn drop(&mut self) {
+        IN_FANOUT.with(|c| c.set(self.0));
+    }
+}
+
+/// Runs one chunk of a fan-out with nested fan-outs disabled.
+fn run_chunk(job: impl FnOnce()) {
+    let _w = worker_span();
+    let _guard = ChunkGuard(IN_FANOUT.with(|c| c.replace(true)));
+    job();
+}
+
+/// How many workers `units` items of `ops_per_unit` each may use: no more
+/// than the budget or the item count, and never so many that one gets less
+/// than [`PAR_MIN_WORK`]. Always 1 inside a running fan-out.
+fn workers_for(units: usize, ops_per_unit: usize) -> usize {
+    if IN_FANOUT.with(Cell::get) {
+        return 1;
+    }
+    let by_work = units.saturating_mul(ops_per_unit) / PAR_MIN_WORK;
+    thread_count().min(units).min(by_work).max(1)
+}
+
+/// The one fork-join core behind every helper: splits `data` into
+/// contiguous blocks of whole `unit`-element units, one block per worker,
+/// and runs `f(first_unit, block)` for each. The calling thread runs the
+/// first block itself and spawns one scoped thread per remaining block.
+fn fan_out<T, F>(helper: &'static str, data: &mut [T], unit: usize, ops_per_unit: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let units = data.len() / unit;
+    let workers = workers_for(units, ops_per_unit);
+    if workers <= 1 {
+        f(0, data);
+        return;
+    }
+    let per_block = units.div_ceil(workers);
+    let block_len = per_block * unit;
+    let n = data.len();
+    let mut blocks = data.chunks_mut(block_len);
+    let _obs = record_fanout(helper, blocks.len() - 1);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let first = blocks.next();
+        for (bi, block) in blocks.enumerate() {
+            let first_unit = (bi + 1) * per_block;
+            scope.spawn(move || run_chunk(|| f(first_unit, block)));
+        }
+        if let Some(block) = first {
+            run_chunk(|| f(0, block));
+        }
+    });
+    if sanitizer::enabled() {
+        let spans: Vec<(usize, usize)> = (0..n)
+            .step_by(block_len)
+            .map(|start| (start, block_len.min(n - start)))
+            .collect();
+        let order: Vec<usize> = (0..spans.len()).collect();
+        sanitizer::record_schedule(helper, n, &spans, &order);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+    use std::thread::{self, ThreadId};
+
+    /// Serializes the tests that change the process-wide thread budget or
+    /// global instrumentation.
+    static GLOBAL: Mutex<()> = Mutex::new(());
+
+    fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+        set_thread_count(threads);
+        let r = f();
+        set_thread_count(0);
+        r
+    }
 
     #[test]
     fn thread_count_is_positive() {
@@ -500,19 +379,19 @@ mod tests {
 
     #[test]
     fn set_thread_count_overrides_and_restores() {
-        set_thread_count(3);
-        assert_eq!(thread_count(), 3);
-        set_thread_count(0);
+        with_budget(3, || assert_eq!(thread_count(), 3));
         assert!(thread_count() >= 1);
     }
 
     #[test]
     fn chunks_cover_every_index_once() {
         let mut data = vec![0u32; 1000];
-        for_each_chunk_mut(&mut data, 1, |start, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v += (start + k) as u32 + 1;
-            }
+        with_budget(4, || {
+            for_each_chunk_mut(&mut data, PAR_MIN_WORK, |start, chunk| {
+                for (k, v) in chunk.iter_mut().enumerate() {
+                    *v += (start + k) as u32 + 1;
+                }
+            });
         });
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, i as u32 + 1, "index {i} visited exactly once");
@@ -520,21 +399,59 @@ mod tests {
     }
 
     #[test]
-    fn small_input_runs_sequentially() {
-        let mut data = vec![1u8; PAR_THRESHOLD - 1];
-        let mut calls = 0;
-        // A FnMut would not compile for the parallel path; the sequential
-        // fallback is exercised through an interior-mutability counter.
-        let counter = std::sync::atomic::AtomicUsize::new(0);
-        for_each_chunk_mut(&mut data, 1, |_, chunk| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            for v in chunk {
-                *v = 2;
-            }
+    fn below_gate_fan_out_runs_on_the_calling_thread() {
+        let caller = thread::current().id();
+        let ids = with_budget(4, || {
+            // 4 items × (PAR_MIN_WORK / 4 - 1) ops: just under one worker's
+            // worth, so the gate keeps everything on the caller.
+            let mut ids: Vec<Option<ThreadId>> = vec![None; 4];
+            for_each_chunk_mut(&mut ids, PAR_MIN_WORK / 4 - 1, |_, chunk| {
+                for id in chunk {
+                    *id = Some(thread::current().id());
+                }
+            });
+            let mapped = map_indices(4, PAR_MIN_WORK / 4 - 1, |_| thread::current().id());
+            (ids, mapped)
         });
-        calls += counter.load(Ordering::Relaxed);
-        assert_eq!(calls, 1, "below-threshold input must not be split");
-        assert!(data.iter().all(|&v| v == 2));
+        assert!(ids.0.iter().all(|&id| id == Some(caller)));
+        assert!(ids.1.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn enabled_fan_out_splits_work_and_the_caller_runs_the_first_chunk() {
+        let caller = thread::current().id();
+        let ids = with_budget(4, || {
+            map_indices(8, PAR_MIN_WORK, |_| thread::current().id())
+        });
+        // 4 workers over 8 items: chunks of 2, the first on the caller.
+        assert_eq!(ids[0], caller);
+        assert_eq!(ids[1], caller);
+        for w in 1..4 {
+            assert_eq!(ids[2 * w], ids[2 * w + 1], "a chunk stays on one thread");
+            assert_ne!(ids[2 * w], caller, "chunk {w} ran on a spawned worker");
+        }
+    }
+
+    #[test]
+    fn helpers_called_inside_a_worker_run_inline() {
+        let nested = with_budget(4, || {
+            map_indices(4, PAR_MIN_WORK, |_| {
+                let me = thread::current().id();
+                let inner = map_indices(64, PAR_MIN_WORK, |_| thread::current().id());
+                let mut rows = vec![me; 64 * 4];
+                for_each_row_block_mut(&mut rows, 4, PAR_MIN_WORK, |_, block| {
+                    block.fill(thread::current().id());
+                });
+                (me, inner, rows)
+            })
+        });
+        for (me, inner, rows) in nested {
+            assert!(inner.iter().all(|&id| id == me), "nested map ran inline");
+            assert!(
+                rows.iter().all(|&id| id == me),
+                "nested row blocks ran inline"
+            );
+        }
     }
 
     #[test]
@@ -542,11 +459,13 @@ mod tests {
         let row_len = 7;
         let rows = 131;
         let mut data = vec![0usize; rows * row_len];
-        for_each_row_block_mut(&mut data, row_len, |first_row, block| {
-            assert_eq!(block.len() % row_len, 0, "block must hold whole rows");
-            for (k, v) in block.iter_mut().enumerate() {
-                *v = (first_row * row_len + k) + 1;
-            }
+        with_budget(4, || {
+            for_each_row_block_mut(&mut data, row_len, PAR_MIN_WORK, |first_row, block| {
+                assert_eq!(block.len() % row_len, 0, "block must hold whole rows");
+                for (k, v) in block.iter_mut().enumerate() {
+                    *v = (first_row * row_len + k) + 1;
+                }
+            });
         });
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, i + 1);
@@ -555,60 +474,45 @@ mod tests {
 
     #[test]
     fn map_indices_preserves_order() {
-        let squares = map_indices(500, |i| i * i);
+        let squares = with_budget(4, || map_indices(500, PAR_MIN_WORK, |i| i * i));
         assert_eq!(squares.len(), 500);
         for (i, s) in squares.iter().enumerate() {
             assert_eq!(*s, i * i);
         }
+        assert!(map_indices(0, PAR_MIN_WORK, |i| i).is_empty());
     }
 
     #[test]
-    fn join_reduce_matches_sequential_fold() {
-        let n = 4097;
-        let par: u64 = join_reduce(n, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
-        let seq: u64 = (0..n as u64).sum();
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn fanout_instrumentation_is_gated_and_counts() {
-        // Default off: no fan-out metrics appear.
-        let before = obs::global()
-            .registry()
-            .counter_value("par_fanouts_total")
-            .unwrap_or(0);
-        let mut data = vec![0u32; 4096];
-        for_each_chunk_mut(&mut data, 1, |_, chunk| {
-            for v in chunk.iter_mut() {
-                *v += 1;
-            }
+    fn fanout_instrumentation_is_gated_and_counts_spawned_workers() {
+        let counter = |name: &str| obs::global().registry().counter_value(name).unwrap_or(0);
+        with_budget(4, || {
+            let mut data = vec![0u32; 4096];
+            let bump = |_: usize, chunk: &mut [u32]| chunk.iter_mut().for_each(|v| *v += 1);
+            // Default off: no fan-out metrics appear.
+            let before = (
+                counter("par_fanouts_total"),
+                counter("par_workers_spawned_total"),
+            );
+            for_each_chunk_mut(&mut data, PAR_MIN_WORK, bump);
+            let mid = (
+                counter("par_fanouts_total"),
+                counter("par_workers_spawned_total"),
+            );
+            assert_eq!(mid, before, "instrumentation must stay off by default");
+            // Enabled: a fan-out of w workers is counted once and spawns
+            // w − 1 threads (the caller runs the first chunk).
+            obs::set_enabled(true);
+            for_each_chunk_mut(&mut data, PAR_MIN_WORK, bump);
+            // 3 items clear the gate for 3 workers only.
+            let _ = map_indices(3, PAR_MIN_WORK, |i| i);
+            obs::set_enabled(false);
+            let after = (
+                counter("par_fanouts_total"),
+                counter("par_workers_spawned_total"),
+            );
+            assert_eq!(after.0, mid.0 + 2, "each enabled fan-out is counted once");
+            assert_eq!(after.1, mid.1 + 3 + 2, "w workers spawn w − 1 threads");
+            assert!(data.iter().all(|&v| v == 2));
         });
-        let mid = obs::global()
-            .registry()
-            .counter_value("par_fanouts_total")
-            .unwrap_or(0);
-        assert_eq!(mid, before, "instrumentation must stay off by default");
-        // Enabled: the fan-out is counted (when it actually forks).
-        set_thread_count(4);
-        obs::set_enabled(true);
-        for_each_chunk_mut(&mut data, 1, |_, chunk| {
-            for v in chunk.iter_mut() {
-                *v += 1;
-            }
-        });
-        obs::set_enabled(false);
-        set_thread_count(0);
-        let after = obs::global()
-            .registry()
-            .counter_value("par_fanouts_total")
-            .unwrap_or(0);
-        assert_eq!(after, mid + 1, "enabled fan-out must be counted");
-        assert!(data.iter().all(|&v| v == 2));
-    }
-
-    #[test]
-    fn join_reduce_empty_range_yields_init() {
-        let v: u64 = join_reduce(0, || 7u64, |acc, _| acc + 1, |a, b| a + b);
-        assert_eq!(v, 7);
     }
 }

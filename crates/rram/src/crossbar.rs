@@ -46,10 +46,6 @@ use crate::variation::WriteVariation;
 /// Default number of programmable conductance levels (Xu et al., DAC'13).
 pub const DEFAULT_LEVELS: u16 = 8;
 
-/// Minimum number of cells before the MVM kernels fan out to worker
-/// threads; below this the whole product is cheaper than one thread spawn.
-const PAR_MIN_CELLS: usize = 1 << 15;
-
 /// Whether `input` is sparse enough for the zero-skip branch to win; see
 /// [`par::SPARSITY_SKIP_THRESHOLD`].
 #[inline]
@@ -708,27 +704,17 @@ impl Crossbar {
         // `g ∈ [0, 1]`, which cannot move an IEEE-754 accumulator off the
         // value it would otherwise hold.
         let skip_zeros = sparse_enough(input);
-        if self.rows * self.cols >= PAR_MIN_CELLS && par::thread_count() > 1 {
-            let plane = &self.plane32;
-            let cols = self.cols;
-            par::for_each_chunk_mut(&mut out, 64, |c0, chunk| {
-                for (r, &v) in input.iter().enumerate() {
-                    if skip_zeros && v == 0.0 {
-                        continue;
-                    }
-                    let row = &plane[r * cols + c0..r * cols + c0 + chunk.len()];
-                    saxpy_f32(chunk, row, v);
-                }
-            });
-        } else {
+        let plane = &self.plane32;
+        let cols = self.cols;
+        par::for_each_chunk_mut(&mut out, self.rows, |c0, chunk| {
             for (r, &v) in input.iter().enumerate() {
                 if skip_zeros && v == 0.0 {
                     continue;
                 }
-                let row = &self.plane32[r * self.cols..(r + 1) * self.cols];
-                saxpy_f32(&mut out, row, v);
+                let row = &plane[r * cols + c0..r * cols + c0 + chunk.len()];
+                saxpy_f32(chunk, row, v);
             }
-        }
+        });
         Ok(out)
     }
 
@@ -779,18 +765,12 @@ impl Crossbar {
         let mut out = vec![0.0f32; self.rows];
         let plane = &self.plane32;
         let cols = self.cols;
-        let dot = |r: usize| -> f32 { lane_dot_f32(&plane[r * cols..(r + 1) * cols], input) };
-        if self.rows * self.cols >= PAR_MIN_CELLS && par::thread_count() > 1 {
-            par::for_each_chunk_mut(&mut out, 16, |r0, chunk| {
-                for (k, o) in chunk.iter_mut().enumerate() {
-                    *o = dot(r0 + k);
-                }
-            });
-        } else {
-            for (r, o) in out.iter_mut().enumerate() {
-                *o = dot(r);
+        par::for_each_chunk_mut(&mut out, cols, |r0, chunk| {
+            for (k, o) in chunk.iter_mut().enumerate() {
+                let r = r0 + k;
+                *o = lane_dot_f32(&plane[r * cols..(r + 1) * cols], input);
             }
-        }
+        });
         Ok(out)
     }
 

@@ -417,8 +417,8 @@ impl TiledChip {
         incremental: bool,
     ) -> CampaignStats {
         let selected: BTreeSet<usize> = ids.iter().copied().collect();
-        let hint = 8 * self.config.tile_size * self.config.tile_size;
-        par::for_each_chunk_mut_hinted(&mut self.slots, hint, |_, slots| {
+        let campaign_ops = 8 * self.config.tile_size * self.config.tile_size;
+        par::for_each_chunk_mut(&mut self.slots, campaign_ops, |_, slots| {
             for slot in slots {
                 if slot.retired || !selected.contains(&slot.id) {
                     continue;

@@ -29,10 +29,6 @@ use crate::chip::TiledChip;
 use crate::error::TileError;
 use crate::geometry::{Shard, ShardGrid};
 
-/// Minimum cells before the tiled MVM fans out to worker threads —
-/// mirrors the monolithic kernel's gate so both engage together.
-const PAR_MIN_CELLS: usize = 1 << 15;
-
 /// Whether `input` is sparse enough for the zero-skip branch to win;
 /// mirrors the monolithic kernel's predicate exactly.
 #[inline]
@@ -244,13 +240,9 @@ impl TiledMapping {
         let planes = self.planes(chip)?;
         let mut out = vec![0.0f32; self.grid.cols];
         let skip_zeros = sparse_enough(input);
-        if self.grid.rows * self.grid.cols >= PAR_MIN_CELLS && par::thread_count() > 1 {
-            par::for_each_chunk_mut(&mut out, 64, |c0, chunk| {
-                self.mvm_into(&planes, input, skip_zeros, c0, chunk);
-            });
-        } else {
-            self.mvm_into(&planes, input, skip_zeros, 0, &mut out);
-        }
+        par::for_each_chunk_mut(&mut out, self.grid.rows, |c0, chunk| {
+            self.mvm_into(&planes, input, skip_zeros, c0, chunk);
+        });
         Ok(out)
     }
 
@@ -279,7 +271,8 @@ impl TiledMapping {
         let planes = self.planes(chip)?;
         let rows = self.grid.rows;
         let mut out = vec![0.0f32; batch * self.grid.cols];
-        par::for_each_row_block_mut(&mut out, self.grid.cols, |b0, block| {
+        let cells = rows * self.grid.cols;
+        par::for_each_row_block_mut(&mut out, self.grid.cols, cells, |b0, block| {
             for (i, out_row) in block.chunks_mut(self.grid.cols).enumerate() {
                 let sample = &inputs[(b0 + i) * rows..(b0 + i + 1) * rows];
                 let skip_zeros = sparse_enough(sample);
@@ -392,8 +385,9 @@ mod tests {
 
     #[test]
     fn tiled_mvm_matches_monolithic_with_remainders() {
-        // 300×200 on 128² tiles: remainder bands on both axes, and large
-        // enough (60k cells) to engage the parallel gate when threads > 1.
+        // 300×200 on 128² tiles: remainder bands on both axes. At 60k
+        // cells this stays below par's work gate (sequential path); the
+        // chaos `tiling` family sizes its MVM case past the gate.
         let (chip, mapping, mono) = build_pair(300, 200, 128);
         for salt in [1u64, 2, 3] {
             let dense = dense_input(300, salt);
@@ -462,6 +456,32 @@ mod tests {
         for b in 0..batch {
             let single = mapping.mvm(&chip, &inputs[b * 130..(b + 1) * 130]).unwrap();
             assert_bit_identical(&out[b * 70..(b + 1) * 70], &single);
+        }
+    }
+
+    #[test]
+    fn batched_mvm_past_the_work_gate_is_thread_count_invariant() {
+        // 72 samples × 60k cells clear par's gate for four workers, so
+        // budget 4 runs the parallel sample blocks.
+        let (rows, cols, batch) = (300, 200, 72);
+        assert!(batch * rows * cols >= 4 * par::PAR_MIN_WORK);
+        let (chip, mapping, mono) = build_pair(rows, cols, 128);
+        let mut inputs = Vec::new();
+        for b in 0..batch as u64 {
+            inputs.extend(if b % 2 == 0 {
+                dense_input(rows, b)
+            } else {
+                sparse_input(rows, b)
+            });
+        }
+        par::set_thread_count(1);
+        let seq = mapping.mvm_batch(&chip, &inputs, batch).unwrap();
+        par::set_thread_count(4);
+        let parl = mapping.mvm_batch(&chip, &inputs, batch).unwrap();
+        par::set_thread_count(0);
+        assert_bit_identical(&seq, &parl);
+        for (sample, out) in inputs.chunks(rows).zip(parl.chunks(cols)) {
+            assert_bit_identical(out, &mono.mvm(sample).unwrap());
         }
     }
 

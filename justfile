@@ -14,8 +14,14 @@ check:
 test-all:
     cargo test --workspace -q
 
+# The repository benchmark (the BENCHMARK.json command): five end-to-end
+# workloads timed at thread budgets {1, nproc}. Extra arguments pass
+# through, e.g. `just bench --workload arena_reference --seed 3`.
+bench *ARGS:
+    cargo run --release --quiet --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- {{ARGS}}
+
 # Criterion benches for the simulator substrates.
-bench:
+bench-criterion:
     cargo bench -p ftt-bench
 
 # Standalone kernel benchmark report -> BENCH_kernels.json (name, size,
