@@ -420,7 +420,11 @@ impl OnlineFaultDetector {
     /// incremental aggregates (`expected_*_group_sums_cached`, exact integer
     /// equality with the dense sweep) instead of a dense per-cell delta
     /// vector; the comparison results are identical either way.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "private per-kind step of `detect`; each argument is an independent input the \
+                  caller already holds, and a bundle struct would only rename them"
+    )]
     fn kind_pass(
         &self,
         xbar: &mut Crossbar,

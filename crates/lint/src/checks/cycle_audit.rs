@@ -4,15 +4,14 @@
 //! campaign's cost lands in the flow's accounting: a function that
 //! produces a `DetectionOutcome` (configurable via `producer_types`)
 //! whose result never reaches a `FlowStats` sink (configurable via
-//! `sink_idents` / `sink_names` string literals) is a campaign whose
-//! read pulses and test cycles silently vanish from the write-pulse /
-//! cycle ledgers (DESIGN.md §4).
+//! `sink_idents`) is a campaign whose read pulses and test cycles
+//! silently vanish from the write-pulse / cycle ledgers (DESIGN.md §4).
 //!
 //! The audit is caller-driven: for each producer fn, walk the *reverse*
 //! approximate call graph up to `max_depth` hops (default 3). The
 //! producer is accounted when it — or any transitive caller in that
 //! window, signature included (sinks are often `&mut FlowStats`
-//! parameters) — mentions a sink ident or registers a sink metric name.
+//! parameters) — mentions a sink ident.
 //! Producers with no known callers are skipped: a library leaf's
 //! accounting obligation falls on whoever eventually calls it, and the
 //! call-graph approximation cannot see external callers.
@@ -61,31 +60,15 @@ fn sig_start(toks: &[crate::lexer::Token], body_open: usize) -> usize {
     body_open
 }
 
-/// Whether the fn (signature + body) mentions a sink ident or registers
-/// a sink metric name.
-fn mentions_sink(
-    ws: &Workspace,
-    model: &SemanticModel,
-    id: usize,
-    sink_idents: &[String],
-    sink_names: &[String],
-) -> bool {
+/// Whether the fn (signature + body) mentions a sink ident.
+fn mentions_sink(ws: &Workspace, model: &SemanticModel, id: usize, sink_idents: &[String]) -> bool {
     let f = &model.fns[id];
     let toks = &ws.files[f.file].scan.tokens;
     let start = sig_start(toks, f.body.0);
-    for t in toks.iter().take(f.body.1 + 1).skip(start) {
-        match t.kind {
-            TokenKind::Ident if sink_idents.iter().any(|s| s == &t.text) => return true,
-            TokenKind::Str => {
-                let name = t.text.trim_start_matches(['r', 'b', '#']).trim_matches(['"', '#']);
-                if sink_names.iter().any(|s| s == name) {
-                    return true;
-                }
-            }
-            _ => {}
-        }
-    }
-    false
+    toks.iter()
+        .take(f.body.1 + 1)
+        .skip(start)
+        .any(|t| t.kind == TokenKind::Ident && sink_idents.contains(&t.text))
 }
 
 impl Check for CycleAudit {
@@ -106,7 +89,6 @@ impl Check for CycleAudit {
     ) {
         let producer_types = cfg_list_or(cfg, "producer_types", &DEFAULT_PRODUCER_TYPES);
         let sink_idents = cfg_list_or(cfg, "sink_idents", &DEFAULT_SINK_IDENTS);
-        let sink_names = cfg.list("checks.E2", "sink_names");
         let exempt_fns = cfg.list("checks.E2", "exempt_fns");
         let max_depth = cfg.int("checks.E2", "max_depth", 3).max(1) as usize;
 
@@ -147,7 +129,7 @@ impl Check for CycleAudit {
             let mut seen: BTreeSet<usize> = BTreeSet::new();
             seen.insert(pid);
             let mut frontier: Vec<usize> = vec![pid];
-            let mut accounted = mentions_sink(ws, model, pid, &sink_idents, &sink_names);
+            let mut accounted = mentions_sink(ws, model, pid, &sink_idents);
             let mut depth = 0;
             while !accounted && depth < max_depth && !frontier.is_empty() {
                 depth += 1;
@@ -155,7 +137,7 @@ impl Check for CycleAudit {
                 for &id in &frontier {
                     for &c in callers.get(&id).map(|s| s.iter()).into_iter().flatten() {
                         if seen.insert(c) {
-                            if mentions_sink(ws, model, c, &sink_idents, &sink_names) {
+                            if mentions_sink(ws, model, c, &sink_idents) {
                                 accounted = true;
                             }
                             next.push(c);

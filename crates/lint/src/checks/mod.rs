@@ -2,13 +2,13 @@
 //!
 //! A [`Check`] sees each scanned file (and, once, the whole workspace)
 //! and appends [`Finding`]s. Checks read their scoping and allowlists
-//! from `lint.toml` under `[checks.<ID>]`; the shared conventions are:
+//! from `lint.toml` under `[checks.<ID>]`; the shared convention is
+//! `allow = ["path/prefix", ...]` — workspace-relative path prefixes
+//! this check never fires on.
 //!
-//! * `allow = ["path/prefix", ...]` — workspace-relative path prefixes
-//!   this check never fires on;
-//! * annotation markers (`PANIC-OK:` / `CAST-OK:` / `SAFETY:`) justify a
-//!   site when they appear in a comment on the same line or within
-//!   `lookback` (default 5) lines above it.
+//! Policies rustc or clippy can express (panics, `unsafe`, narrowing
+//! casts) are not checks here: they are lint flags on the `just clippy`
+//! and `just clippy-unwrap` gates (DESIGN.md §10).
 //!
 //! Adding a check: implement [`Check`], give it a unique short id, and
 //! add it to [`catalog`]. Fixture coverage (one failing + one passing
@@ -25,10 +25,8 @@ mod determinism;
 mod float_soundness;
 mod obs_policy;
 mod obs_schema;
-mod panic_policy;
 mod par_capture;
 mod resume_panic;
-mod unsafe_audit;
 mod workspace;
 
 pub use cycle_audit::CycleAudit;
@@ -36,15 +34,13 @@ pub use determinism::Determinism;
 pub use float_soundness::FloatSoundness;
 pub use obs_policy::ObsPolicy;
 pub use obs_schema::ObsSchema;
-pub use panic_policy::PanicPolicy;
 pub use par_capture::ParCapture;
 pub use resume_panic::ResumePanic;
-pub use unsafe_audit::UnsafeAudit;
 pub use workspace::WorkspaceConsistency;
 
 /// A single static-analysis policy.
 pub trait Check {
-    /// Short stable id (`"P1"`).
+    /// Short stable id (`"D1"`).
     fn id(&self) -> &'static str;
 
     /// One-line description for reports and docs.
@@ -76,9 +72,7 @@ pub fn catalog() -> Vec<Box<dyn Check>> {
         Box::new(FloatSoundness),
         Box::new(ObsPolicy),
         Box::new(ObsSchema),
-        Box::new(PanicPolicy),
         Box::new(ResumePanic),
-        Box::new(UnsafeAudit),
         Box::new(WorkspaceConsistency),
     ]
 }
@@ -88,9 +82,4 @@ pub(crate) fn path_allowed(cfg: &Config, id: &str, path: &str) -> bool {
     cfg.list(&format!("checks.{id}"), "allow")
         .iter()
         .any(|p| path == p || path.starts_with(&format!("{p}/")))
-}
-
-/// Shared helper: the marker lookback window for `[checks.<id>]`.
-pub(crate) fn lookback(cfg: &Config, id: &str) -> usize {
-    cfg.int(&format!("checks.{id}"), "lookback", 5).max(0) as usize
 }

@@ -6,17 +6,17 @@
 //! a stuck deployment. R1 walks the approximate call graph from the
 //! configured `roots` (default `ftt-snapshot::resume` and
 //! `ftt-serve::Service::tick`) and reports every *reachable* panic site
-//! in library code that carries no justification — the same
-//! justification units P1 accepts (a `// PANIC-OK: reason` annotation
-//! within `lookback`, or an enclosing `#[allow(clippy::unwrap_used)]`
-//! scope).
+//! in library code that is not inside a panic-lint `#[expect(..)]` /
+//! `#[allow(..)]` scope (e.g. `#[expect(clippy::expect_used, reason =
+//! "…")]` on the statement or its enclosing fn) — the same escape hatch
+//! the `--lib` clippy gate accepts.
 //!
-//! Unlike P1 (which is scoped to `lib_crates`), R1 is transitive: it
-//! follows name-resolved calls across every crate the roots can reach,
-//! so a helper crate outside P1's scope still cannot smuggle an
+//! Unlike that gate (which covers a fixed crate list), R1 is transitive:
+//! it follows name-resolved calls across every crate the roots can
+//! reach, so a helper crate outside the gate still cannot smuggle an
 //! `.unwrap()` under the resume path. The call graph over-approximates
 //! (see `model2`), so findings name the root that reaches them —
-//! suppression is per-site via the normal P1 annotations.
+//! suppression is per-site, by the same `#[expect]`.
 
 use std::collections::BTreeMap;
 
@@ -25,14 +25,12 @@ use crate::diag::Finding;
 use crate::model::{FileRole, Workspace};
 use crate::model2::SemanticModel;
 
-use super::panic_policy::marker_has_text;
-use super::{lookback, path_allowed, Check};
+use super::{path_allowed, Check};
 
 /// Resume-path panic-freedom check (see module docs).
 pub struct ResumePanic;
 
 const DEFAULT_ROOTS: [&str; 2] = ["ftt-snapshot::resume", "ftt-serve::Service::tick"];
-const MARKER: &str = "PANIC-OK:";
 
 /// A parsed root spec: `crate::fn` or `crate::Type::fn`.
 struct RootSpec {
@@ -86,7 +84,6 @@ impl Check for ResumePanic {
         cfg: &Config,
         out: &mut Vec<Finding>,
     ) {
-        let lb = lookback(cfg, self.id());
         let roots = parse_roots(cfg);
 
         // BFS from every root over the name-resolved call graph.
@@ -135,10 +132,7 @@ impl Check for ResumePanic {
                 continue;
             }
             for site in &f.panic_sites {
-                if file.in_test_code(site.line)
-                    || file.in_panic_allow(site.line)
-                    || marker_has_text(file, site.line, lb, MARKER)
-                {
+                if file.in_test_code(site.line) || file.in_panic_allow(site.line) {
                     continue;
                 }
                 out.push(Finding {
@@ -146,7 +140,7 @@ impl Check for ResumePanic {
                     file: file.rel_path.clone(),
                     line: site.line,
                     message: format!(
-                        "`{}` in `{}` is reachable from `{}` without a PANIC-OK justification \
+                        "`{}` in `{}` is reachable from `{}` outside a panic-lint #[expect] \
                          (resume paths must degrade, not die)",
                         site.what, f.name, origin
                     ),
@@ -229,18 +223,37 @@ mod tests {
                 "pub fn resume() { safe(); }\nfn safe() {}\nfn island() { panic!(\"never on the resume path\") }\n",
             ),
         ]);
-        // `island` is never called from resume; P1 owns it, R1 does not.
+        // `island` is never called from resume; the clippy gate owns it,
+        // R1 does not.
         assert!(run(&ws, CFG).is_empty());
     }
 
     #[test]
-    fn panic_ok_annotation_justifies_the_site() {
+    fn panic_lint_expect_justifies_the_site() {
+        let on_statement = ws_of(vec![(
+            "crates/app/src/lib.rs",
+            "app",
+            "pub fn resume() {\n    #[expect(clippy::unwrap_used, reason = \"table is seeded\")]\n    let _ = table().unwrap();\n}\nfn table() -> Option<u8> { Some(1) }\n",
+        )]);
+        assert!(run(&on_statement, CFG).is_empty());
+        let on_fn = ws_of(vec![(
+            "crates/app/src/lib.rs",
+            "app",
+            "#[expect(clippy::unwrap_used, reason = \"table is seeded\")]\npub fn resume() {\n    table().unwrap();\n}\nfn table() -> Option<u8> { Some(1) }\n",
+        )]);
+        assert!(run(&on_fn, CFG).is_empty());
+    }
+
+    #[test]
+    fn other_lint_expect_does_not_justify_the_site() {
         let ws = ws_of(vec![(
             "crates/app/src/lib.rs",
             "app",
-            "pub fn resume() {\n    // PANIC-OK: invariant established two lines up\n    table().unwrap();\n}\nfn table() -> Option<u8> { Some(1) }\n",
+            "#[expect(dead_code, reason = \"kept for later\")]\npub fn resume() {\n    table().unwrap();\n}\nfn table() -> Option<u8> { Some(1) }\n",
         )]);
-        assert!(run(&ws, CFG).is_empty());
+        let out = run(&ws, CFG);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains(".unwrap()"));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Supported syntax: `[section]` / `[a.b]` headers, `key = "string"`,
-//! `key = true|false`, `key = 123`, and `key = ["a", "b"]` arrays
+//! `key = 123`, and `key = ["a", "b"]` arrays
 //! (single-line or spanning lines), with `#` comments. Anything else is
 //! a hard error — config typos must fail loudly, not silently relax a
 //! policy.
@@ -25,8 +25,6 @@ use std::collections::BTreeMap;
 pub enum Value {
     /// A quoted string.
     Str(String),
-    /// A boolean.
-    Bool(bool),
     /// An integer.
     Int(i64),
     /// An array of strings (the only array element type the grammar
@@ -120,14 +118,6 @@ impl Config {
         }
     }
 
-    /// Bool at `[section] key`, or `default` when absent.
-    pub fn bool(&self, section: &str, key: &str, default: bool) -> bool {
-        match self.sections.get(section).and_then(|s| s.get(key)) {
-            Some(Value::Bool(b)) => *b,
-            _ => default,
-        }
-    }
-
     /// Integer at `[section] key`, or `default` when absent.
     pub fn int(&self, section: &str, key: &str, default: i64) -> i64 {
         match self.sections.get(section).and_then(|s| s.get(key)) {
@@ -186,12 +176,6 @@ fn strip_comment(line: &str) -> &str {
 
 fn parse_value(rhs: &str) -> Result<Value, String> {
     let rhs = rhs.trim();
-    if rhs == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if rhs == "false" {
-        return Ok(Value::Bool(false));
-    }
     if let Some(body) = rhs.strip_prefix('[') {
         let Some(body) = body.strip_suffix(']') else {
             return Err(format!("unterminated array: {rhs:?}"));
@@ -261,16 +245,14 @@ crates = [
     "rram",
     "nn",
 ]
-allow_zero_eq = true
-lookback = 5
+max_depth = 5
 name = "x"
 "#,
         )
         .expect("parses");
         assert_eq!(cfg.list("lint", "exclude"), vec!["a/b", "c"]);
         assert_eq!(cfg.list("checks.D1", "crates"), vec!["rram", "nn"]);
-        assert!(cfg.bool("checks.D1", "allow_zero_eq", false));
-        assert_eq!(cfg.int("checks.D1", "lookback", 0), 5);
+        assert_eq!(cfg.int("checks.D1", "max_depth", 0), 5);
         assert_eq!(cfg.str("checks.D1", "name").as_deref(), Some("x"));
         assert!(cfg.list("missing", "key").is_empty());
     }
@@ -281,6 +263,7 @@ name = "x"
         assert!(Config::parse("novalue").is_err());
         assert!(Config::parse("k = [1, 2]").is_err());
         assert!(Config::parse("k = nope").is_err());
+        assert!(Config::parse("k = true").is_err(), "no key takes a bool");
     }
 
     #[test]

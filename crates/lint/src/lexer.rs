@@ -3,10 +3,9 @@
 //! This is *not* a parser: it classifies the character stream into just
 //! enough token kinds for policy checks — identifiers, punctuation,
 //! numeric literals (with float/int distinction), string/char literals,
-//! attributes, and comments — while tracking line numbers. Its one hard
-//! job is never to report a token from inside a string, char literal, or
-//! comment, and never to lose a comment's text (annotation markers such
-//! as `PANIC-OK:` live there).
+//! and attributes — while tracking line numbers. Its one hard job is
+//! never to report a token from inside a string, char literal, or
+//! comment.
 //!
 //! Supported syntax: line + nested block comments, `"…"` strings with
 //! escapes, raw strings `r#"…"#` (any hash depth, plus `b`/`br`
@@ -48,42 +47,11 @@ pub struct Token {
     pub text: String,
 }
 
-/// A comment captured during scanning (tokens never include comments;
-/// checks consult this side channel for annotation markers).
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// 1-based line of the comment's first character.
-    pub line: usize,
-    /// Comment text including the `//` / `/*` introducer.
-    pub text: String,
-}
-
-/// Result of scanning one source file.
+/// Result of scanning one source file (comments are skipped).
 #[derive(Debug, Default)]
 pub struct Scan {
     /// Code tokens in source order.
     pub tokens: Vec<Token>,
-    /// Comments in source order (line and block).
-    pub comments: Vec<Comment>,
-}
-
-impl Scan {
-    /// True when any comment *starting* on `line` (or a block comment
-    /// covering it) contains `marker`.
-    pub fn comment_on_line_contains(&self, line: usize, marker: &str) -> bool {
-        self.comments.iter().any(|c| {
-            let span = c.text.matches('\n').count();
-            line >= c.line && line <= c.line + span && c.text.contains(marker)
-        })
-    }
-
-    /// True when `marker` appears in a comment on `line` or on any of
-    /// the `lookback` lines before it. This is the annotation rule used
-    /// by `PANIC-OK:` / `CAST-OK:` / `SAFETY:`.
-    pub fn has_marker_near(&self, line: usize, lookback: usize, marker: &str) -> bool {
-        let lo = line.saturating_sub(lookback);
-        (lo..=line).any(|l| self.comment_on_line_contains(l, marker))
-    }
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -123,33 +91,24 @@ impl Scanner {
         self.out.tokens.push(Token { kind, line, text });
     }
 
-    /// Consume a `//…` comment (to end of line, newline not consumed).
+    /// Skip a `//…` comment (to end of line, newline not consumed).
     fn line_comment(&mut self) {
-        let line = self.line;
-        let mut text = String::new();
         while let Some(c) = self.peek(0) {
             if c == '\n' {
                 break;
             }
-            text.push(c);
             self.pos += 1; // never a newline, so no line bump needed
         }
-        self.out.comments.push(Comment { line, text });
     }
 
-    /// Consume a `/* … */` comment, honoring nesting.
+    /// Skip a `/* … */` comment, honoring nesting.
     fn block_comment(&mut self) {
-        let line = self.line;
-        let mut text = String::new();
         let mut depth = 0usize;
         while let Some(c) = self.bump() {
-            text.push(c);
             if c == '/' && self.peek(0) == Some('*') {
-                text.push('*');
                 self.bump();
                 depth += 1;
             } else if c == '*' && self.peek(0) == Some('/') {
-                text.push('/');
                 self.bump();
                 if depth == 1 {
                     break;
@@ -157,7 +116,6 @@ impl Scanner {
                 depth = depth.saturating_sub(1);
             }
         }
-        self.out.comments.push(Comment { line, text });
     }
 
     /// Consume a regular `"…"` string (opening quote already pending at
@@ -425,7 +383,7 @@ impl Scanner {
     }
 }
 
-/// Scan `source` into tokens + comments.
+/// Scan `source` into tokens.
 pub fn scan(source: &str) -> Scan {
     let mut s = Scanner {
         chars: source.chars().collect(),
@@ -560,12 +518,12 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_side_channeled_not_tokens() {
-        let s = scan("let x = 1; // PANIC-OK: fine\n/* block\nspans */ let y = 2;");
-        assert!(s.tokens.iter().all(|t| !t.text.contains("PANIC")));
-        assert_eq!(s.comments.len(), 2);
-        assert!(s.comment_on_line_contains(1, "PANIC-OK:"));
-        assert!(s.has_marker_near(3, 2, "block"));
+    fn comments_are_skipped_not_tokens() {
+        let s = scan("let x = 1; // unwrap() here\n/* block\nspans */ let y = 2;");
+        let words: Vec<&str> = s.tokens.iter().map(|t| t.text.as_str()).collect();
+        assert!(!words.contains(&"unwrap") && !words.contains(&"block"));
+        let y = s.tokens.iter().find(|t| t.text == "y");
+        assert_eq!(y.map(|t| t.line), Some(3), "block comments keep line count");
     }
 
     #[test]
@@ -648,7 +606,6 @@ mod tests {
     #[test]
     fn nested_block_comments() {
         let s = scan("/* outer /* inner */ still comment */ code()");
-        assert_eq!(s.comments.len(), 1);
         assert!(s.tokens.iter().any(|t| t.text == "code"));
         assert!(!s.tokens.iter().any(|t| t.text == "inner"));
     }

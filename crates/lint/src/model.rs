@@ -5,8 +5,8 @@
 //! sorted order, classifying each by role (library source vs. tests /
 //! examples / benches / binaries). Each file is scanned once
 //! ([`crate::lexer`]) and annotated with *scopes*: the line ranges of
-//! `#[cfg(test)]` items and of items carrying panic-related
-//! `#[allow(...)]` attributes. Checks consume this shared context.
+//! `#[cfg(test)]` items and of items carrying a panic-lint
+//! `#[expect(...)]` / `#[allow(...)]`. Checks consume this shared context.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -22,14 +22,15 @@ pub enum FileRole {
     Support,
 }
 
-/// The clippy lint names whose `#[allow(...)]` requires a `PANIC-OK:`
-/// justification (the panic policy's escape hatches).
-pub const PANIC_ALLOW_LINTS: [&str; 5] = [
+/// The panic lints the `--lib` clippy gate denies; an `#[expect(...)]`
+/// naming one of them is the panic policy's escape hatch (DESIGN.md §8.1).
+pub const PANIC_ALLOW_LINTS: [&str; 6] = [
     "clippy::unwrap_used",
     "clippy::expect_used",
     "clippy::panic",
-    "clippy::indexing_slicing",
     "clippy::unreachable",
+    "clippy::todo",
+    "clippy::unimplemented",
 ];
 
 /// A line range `[start, end]` (1-based, inclusive) attached to an item.
@@ -61,8 +62,8 @@ pub struct SourceFile {
     pub scan: Scan,
     /// Line ranges under `#[cfg(test)]` (plus `#[test]` functions).
     pub test_scopes: Vec<Scope>,
-    /// Line ranges of items carrying a panic-related `#[allow]`, along
-    /// with the attribute's own line (for justification lookup).
+    /// Line ranges of items carrying a panic-lint `#[expect]` /
+    /// `#[allow]`, along with the attribute's own line.
     pub panic_allow_scopes: Vec<(Scope, usize)>,
 }
 
@@ -72,7 +73,8 @@ impl SourceFile {
         self.test_scopes.iter().any(|s| s.contains(line))
     }
 
-    /// Whether `line` is covered by a panic-related `#[allow]` item.
+    /// Whether `line` is covered by a panic-lint `#[expect]` / `#[allow]`
+    /// item.
     pub fn in_panic_allow(&self, line: usize) -> bool {
         self.panic_allow_scopes
             .iter()
@@ -461,6 +463,17 @@ name = "rootpkg"
         assert_eq!(allows.len(), 1);
         assert!(allows[0].0.contains(3));
         assert!(!allows[0].0.contains(6));
+    }
+
+    #[test]
+    fn expect_scopes_cover_their_item_and_skip_other_lints() {
+        let src = "fn f() {\n    #[expect(clippy::expect_used, reason = \"seeded\")]\n    let v = a.expect(\"x\");\n    b.unwrap();\n}\n#[expect(dead_code, reason = \"kept\")]\nfn g() {\n    c.unwrap();\n}\n";
+        let scan = lexer::scan(src);
+        let (_, allows) = analyze_scopes(&scan);
+        assert_eq!(allows.len(), 1, "only the panic-lint expect opens a scope");
+        assert!(allows[0].0.contains(3));
+        assert!(!allows[0].0.contains(4), "a statement scope ends at `;`");
+        assert!(!allows[0].0.contains(8));
     }
 
     #[test]

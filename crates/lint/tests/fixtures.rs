@@ -17,7 +17,7 @@ fn report() -> ftt_lint::diag::Report {
 #[test]
 fn every_check_has_a_failing_fixture() {
     let counts = report().counts();
-    for id in ["P1", "D1", "F1", "S1", "O1", "W1", "C1", "O2", "R1", "E2"] {
+    for id in ["D1", "F1", "O1", "W1", "C1", "O2", "R1", "E2"] {
         assert!(
             counts.get(id).copied().unwrap_or(0) > 0,
             "check {id} produced no findings on the violation fixture: {counts:?}"
@@ -107,7 +107,7 @@ fn binary_exits_nonzero_on_violations_and_zero_on_clean() {
 fn stale_suppressions_surface_as_warnings() {
     let rep = report();
     let kinds: Vec<&str> = rep.warnings.iter().map(|w| w.check).collect();
-    for kind in ["stale-allow", "stale-annotation", "stale-exclude"] {
+    for kind in ["stale-allow", "stale-exclude"] {
         assert!(
             kinds.contains(&kind),
             "expected a {kind} warning, got {kinds:?}"

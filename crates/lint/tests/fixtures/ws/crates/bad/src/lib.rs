@@ -3,17 +3,6 @@
 use std::collections::HashMap; // D1: unordered collection
 use std::time::Instant; // D1: wall clock
 
-/// P1: bare unwrap, no justification.
-pub fn p1_unwrap(x: Option<u8>) -> u8 {
-    x.unwrap()
-}
-
-/// P1: panic-lint allow without a PANIC-OK reason.
-#[allow(clippy::expect_used)]
-pub fn p1_allow(x: Option<u8>) -> u8 {
-    x.expect("boom")
-}
-
 /// D1: unscoped spawn; also exercises the banned imports above.
 pub fn d1_spawn(map: HashMap<u8, u8>) -> usize {
     let t = Instant::now();
@@ -24,16 +13,6 @@ pub fn d1_spawn(map: HashMap<u8, u8>) -> usize {
 /// F1: equality against a non-zero float literal, and a NaN compare.
 pub fn f1_eq(x: f64) -> bool {
     x == 1.0 || x != f64::NAN
-}
-
-/// F1: unannotated narrowing cast on a cast_path file.
-pub fn f1_cast(g: f64) -> f32 {
-    g as f32
-}
-
-/// S1: unsafe without a SAFETY comment.
-pub fn s1_unsafe(p: *const u8) -> u8 {
-    unsafe { *p }
 }
 
 /// O1: registry name violating the snake_case grammar.
@@ -100,10 +79,4 @@ pub fn e2_driver() {
 /// O1: labeled-constructor label key violating the grammar.
 pub fn o1_label(r: &dyn Registrar) {
     r.counter_labeled("o1_labeled_total", &[("Bad Key", "any value")]);
-}
-
-/// stale-annotation: the unwrap this once justified was refactored away.
-// PANIC-OK: leftover justification with nothing to justify
-pub fn stale_marker() -> u8 {
-    0
 }

@@ -1,20 +1,10 @@
 //! The clean crate: one *negative* (passing) case per check.
 //!
-//! P1: justified panic sites. D1: ordered collections, scoped threads.
-//! F1: exact-zero compares, epsilon helpers, annotated casts.
-//! S1: justified unsafe. O1: snake_case registry names.
-//! W1: inherits workspace version/license and is mentioned in README.md.
+//! D1: ordered collections, scoped threads. F1: exact-zero compares,
+//! epsilon helpers. O1: snake_case registry names. W1: inherits
+//! workspace version/license and is mentioned in README.md.
 
 use std::collections::BTreeMap;
-
-/// P1 negative: a panic site with a justification, plus the
-/// attr-then-comment convention.
-pub fn head(xs: &[u8]) -> u8 {
-    assert!(!xs.is_empty(), "contract: xs non-empty");
-    #[allow(clippy::unwrap_used)]
-    // PANIC-OK: emptiness is rejected by the assert above.
-    *xs.first().unwrap()
-}
 
 /// D1 negative: deterministic collections and scoped threads only.
 pub fn ordered(pairs: &[(usize, usize)]) -> BTreeMap<usize, usize> {
@@ -26,20 +16,13 @@ pub fn ordered(pairs: &[(usize, usize)]) -> BTreeMap<usize, usize> {
 }
 
 /// F1 negative: exact-zero compares are exempt; other comparisons go
-/// through an epsilon; the narrowing cast carries its note.
-pub fn sparsity(xs: &[f64]) -> f32 {
+/// through an epsilon.
+pub fn sparsity(xs: &[f64]) -> f64 {
     let zeros = xs.iter().filter(|&&x| x == 0.0).count();
     let ratio = zeros as f64 / xs.len().max(1) as f64;
     let saturated = (ratio - 1.0).abs() < 1e-12;
     let _ = saturated;
-    // CAST-OK: reporting precision only; the f64 master value is kept.
-    ratio as f32
-}
-
-/// S1 negative: unsafe with its proof obligation written down.
-pub fn first_byte(p: *const u8) -> u8 {
-    // SAFETY: callers guarantee `p` is valid for reads of one byte.
-    unsafe { *p }
+    ratio
 }
 
 /// O1 negative: registry names in the snake_case grammar.
@@ -60,7 +43,7 @@ pub trait Registrar {
 
 #[cfg(test)]
 mod tests {
-    // P1 exemption: test code may unwrap freely.
+    // R1 exemption: test code may unwrap freely.
     #[test]
     fn unwrap_in_tests_is_fine() {
         let v: Option<u8> = Some(1);
@@ -84,15 +67,15 @@ pub fn emit_used(sink: &mut Vec<Event>) {
     sink.push(Event::Used(1));
 }
 
-/// R1 negative root: the one panic site on the path carries its
-/// justification (shared with P1's grammar).
+/// R1 negative root: the one panic site on the path sits inside a
+/// panic-lint `#[expect]` (the `--lib` clippy gate's escape hatch).
 pub fn resume() {
     restore_step();
 }
 
 fn restore_step() {
     let v: Option<u8> = Some(0);
-    // PANIC-OK: seeded Some() two lines above.
+    #[expect(clippy::unwrap_used, reason = "seeded Some() on the line above")]
     let _ = v.unwrap();
 }
 

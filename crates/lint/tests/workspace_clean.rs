@@ -18,11 +18,11 @@ fn the_workspace_lints_clean() {
         "the workspace must satisfy its own lint gate:\n{}",
         report.to_human()
     );
-    // The full catalog ran: six per-file checks plus the four semantic
-    // (cross-crate) checks introduced with the workspace model.
+    // The full catalog ran: the per-file and workspace checks plus the
+    // four semantic (cross-crate) checks.
     assert_eq!(
         report.checks,
-        vec!["C1", "D1", "E2", "F1", "O1", "O2", "P1", "R1", "S1", "W1"]
+        vec!["C1", "D1", "E2", "F1", "O1", "O2", "R1", "W1"]
     );
     // No stale suppressions linger in lint.toml or the source tree.
     assert!(

@@ -29,9 +29,11 @@ impl Layer for Flatten {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        #[allow(clippy::expect_used)]
-        // PANIC-OK: documented `Layer::backward` contract — a training-mode
-        // forward must precede backward (see the trait's `# Panics` section).
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `Layer::backward` contract — a training-mode forward must precede \
+                      backward (see the trait's `# Panics` section)"
+        )]
         let shape = self
             .in_shape
             .take()

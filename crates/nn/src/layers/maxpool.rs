@@ -65,9 +65,11 @@ impl Layer for MaxPool2 {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        #[allow(clippy::expect_used)]
-        // PANIC-OK: documented `Layer::backward` contract — a training-mode
-        // forward must precede backward (see the trait's `# Panics` section).
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `Layer::backward` contract — a training-mode forward must precede \
+                      backward (see the trait's `# Panics` section)"
+        )]
         let argmax = self
             .argmax
             .take()

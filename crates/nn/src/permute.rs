@@ -221,9 +221,11 @@ pub fn permute_hidden_neurons(
 
     // Permute this layer's columns and bias.
     {
-        // PANIC-OK: `this_idx` comes from `weight_layer_indices`, which
-        // only lists layers with parameters.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "`this_idx` comes from `weight_layer_indices`, which only lists layers with \
+                      parameters"
+        )]
         let params = net
             .layer_params_mut(this_idx)
             .expect("weight layer has params");
@@ -245,9 +247,11 @@ pub fn permute_hidden_neurons(
     // Permute the next layer's row blocks.
     {
         let neurons = perm.len();
-        // PANIC-OK: `next_idx` comes from `weight_layer_indices`, which
-        // only lists layers with parameters.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "`next_idx` comes from `weight_layer_indices`, which only lists layers with \
+                      parameters"
+        )]
         let params = net
             .layer_params_mut(next_idx)
             .expect("weight layer has params");

@@ -52,9 +52,11 @@ pub fn save_parameters<W: Write>(net: &mut Network, mut writer: W) -> io::Result
     let indices = net.weight_layer_indices();
     writer.write_all(&(indices.len() as u32).to_le_bytes())?;
     for idx in indices {
-        // PANIC-OK: `weight_layer_indices` only lists layers with
-        // parameters; `None` is an internal invariant violation.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "`weight_layer_indices` only lists layers with parameters; `None` is an \
+                      internal invariant violation"
+        )]
         let params = net
             .layer_params_mut(idx)
             .expect("weight_layer_indices returned a parameterless layer");
@@ -104,9 +106,11 @@ pub fn load_parameters<R: Read>(net: &mut Network, mut reader: R) -> Result<(), 
     for idx in indices {
         let rows = read_u32(&mut reader).map_err(io_err)? as usize;
         let cols = read_u32(&mut reader).map_err(io_err)? as usize;
-        // PANIC-OK: `weight_layer_indices` only lists layers with
-        // parameters; `None` is an internal invariant violation.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "`weight_layer_indices` only lists layers with parameters; `None` is an \
+                      internal invariant violation"
+        )]
         let params = net
             .layer_params_mut(idx)
             .expect("weight_layer_indices returned a parameterless layer");

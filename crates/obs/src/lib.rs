@@ -48,7 +48,6 @@
 //! the fallback, not the front door.
 
 #![warn(missing_docs)]
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod clock;
 pub mod event;

@@ -233,11 +233,13 @@ where
         }
     });
     out.into_iter()
-        // PANIC-OK: `fan_out` hands every slot of `out` to exactly one
-        // call of the closure above, which fills it; an empty slot is a bug
-        // in this module, not a caller-reachable state.
         .map(|v| {
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "`fan_out` hands every slot of `out` to exactly one call of the \
+                          closure above, which fills it; an empty slot is a bug in this module, \
+                          not a caller-reachable state"
+            )]
             v.expect("fan-out filled every slot")
         })
         .collect()

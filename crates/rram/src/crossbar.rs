@@ -30,6 +30,12 @@
 // optimizer sees contiguous accesses (regressions to index loops are
 // rejected at compile time).
 #![deny(clippy::needless_range_loop)]
+// The f64 master state / f32 plane cache boundary (DESIGN.md §6): every
+// narrowing or lossy cast here states why it is exact or intended.
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_precision_loss)
+)]
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -47,12 +53,17 @@ use crate::variation::WriteVariation;
 pub const DEFAULT_LEVELS: u16 = 8;
 
 /// Whether `input` is sparse enough for the zero-skip branch to win; see
-/// [`par::SPARSITY_SKIP_THRESHOLD`].
+/// [`par::SPARSITY_SKIP_THRESHOLD`]. The one predicate every MVM kernel
+/// uses (this crate's and `ftt-tile`'s sharded ones), so all of them take
+/// the same branch.
 #[inline]
-fn sparse_enough(input: &[f32]) -> bool {
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "a ratio test on counts; both sides fit f32 exactly for any realistic crossbar \
+              dimension (< 2^24 cells per axis)"
+)]
+pub fn sparse_enough(input: &[f32]) -> bool {
     let zeros = input.iter().filter(|&&v| v == 0.0).count();
-    // CAST-OK: a ratio test on counts; both sides fit f32 exactly for any
-    // realistic crossbar dimension (< 2^24 cells per axis).
     zeros as f32 > par::SPARSITY_SKIP_THRESHOLD * input.len() as f32
 }
 
@@ -279,8 +290,11 @@ impl CrossbarBuilder {
             .map(|_| RramCell::new(self.levels, self.endurance.sample(&mut rng)))
             .collect();
         let plane64: Vec<f64> = cells.iter().map(|c| c.conductance()).collect();
-        // CAST-OK: the f32 plane *is defined as* the rounded view of the f64
-        // master state (DESIGN.md §6); coherence tests pin this round-trip.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the f32 plane *is defined as* the rounded view of the f64 master state \
+                      (DESIGN.md §6); coherence tests pin this round-trip"
+        )]
         let plane32: Vec<f32> = plane64.iter().map(|&g| g as f32).collect();
         let cell_count = self.rows * self.cols;
         let mut xbar = Crossbar {
@@ -626,11 +640,14 @@ impl Crossbar {
     /// after *any* cell-state mutation; `finish_write` and
     /// [`Crossbar::apply_fault_map`] are the only two mutation funnels.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "same rounding as the builder's plane init — the f32 plane is the defined \
+                  narrowing of the f64 master (DESIGN.md §6)"
+    )]
     fn sync_plane(&mut self, i: usize) {
         let g = self.cells[i].conductance();
         self.plane64[i] = g;
-        // CAST-OK: same rounding as the builder's plane init — the f32 plane
-        // is the defined narrowing of the f64 master (DESIGN.md §6).
         self.plane32[i] = g as f32;
         if !self.dirty_marked[i] {
             self.dirty_marked[i] = true;
@@ -726,6 +743,11 @@ impl Crossbar {
     /// # Errors
     ///
     /// Returns [`RramError::DimensionMismatch`] if `input.len() != rows`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the f32 reference path mirrors the plane cache's defined narrowing so scalar \
+                  and plane MVMs stay bit-equal"
+    )]
     pub fn mvm_reference(&self, input: &[f32]) -> Result<Vec<f32>, RramError> {
         if input.len() != self.rows {
             return Err(RramError::DimensionMismatch {
@@ -740,8 +762,6 @@ impl Crossbar {
             }
             let row_cells = &self.cells[r * self.cols..(r + 1) * self.cols];
             for (o, cell) in out.iter_mut().zip(row_cells) {
-                // CAST-OK: the f32 reference path mirrors the plane cache's
-                // defined narrowing so scalar and plane MVMs stay bit-equal.
                 *o += cell.conductance() as f32 * v;
             }
         }
@@ -1028,7 +1048,10 @@ impl Crossbar {
             })
             .collect();
         let plane64: Vec<f64> = cells.iter().map(|c| c.conductance()).collect();
-        // CAST-OK: same defined narrowing as the builder's plane init.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "same defined narrowing as the builder's plane init"
+        )]
         let plane32: Vec<f32> = plane64.iter().map(|&g| g as f32).collect();
         let mut dirty_marked = vec![false; cell_count];
         for &i in &state.dirty {

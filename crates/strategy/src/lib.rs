@@ -81,10 +81,16 @@ pub struct DropConnect {
 
 impl DropConnect {
     /// Creates a drop-connect strategy dropping `rate` of the connections
-    /// each iteration (clamped to `[0, 1]`).
+    /// each iteration (clamped to `[0, 1]`; NaN drops nothing).
     pub fn new(rate: f64, seed: u64) -> Self {
         Self {
-            rate: rate.clamp(0.0, 1.0),
+            // `clamp` passes NaN through, and a NaN rate would reach
+            // `gen_bool`'s range assert on the first masked iteration.
+            rate: if rate.is_nan() {
+                0.0
+            } else {
+                rate.clamp(0.0, 1.0)
+            },
             seed,
             cost: StrategyCost::default(),
         }
@@ -356,6 +362,21 @@ mod tests {
         // The charged cycles price into the energy estimate as reads.
         let energy = stats.energy(&rram::energy::EnergyModel::typical());
         assert!(energy.read_pj > 0.0);
+    }
+
+    #[test]
+    fn nan_drop_connect_rate_drops_nothing() {
+        let data = SyntheticDataset::mnist_like(60, 20, 11);
+        let mut t = trainer_for(
+            StrategySelect::DropConnect {
+                rate: f64::NAN,
+                seed: 11,
+            },
+            11,
+        );
+        t.train(&data, 4).unwrap();
+        assert_eq!(t.stats().strategy_cycles, 0);
+        assert_eq!(t.strategy().cost().cycles, 0);
     }
 
     #[test]

@@ -532,12 +532,9 @@ impl TiledChip {
         let new_id = allocated?;
         self.spares_remaining -= 1;
         self.spares_attached += 1;
-        // PANIC-OK: `id` was validated above and allocate only appends.
-        #[allow(clippy::indexing_slicing)]
-        {
-            self.slots[id].retired = true;
-            self.slots[new_id].spare_origin = Some(id);
-        }
+        // In bounds: `id` was validated above and allocate only appends.
+        self.slots[id].retired = true;
+        self.slots[new_id].spare_origin = Some(id);
         if let Some(m) = &self.metrics {
             m.retired.inc();
             m.attached.inc();
@@ -584,8 +581,7 @@ impl TiledChip {
             .get_mut(retired_id)
             .ok_or(TileError::UnknownTile { id: retired_id })?;
         let was_incremental = retired_slot.store.take().is_some();
-        // PANIC-OK: `new_id` was bounds-checked above.
-        #[allow(clippy::indexing_slicing)]
+        // In bounds: `new_id` was checked above.
         let spare = &mut self.slots[new_id];
         if was_incremental && spare.last_detection.is_some() && spare.last_campaign_error.is_none()
         {

@@ -105,8 +105,10 @@ impl ShardGrid {
     pub fn iter(&self) -> impl Iterator<Item = Shard> + '_ {
         let cols = self.col_shards();
         (0..self.shard_count()).map(move |i| {
-            // PANIC-OK: i is in range by construction of the iterator.
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "i is in range by construction of the iterator"
+            )]
             self.shard(i / cols, i % cols).expect("index in grid range")
         })
     }

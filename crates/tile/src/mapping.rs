@@ -19,24 +19,17 @@
 //!
 //! The zero-skip gate and the parallel gate replicate the monolithic
 //! kernel's: skipping a zero input row adds `±0.0 · g` (finite `g`), which
-//! cannot move an IEEE-754 accumulator, and the same sparsity threshold is
-//! used so both kernels take the same branch.
+//! cannot move an IEEE-754 accumulator, and both kernels call the same
+//! predicate ([`rram::crossbar::sparse_enough`]) so they take the same
+//! branch.
 
+use rram::crossbar::sparse_enough;
 use rram::fault::FaultMap;
 use rram::RramError;
 
 use crate::chip::TiledChip;
 use crate::error::TileError;
 use crate::geometry::{Shard, ShardGrid};
-
-/// Whether `input` is sparse enough for the zero-skip branch to win;
-/// mirrors the monolithic kernel's predicate exactly.
-#[inline]
-fn sparse_enough(input: &[f32]) -> bool {
-    let zeros = input.iter().filter(|&&v| v == 0.0).count();
-    // CAST-OK: ratio test on counts; exact in f32 for realistic dims.
-    zeros as f32 > par::SPARSITY_SKIP_THRESHOLD * input.len() as f32
-}
 
 /// One logical matrix sharded across chip tiles.
 ///

@@ -194,8 +194,10 @@ impl DetectionScheduler {
                 let mut ranked: Vec<(u64, u64, usize)> = active
                     .iter()
                     .map(|&id| {
-                        // PANIC-OK: ids come from active_ids on this chip.
-                        #[allow(clippy::expect_used)]
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "ids come from active_ids on this chip"
+                        )]
                         let x = chip.tile(id).expect("active id exists");
                         (x.wear_faults(), x.write_pulses(), id)
                     })

@@ -35,9 +35,12 @@ bench-report:
 bench-quick:
     BENCH_QUICK=1 BENCH_REPORT_PATH=/tmp/bench_quick.json cargo run --release -p ftt-bench --bin bench_report
 
-# Lints at the workspace's warning bar.
+# Lints at the workspace's warning bar, with `unsafe` forbidden in every
+# target (vendored shims included). `-D warnings` also fails any
+# `#[expect(lint, reason = ...)]` whose site has gone away
+# (`unfulfilled_lint_expectations`).
 clippy:
-    cargo clippy --workspace --all-targets -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings -F unsafe-code
 
 # Adversarial-configuration harness (DESIGN.md §8.4): seeded, deterministic,
 # < 60 s. Part of tier-1 via tests/chaos_harness.rs.
@@ -45,14 +48,17 @@ chaos:
     cargo test -q --test chaos_harness
     cargo test -q -p chaos
 
-# Panic-policy gate (DESIGN.md §8.1): library crates may not unwrap/expect
-# on caller-reachable paths; justified internal invariants carry a
-# `// PANIC-OK:` comment plus a targeted #[allow]. Test code is exempt
-# (--lib builds without cfg(test)). Includes ftt-lint so the linter
-# obeys its own panic policy.
+# Panic-policy gate (DESIGN.md §8.1): library code may not unwrap, expect
+# or call a panicking macro on caller-reachable paths, and every lint
+# escape hatch is an `#[expect(lint, reason = "...")]` (no bare #[allow]).
+# Test code is exempt (--lib builds without cfg(test)), and so are bins,
+# benches and integration tests. Includes ftt-lint so the linter obeys
+# its own panic policy.
 clippy-unwrap:
-    cargo clippy -p obs -p par -p rram -p nn -p faultdet -p ftt-tile -p ftt-core -p ftt-snapshot -p ftt-strategy -p ftt-arena -p ftt-serve -p chaos -p ftt-lint --lib -- \
-        -D warnings -D clippy::unwrap_used -D clippy::expect_used
+    cargo clippy -p obs -p par -p rram -p nn -p faultdet -p ftt-tile -p ftt-core -p ftt-snapshot -p ftt-strategy -p ftt-arena -p ftt-serve -p chaos -p ftt-lint -p rram-ftt --lib -- \
+        -D warnings -D clippy::unwrap_used -D clippy::expect_used \
+        -D clippy::panic -D clippy::unreachable -D clippy::todo -D clippy::unimplemented \
+        -D clippy::allow_attributes -D clippy::allow_attributes_without_reason
 
 # Snapshot/restore gate (DESIGN.md §12): kill a seeded run at an iteration
 # boundary, serialize, resume in a fresh recorder, and require the stitched
@@ -62,11 +68,12 @@ snapshot-check:
     cargo run --release -p ftt-snapshot --bin snapshot_check
 
 # Static-analysis gate (DESIGN.md §10): the full ftt-lint catalog —
-# per-file checks (P1 panic policy, D1 determinism, F1 float soundness,
-# S1 unsafe audit, O1 obs naming, W1 workspace consistency) plus the
-# cross-crate semantic checks (C1 par-capture determinism, O2 obs
-# schema, R1 resume panic freedom, E2 cycle accounting) — over the
-# whole workspace. Exits non-zero on any unallowlisted finding.
+# per-file checks (D1 determinism, F1 float equality, O1 obs naming,
+# W1 workspace consistency) plus the cross-crate semantic checks (C1
+# par-capture determinism, O2 obs schema, R1 resume panic freedom, E2
+# cycle accounting) — over the whole workspace. Exits non-zero on any
+# unallowlisted finding. The panic, unsafe and cast policies are the
+# two clippy recipes above.
 lint:
     cargo run --release -p ftt-lint
 
