@@ -24,13 +24,15 @@
 //! the expensive size sweeps and calibration budgets so the whole run fits
 //! in CI, while still executing every kernel and the bit-identity oracle
 //! checks — the smoke gate asserts *correctness* (vectorized == scalar,
-//! incremental == full resync), never timings.
+//! cached expected sums == dense), never timings.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use faultdet::detector::{DetectorConfig, OnlineFaultDetector};
 use faultdet::reference::OffChipStore;
+use faultdet::schedule::groups;
+use faultdet::selected::CandidateMask;
 use ftt_core::config::{MappingConfig, MappingScope, RemapConfig};
 use ftt_core::remap::{CostModel, RemapAlgorithm, RemapProblem};
 use nn::models::mlp_784_100_10;
@@ -122,25 +124,33 @@ fn verify_bit_identity() {
             );
         }
     }
-    // Fresh-store incremental campaign == classic full campaign.
-    let detector = OnlineFaultDetector::new(DetectorConfig::new(8).unwrap());
-    let mut full_xbar = programmed(64, 23);
-    let mut inc_xbar = programmed(64, 23);
-    let full = detector.run(&mut full_xbar).unwrap();
-    let mut store = OffChipStore::attach(&mut inc_xbar);
-    let inc = detector
-        .run_incremental(&mut inc_xbar, &mut store, None)
-        .unwrap();
-    assert_eq!(
-        inc.predicted, full.predicted,
-        "incremental detection diverged from full"
-    );
-    assert_eq!(
-        (inc.sa0_cycles, inc.sa1_cycles, inc.write_pulses),
-        (full.sa0_cycles, full.sa1_cycles, full.write_pulses),
-        "incremental sweep costs diverged from full"
-    );
-    eprintln!("bit-identity oracles: ok (mvm, group sums, incremental detection)");
+    // Aggregate-backed expected group sums == the dense per-cell-delta
+    // sweep: the campaign's reference computation, over every group
+    // (remainder included) and a sparse candidate set that saturates at
+    // both level bounds.
+    let (size, t) = (65usize, 8usize);
+    let mut xbar = programmed(size, 23);
+    let mut store = OffChipStore::attach(&mut xbar);
+    store.ensure_aggregates(t);
+    let mut rng = rram::rng::sim_rng(23);
+    let mask: Vec<bool> = (0..size * size).map(|_| rng.gen_bool(0.3)).collect();
+    let candidates = CandidateMask::from_mask(size, size, mask.clone());
+    for delta in [1i32, -1] {
+        let deltas: Vec<i32> = mask.iter().map(|&m| if m { delta } else { 0 }).collect();
+        for (g, range) in groups(size, t).into_iter().enumerate() {
+            assert_eq!(
+                store.expected_column_group_sums_cached(range.clone(), &candidates, delta),
+                store.expected_column_group_sums(range.clone(), &deltas),
+                "cached column-group sums diverged from dense, group {g}, delta {delta}"
+            );
+            assert_eq!(
+                store.expected_row_group_sums_cached(range.clone(), &candidates, delta),
+                store.expected_row_group_sums(range, &deltas),
+                "cached row-group sums diverged from dense, group {g}, delta {delta}"
+            );
+        }
+    }
+    eprintln!("bit-identity oracles: ok (mvm, group sums, cached expected sums)");
 }
 
 fn main() {
@@ -212,7 +222,7 @@ fn main() {
         push(&mut records, "mvm_tiled_t128", size, ns);
     }
 
-    // --- Detection: full campaign at the paper-scale Tr = 16 ------------
+    // --- Detection: fresh campaign at the paper-scale Tr = 16 -----------
     let detect_sizes: &[usize] = if quick { &[64] } else { &[256, 512] };
     for &size in detect_sizes {
         let mut xbar = programmed(size, 2);
@@ -225,7 +235,7 @@ fn main() {
         push(&mut records, "detection_campaign_t16", size, ns);
     }
 
-    // --- Detection: incremental campaign on a warm persistent store -----
+    // --- Detection: campaign on a warm persistent store -----------------
     // The in-training regime: the store is coherent from the previous
     // campaign and only ~1000 sparse training writes dirtied the array, so
     // each campaign re-reads a fraction of a percent of the cells and
@@ -233,9 +243,9 @@ fn main() {
     for &size in detect_sizes {
         let mut xbar = programmed(size, 2);
         let detector = OnlineFaultDetector::new(DetectorConfig::new(16).unwrap());
-        let mut store = OffChipStore::attach(&mut xbar);
+        let mut store = None;
         let mut baseline = detector
-            .run_incremental(&mut xbar, &mut store, None)
+            .run_on_store(&mut xbar, &mut store, None)
             .expect("warm-up campaign")
             .predicted;
         let mut rng = rram::rng::sim_rng(11);
@@ -248,14 +258,14 @@ fn main() {
                     let _ = xbar.write_level(r, c, level).expect("in range");
                 }
                 let out = detector
-                    .run_incremental(&mut xbar, &mut store, Some(&baseline))
-                    .expect("incremental campaign");
+                    .run_on_store(&mut xbar, &mut store, Some(&baseline))
+                    .expect("warm campaign");
                 baseline = black_box(out).predicted;
             },
             long_ms,
             samples,
         );
-        push(&mut records, "detection_incremental_t16", size, ns);
+        push(&mut records, "detection_warm_t16", size, ns);
     }
 
     // --- Detection comparison kernel: batched plane sweep vs per-line ---
@@ -462,11 +472,8 @@ fn main() {
                 RemapAlgorithm::GreedySwapBatch { batch: 64 },
             ),
             (
-                "remap_genetic_islands",
-                RemapAlgorithm::Genetic {
-                    population: 8,
-                    islands: 4,
-                },
+                "remap_genetic_pop8",
+                RemapAlgorithm::Genetic { population: 8 },
             ),
         ] {
             let cfg = RemapConfig {
@@ -576,14 +583,14 @@ fn main() {
             unbatched / batched
         );
     }
-    if let (Some(full), Some(inc)) = (
+    if let (Some(fresh), Some(warm)) = (
         find("detection_campaign_t16", 512),
-        find("detection_incremental_t16", 512),
+        find("detection_warm_t16", 512),
     ) {
         eprintln!(
-            "detection Tr=16 512²: incremental campaign (warm store, ~1000 writes) {:.2}x \
-             over the full campaign",
-            full / inc
+            "detection Tr=16 512²: warm-store campaign (~1000 writes) {:.2}x over a fresh \
+             campaign",
+            fresh / warm
         );
     }
 

@@ -63,13 +63,7 @@ fn main() {
         ("identity", RemapAlgorithm::Identity),
         ("random_shuffle", RemapAlgorithm::RandomShuffle),
         ("swap_hill_climb", RemapAlgorithm::SwapHillClimb),
-        (
-            "genetic_pop16",
-            RemapAlgorithm::Genetic {
-                population: 16,
-                islands: 4,
-            },
-        ),
+        ("genetic_pop16", RemapAlgorithm::Genetic { population: 16 }),
     ];
     let mut csv = String::from("algorithm,fault_map,mean_dist,mean_accuracy\n");
     for use_oracle in [false, true] {

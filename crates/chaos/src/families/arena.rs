@@ -9,7 +9,8 @@
 //! 2. `DetectRemap` behind the strategy trait is the pre-refactor flow:
 //!    the seeded scenario that generated `golden_detect_remap.jsonl`
 //!    before the trainer grew lifecycle hooks must still produce that
-//!    trace byte-for-byte.
+//!    trace byte-for-byte (re-baselined once since; see
+//!    `GOLDEN_DETECT_REMAP`).
 //! 3. Degenerate heats rank deterministically: an all-faulty chip
 //!    (density 1.0) and a pristine chip (density 0.0) collapse most of
 //!    the ranking signal, so the tie-breaks (energy, then strategy id)
@@ -28,7 +29,11 @@ use rram::endurance::EnduranceModel;
 use crate::{ensure, FamilyReport};
 
 /// The seeded JSONL trace recorded from the monolithic (pre-strategy-trait)
-/// trainer, before `detection_phase` moved behind `FaultStrategy`.
+/// trainer, before `detection_phase` moved behind `FaultStrategy`. It was
+/// re-baselined once, when every campaign moved onto the tile's persistent
+/// store: the lines before campaign 2's `detection_campaign_end` are the
+/// original recording, and warm campaigns from there on retest only the
+/// cells written since the previous one.
 const GOLDEN_DETECT_REMAP: &str = include_str!("golden_detect_remap.jsonl");
 
 /// A sweep small enough for the debug-build harness: two heats, four

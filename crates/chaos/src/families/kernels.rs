@@ -1,11 +1,10 @@
-//! Kernel-speed chaos: the vectorized lane kernels, the incremental
-//! reference store, and the island-parallel genetic search all promise
-//! *bit-identity* with their scalar/full-resync/sequential oracles. This
-//! family attacks those promises with lane-tail remainder shapes,
-//! interleaved detection traffic, and hostile thread budgets.
+//! Kernel-speed chaos: the vectorized lane kernels, the persistent
+//! reference store, and the genetic search all promise *bit-identity* with
+//! their scalar/one-shot/sequential oracles. This family attacks those
+//! promises with lane-tail remainder shapes, interleaved detection traffic,
+//! and hostile thread budgets.
 
 use faultdet::detector::{DetectorConfig, OnlineFaultDetector};
-use faultdet::reference::OffChipStore;
 use ftt_core::config::{MappingConfig, MappingScope, RemapConfig};
 use ftt_core::mapping::MappedNetwork;
 use ftt_core::remap::{CostModel, RemapAlgorithm, RemapProblem};
@@ -73,25 +72,25 @@ pub fn kernels(seed: u64) -> FamilyReport {
         Ok(())
     });
 
-    fam.case("incremental_vs_full_detection_byte_identity", || {
+    fam.case("fresh_then_warm_detection_byte_identity", || {
         let mut reference: Option<Fingerprint> = None;
         for &budget in &BUDGETS {
             par::set_thread_count(budget);
-            let result = incremental_identity_case(seed);
+            let result = fresh_then_warm_case(seed);
             par::set_thread_count(0);
             let fp = result.map_err(|e| format!("threads {budget}: {e}"))?;
             match &reference {
                 None => reference = Some(fp),
                 Some(want) => ensure(
                     &fp == want,
-                    format!("incremental trace diverged at {budget} threads"),
+                    format!("fresh/warm campaign trace diverged at {budget} threads"),
                 )?,
             }
         }
         Ok(())
     });
 
-    fam.case("island_genetic_plan_identity_across_thread_budgets", || {
+    fam.case("genetic_plan_identity_across_thread_budgets", || {
         let mut rng = init_rng(seed);
         let mut net = Network::new();
         net.push(nn::layers::Dense::new(6, 10, &mut rng));
@@ -108,10 +107,7 @@ pub fn kernels(seed: u64) -> FamilyReport {
         let problem = RemapProblem::with_ground_truth(&mapped, &mask, CostModel::PaperDist)
             .map_err(|e| format!("problem: {e}"))?;
         let config = RemapConfig {
-            algorithm: RemapAlgorithm::Genetic {
-                population: 6,
-                islands: 4,
-            },
+            algorithm: RemapAlgorithm::Genetic { population: 6 },
             iterations: 1200,
             seed,
             ..RemapConfig::default()
@@ -128,8 +124,7 @@ pub fn kernels(seed: u64) -> FamilyReport {
                     ensure(
                         &got == want,
                         format!(
-                            "island-genetic plan diverged at {budget} threads: \
-                             cost {} vs {}",
+                            "genetic plan diverged at {budget} threads: cost {} vs {}",
                             got.1, want.1
                         ),
                     )?;
@@ -200,101 +195,76 @@ type Fingerprint = (
     Vec<u16>,
 );
 
-/// Drives a fresh-store incremental campaign and a classic full campaign
-/// over twin crossbars, then a second sparse-traffic round. The fresh
-/// round must match the full campaign byte-for-byte (sweep costs and
-/// predictions — only the snapshot-read accounting differs); the warm
-/// round must reproduce the restored array while re-reading no more than
-/// the written cells. Returns a trace fingerprint so the caller can assert
-/// the whole thing is thread-budget invariant.
-fn incremental_identity_case(seed: u64) -> Result<Fingerprint, String> {
+/// Drives a store-attaching campaign and a one-shot `run` over twin
+/// crossbars, then a second round after sparse traffic. The fresh round
+/// must equal the one-shot campaign byte-for-byte, snapshot read included;
+/// the warm round must restore the array exactly as a one-shot campaign
+/// on the twin does while re-reading no more than the written cells.
+/// Returns a trace fingerprint so the caller can assert the whole thing is
+/// thread-budget invariant.
+fn fresh_then_warm_case(seed: u64) -> Result<Fingerprint, String> {
     let detector =
         OnlineFaultDetector::new(DetectorConfig::new(4).map_err(|e| format!("config: {e}"))?);
-    let mut full_xbar = programmed(17, 0.08, seed)?;
-    let mut inc_xbar = programmed(17, 0.08, seed)?;
+    let mut twin = programmed(17, 0.08, seed)?;
+    let mut xbar = programmed(17, 0.08, seed)?;
 
-    let full = detector
-        .run(&mut full_xbar)
-        .map_err(|e| format!("full run: {e}"))?;
-    let mut store = OffChipStore::attach(&mut inc_xbar);
-    let inc = detector
-        .run_incremental(&mut inc_xbar, &mut store, None)
-        .map_err(|e| format!("incremental run: {e}"))?;
-
+    let one_shot = detector
+        .run(&mut twin)
+        .map_err(|e| format!("one-shot run: {e}"))?;
+    let mut store = None;
+    let fresh = detector
+        .run_on_store(&mut xbar, &mut store, None)
+        .map_err(|e| format!("fresh campaign: {e}"))?;
     ensure(
-        inc.predicted == full.predicted,
-        "fresh-store predicted maps diverged",
+        fresh == one_shot,
+        format!("fresh-store campaign diverged from run: {fresh:?} vs {one_shot:?}"),
     )?;
     ensure(
-        (
-            inc.sa0_cycles,
-            inc.sa1_cycles,
-            inc.write_pulses,
-            inc.untested_groups,
-        ) == (
-            full.sa0_cycles,
-            full.sa1_cycles,
-            full.write_pulses,
-            full.untested_groups,
-        ),
-        format!(
-            "fresh-store sweep costs diverged: inc ({}, {}, {}, {}) vs full ({}, {}, {}, {})",
-            inc.sa0_cycles,
-            inc.sa1_cycles,
-            inc.write_pulses,
-            inc.untested_groups,
-            full.sa0_cycles,
-            full.sa1_cycles,
-            full.write_pulses,
-            full.untested_groups
-        ),
-    )?;
-    ensure(
-        full_xbar.read_all_levels() == inc_xbar.read_all_levels(),
+        twin.read_all_levels() == xbar.read_all_levels(),
         "restored arrays diverged after the first campaign",
     )?;
 
     // Sparse identical traffic on both twins, then round two: the warm
-    // store must reproduce the full campaign's map on a fraction of the
-    // store reads.
+    // store must restore the array like a one-shot campaign on a fraction
+    // of the store reads.
     let mut rng = sim_rng(seed ^ 0xD1FF);
     for _ in 0..6 {
         let (r, c) = (rng.gen_range(0..17), rng.gen_range(0..17));
-        let level = rng.gen_range(0..full_xbar.levels());
-        let _ = full_xbar
+        let level = rng.gen_range(0..twin.levels());
+        let _ = twin
             .write_level(r, c, level)
             .map_err(|e| format!("traffic write: {e}"))?;
-        let _ = inc_xbar
+        let _ = xbar
             .write_level(r, c, level)
             .map_err(|e| format!("traffic write: {e}"))?;
     }
-    let full2 = detector
-        .run(&mut full_xbar)
-        .map_err(|e| format!("full run 2: {e}"))?;
-    let inc2 = detector
-        .run_incremental(&mut inc_xbar, &mut store, Some(&inc.predicted))
-        .map_err(|e| format!("incremental run 2: {e}"))?;
+    let one_shot2 = detector
+        .run(&mut twin)
+        .map_err(|e| format!("one-shot run 2: {e}"))?;
+    let warm = detector
+        .run_on_store(&mut xbar, &mut store, Some(&fresh.predicted))
+        .map_err(|e| format!("warm campaign: {e}"))?;
     // Both campaigns restore every cell they touched to its stored level,
-    // so the twins' level planes stay byte-identical even though the
-    // incremental sweep drove far fewer cells.
+    // so the twins' level planes stay byte-identical even though the warm
+    // sweep drove far fewer cells.
     ensure(
-        full_xbar.read_all_levels() == inc_xbar.read_all_levels(),
+        twin.read_all_levels() == xbar.read_all_levels(),
         "restored arrays diverged after the second campaign",
     )?;
     ensure(
-        inc2.store_read_cells <= 6,
+        warm.store_read_cells <= 6,
         format!(
             "warm store re-read {} cells for 6 writes",
-            inc2.store_read_cells
+            warm.store_read_cells
         ),
     )?;
     ensure(
-        inc2.cycles() < full2.cycles(),
+        warm.cycles() < one_shot2.cycles(),
         format!(
             "warm store not cheaper: {} vs {}",
-            inc2.cycles(),
-            full2.cycles()
+            warm.cycles(),
+            one_shot2.cycles()
         ),
     )?;
-    Ok((inc, inc2, inc_xbar.read_all_levels()))
+    Ok((fresh, warm, xbar.read_all_levels()))
 }

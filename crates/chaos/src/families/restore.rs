@@ -2,12 +2,11 @@
 //! adversarial iteration boundaries, "crash" (drop the trainer), resume
 //! from bytes in a fresh recorder, and require the continuation to be
 //! indistinguishable from never having crashed — byte-identical stitched
-//! JSONL traces and field-identical `FlowStats`, at any worker budget,
-//! with and without incremental detection.
+//! JSONL traces and field-identical `FlowStats`, at any worker budget.
 //!
 //! The adversarial boundaries target the state most likely to desynchronize
 //! on restore: right after a detection + sparing + remap iteration (warm
-//! `OffChipStore`s, refreshed spare stores, re-pointed shards), between
+//! `OffChipStore`s, verified spare stores, re-pointed shards), between
 //! campaigns (open skip bursts, dirty journals mid-fill), and the first
 //! boundary after warmup (ledgers barely populated).
 
@@ -45,55 +44,50 @@ fn mapping(seed: u64) -> MappingConfig {
     m
 }
 
-fn flow(incremental: bool) -> FlowConfig {
-    let f = FlowConfig::fault_tolerant()
+fn flow() -> FlowConfig {
+    FlowConfig::fault_tolerant()
         .with_lr(LrSchedule::constant(0.1))
         .with_detection_interval(5)
         .with_detection_warmup(0)
-        .with_eval_interval(5);
-    if incremental {
-        f.with_incremental_detection()
-    } else {
-        f
-    }
+        .with_eval_interval(5)
 }
 
-fn traced(seed: u64, incremental: bool) -> Result<(FaultTolerantTrainer, JsonlView), String> {
+fn traced(seed: u64) -> Result<(FaultTolerantTrainer, JsonlView), String> {
     let recorder = Recorder::deterministic();
     let sink = JsonlSink::new();
     let view = sink.view();
     recorder.add_sink(Box::new(sink));
-    let trainer =
-        FaultTolerantTrainer::with_recorder(net(seed), mapping(seed), flow(incremental), recorder)
-            .map_err(|e| format!("new trainer: {e}"))?;
+    let trainer = FaultTolerantTrainer::with_recorder(net(seed), mapping(seed), flow(), recorder)
+        .map_err(|e| format!("new trainer: {e}"))?;
     Ok((trainer, view))
 }
 
 /// Runs `total` iterations uninterrupted, then again killed at `kill_at`
 /// and resumed from serialized bytes, and compares traces and stats.
-fn kill_restore_case(
-    seed: u64,
-    data: &Dataset,
-    total: u64,
-    kill_at: u64,
-    incremental: bool,
-) -> Result<(), String> {
-    let (mut full, full_view) = traced(seed, incremental)?;
+/// Returns whether the snapshot carried warm stores: one on every
+/// in-service tile and none on a retired one.
+fn kill_restore_case(seed: u64, data: &Dataset, total: u64, kill_at: u64) -> Result<bool, String> {
+    let (mut full, full_view) = traced(seed)?;
     full.train(data, total)
         .map_err(|e| format!("uninterrupted: {e}"))?;
 
-    let (mut head, head_view) = traced(seed, incremental)?;
+    let (mut head, head_view) = traced(seed)?;
     head.train(data, kill_at).map_err(|e| format!("head: {e}"))?;
     let bytes = ftt_snapshot::snapshot(&mut head);
     drop(head); // the crash: nothing survives but the bytes
+    let slots = ftt_snapshot::decode(&bytes)
+        .map_err(|e| format!("decode @{kill_at}: {e}"))?
+        .mapped
+        .chip
+        .slots;
+    let warm_stores = slots.iter().all(|s| s.store.is_some() != s.retired);
 
     let recorder = Recorder::deterministic();
     let sink = JsonlSink::new();
     let tail_view = sink.view();
     recorder.add_sink(Box::new(sink));
-    let mut resumed =
-        ftt_snapshot::resume(&bytes, net(seed), mapping(seed), flow(incremental), recorder)
-            .map_err(|e| format!("resume @{kill_at}: {e}"))?;
+    let mut resumed = ftt_snapshot::resume(&bytes, net(seed), mapping(seed), flow(), recorder)
+        .map_err(|e| format!("resume @{kill_at}: {e}"))?;
     resumed
         .train(data, total - kill_at)
         .map_err(|e| format!("tail: {e}"))?;
@@ -110,7 +104,8 @@ fn kill_restore_case(
             resumed.stats(),
             full.stats()
         ),
-    )
+    )?;
+    Ok(warm_stores)
 }
 
 /// Kill/restore scenario family.
@@ -118,22 +113,21 @@ pub fn restore(seed: u64) -> FamilyReport {
     let mut fam = FamilyReport::new("restore");
     let data = SyntheticDataset::mnist_like(40, 10, seed);
 
-    // The adversarial boundaries, full-sweep detection: after the first
-    // post-warmup boundary (1), right after a detection + sparing + remap
-    // iteration (5), and between campaigns with open bursts/journals (8).
-    fam.case("kill_at_adversarial_boundaries_full_sweep", || {
+    // The adversarial boundaries: after the first post-warmup boundary
+    // (1), right after a detection + sparing + remap iteration (5), and
+    // between campaigns with open bursts/journals (8). From the first
+    // campaign on, snapshots carry warm `OffChipStore`s (stored planes,
+    // pending masks, counts) on every in-service tile, verified spares
+    // included, and none on retired tiles.
+    fam.case("kill_at_adversarial_boundaries", || {
         for kill_at in [1u64, 5, 8] {
-            kill_restore_case(seed, &data, 12, kill_at, false)?;
-        }
-        Ok(())
-    });
-
-    // The same boundaries with incremental detection: snapshots now carry
-    // warm `OffChipStore`s (stored planes, pending masks, counts) and the
-    // spare-store handover from `apply_sparing`.
-    fam.case("kill_at_adversarial_boundaries_incremental", || {
-        for kill_at in [1u64, 5, 8] {
-            kill_restore_case(seed, &data, 12, kill_at, true)?;
+            let warm_stores = kill_restore_case(seed, &data, 12, kill_at)?;
+            ensure(
+                warm_stores == (kill_at >= 5),
+                format!(
+                    "kill@{kill_at}: warm stores {warm_stores} before/after the first campaign"
+                ),
+            )?;
         }
         Ok(())
     });
@@ -146,7 +140,7 @@ pub fn restore(seed: u64) -> FamilyReport {
     fam.case("kill_restore_identical_at_thread_budgets_1_4_max", || {
         for budget in [1usize, 4, par::MAX_THREADS] {
             par::set_thread_count(budget);
-            let outcome = kill_restore_case(seed ^ 0x31, &data, 10, 5, true);
+            let outcome = kill_restore_case(seed ^ 0x31, &data, 10, 5);
             par::set_thread_count(0);
             outcome.map_err(|e| format!("budget {budget}: {e}"))?;
         }
@@ -158,7 +152,7 @@ pub fn restore(seed: u64) -> FamilyReport {
     // snapshot of the uninterrupted one (deep state equality, not just
     // observable equality).
     fam.case("snapshot_bytes_are_canonical_and_deep_equal", || {
-        let (mut full, _fv) = traced(seed ^ 0x47, true)?;
+        let (mut full, _fv) = traced(seed ^ 0x47)?;
         full.train(&data, 9).map_err(|e| e.to_string())?;
         let bytes = ftt_snapshot::snapshot(&mut full);
         let state = ftt_snapshot::decode(&bytes).map_err(|e| e.to_string())?;
@@ -171,7 +165,7 @@ pub fn restore(seed: u64) -> FamilyReport {
             &bytes,
             net(seed ^ 0x47),
             mapping(seed ^ 0x47),
-            flow(true),
+            flow(),
             recorder,
         )
         .map_err(|e| e.to_string())?;
@@ -187,7 +181,7 @@ pub fn restore(seed: u64) -> FamilyReport {
     // domain validators.
     fam.case("corrupt_snapshots_rejected_never_panic", || {
         use ftt_snapshot::SnapshotError;
-        let (mut t, _v) = traced(seed ^ 0x53, true)?;
+        let (mut t, _v) = traced(seed ^ 0x53)?;
         t.train(&data, 6).map_err(|e| e.to_string())?;
         let good = ftt_snapshot::snapshot(&mut t);
 
@@ -229,7 +223,10 @@ pub fn restore(seed: u64) -> FamilyReport {
                 break;
             }
         }
-        ensure(tampered, "incremental run must have a warm store")?;
+        ensure(
+            tampered,
+            "a run past its first campaign must have a warm store",
+        )?;
         let bytes = ftt_snapshot::encode(&state);
         ensure(
             matches!(
@@ -237,7 +234,7 @@ pub fn restore(seed: u64) -> FamilyReport {
                     &bytes,
                     net(seed ^ 0x53),
                     mapping(seed ^ 0x53),
-                    flow(true),
+                    flow(),
                     Recorder::deterministic(),
                 ),
                 Err(SnapshotError::Invalid(_))

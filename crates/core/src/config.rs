@@ -210,11 +210,6 @@ pub struct FlowConfig {
     pub eval_interval: u64,
     /// Data-shuffling seed.
     pub data_seed: u64,
-    /// Run detection campaigns incrementally: each tile keeps a persistent
-    /// off-chip store and only retests the cells written since its previous
-    /// campaign (see
-    /// [`OnlineFaultDetector::run_incremental`](faultdet::detector::OnlineFaultDetector::run_incremental)).
-    pub incremental_detection: bool,
     /// Which fault-tolerance strategy drives the run (see
     /// [`crate::strategy`]). The built-in `DetectRemap`/`NoOp` selections
     /// are constructed by the trainer directly; `DropConnect` and
@@ -252,7 +247,6 @@ impl FlowConfig {
             prune_fraction_conv: 0.1,
             eval_interval: 50,
             data_seed: 0,
-            incremental_detection: false,
             strategy: StrategySelect::DetectRemap,
         }
     }
@@ -309,13 +303,6 @@ impl FlowConfig {
     /// Sets the threshold policy.
     pub fn with_threshold(mut self, policy: ThresholdPolicy) -> Self {
         self.threshold = policy;
-        self
-    }
-
-    /// Routes periodic detection through persistent per-tile off-chip
-    /// stores so each campaign only retests cells written since the last.
-    pub fn with_incremental_detection(mut self) -> Self {
-        self.incremental_detection = true;
         self
     }
 

@@ -767,38 +767,13 @@ impl MappedNetwork {
     /// edges) and fan out across the [`par`] worker budget via
     /// [`ftt_tile::TiledChip::run_campaigns`]; outcomes compose
     /// sequentially in shard order, so results are identical at any thread
-    /// count.
+    /// count. Each tile keeps a persistent off-chip store, so the first
+    /// call tests every cell and later calls retest only the cells written
+    /// since (training updates, reprogramming, wear-outs), carrying prior
+    /// verdicts forward for untouched cells.
     pub fn detect(
         &mut self,
         detector: &OnlineFaultDetector,
-    ) -> Result<Vec<LayerDetection>, FttError> {
-        self.detect_with(detector, false)
-    }
-
-    /// Incremental variant of [`detect`]: campaigns go through
-    /// [`ftt_tile::TiledChip::run_campaigns_incremental`], so each tile
-    /// keeps a persistent off-chip store and only retests the cells written
-    /// since its previous campaign (training updates, reprogramming,
-    /// wear-outs), carrying prior verdicts forward for untouched cells.
-    /// The first call behaves like a full [`detect`]; later calls between
-    /// sparse weight updates cost a fraction of the cycles.
-    ///
-    /// [`detect`]: Self::detect
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`detect`].
-    pub fn detect_incremental(
-        &mut self,
-        detector: &OnlineFaultDetector,
-    ) -> Result<Vec<LayerDetection>, FttError> {
-        self.detect_with(detector, true)
-    }
-
-    fn detect_with(
-        &mut self,
-        detector: &OnlineFaultDetector,
-        incremental: bool,
     ) -> Result<Vec<LayerDetection>, FttError> {
         let ids: Vec<usize> = self
             .layers
@@ -806,11 +781,7 @@ impl MappedNetwork {
             .flat_map(|l| l.tiles.iter().chain(&l.neg_tiles))
             .map(|t| t.id)
             .collect();
-        let _ = if incremental {
-            self.chip.run_campaigns_incremental(detector, &ids)
-        } else {
-            self.chip.run_campaigns(detector, &ids)
-        };
+        let _ = self.chip.run_campaigns(detector, &ids);
         let t = detector.config().test_size;
         let mut results = Vec::with_capacity(self.layers.len());
         for li in 0..self.layers.len() {
@@ -894,6 +865,8 @@ impl MappedNetwork {
                     out.reprogram_pulses += self.chip.tile(new_id)?.write_pulses() - before;
                     // Verify the spare with a tile-local campaign so the
                     // recomposed prediction covers its (injected) faults.
+                    // The campaign attaches the spare's store, so the next
+                    // periodic campaign starts warm from this verdict.
                     let stats = self.chip.run_campaigns(detector, &[new_id]);
                     out.verify_cycles += stats.cycles;
                     out.verify_write_pulses += stats.write_pulses;
@@ -904,15 +877,6 @@ impl MappedNetwork {
                     } else {
                         layer.tiles[tile_idx].id = new_id;
                     }
-                    // Hand the incremental store over: the retired tile's
-                    // store describes hardware no shard points at any more
-                    // (its aggregates would sit stale in the slot — and in
-                    // any snapshot of it — forever), and warm-attaching a
-                    // store on the just-verified spare lets the next
-                    // incremental campaign trust the verify outcome as its
-                    // baseline instead of lazily attaching all-pending and
-                    // retesting the whole tile.
-                    self.chip.refresh_spare_store(id, new_id)?;
                     dirty.insert(li);
                 }
             }
@@ -1479,12 +1443,12 @@ mod tests {
     }
 
     #[test]
-    fn sparing_hands_over_incremental_store() {
-        // Regression: apply_sparing must drop the retired tile's store
-        // (stale aggregates for hardware no shard points at) and
-        // warm-attach one on the verified spare, so post-sparing training
-        // writes land in a journal some store is watching and the next
-        // incremental campaign stays byte-equal to a full sweep.
+    fn sparing_drops_the_retired_store_and_verify_warms_the_spare() {
+        // Regression: sparing must drop the retired tile's store (stale
+        // aggregates for hardware no shard points at), and the spare's
+        // verify campaign must leave a warm store on it, so post-sparing
+        // training writes land in a journal some store is watching and the
+        // next campaign still sees every fault.
         let mut net = mlp();
         let mut config = MappingConfig::new(MappingScope::EntireNetwork)
             .with_initial_fault_fraction(0.25)
@@ -1495,7 +1459,7 @@ mod tests {
         config.tile_size = 4;
         let mut mapped = MappedNetwork::from_network(&mut net, config).unwrap();
         let detector = OnlineFaultDetector::new(DetectorConfig::new(1).unwrap());
-        let mut detections = mapped.detect_incremental(&detector).unwrap();
+        let mut detections = mapped.detect(&detector).unwrap();
         let before: Vec<Vec<usize>> = mapped
             .layers
             .iter()
@@ -1517,8 +1481,8 @@ mod tests {
                     .map(|(ti, _)| (li, ti))
             })
             .unwrap();
-        // The handover itself: the retired slot's store is gone, the spare
-        // carries a warm one with nothing pending (verify covered it).
+        // The retired slot's store is gone; the spare carries a warm one
+        // with nothing pending (its verify campaign covered it).
         let retired_id = before[li][ti];
         let new_id = mapped.layers[li].tiles[ti].id;
         assert!(mapped.chip().slot(retired_id).unwrap().store.is_none());
@@ -1535,11 +1499,11 @@ mod tests {
             }
         }
         assert!(worn, "spare cell should wear out after verification");
-        // Test size 1 is exact over pending cells, so the next incremental
-        // campaign's predictions must match the post-wear ground truth —
-        // the worn cell must have been journaled as pending by the store
-        // the sparing pass attached.
-        let after = mapped.detect_incremental(&detector).unwrap();
+        // Test size 1 is exact over pending cells, so the next campaign's
+        // predictions must match the post-wear ground truth — the worn cell
+        // must have been journaled as pending by the store the verify
+        // campaign attached.
+        let after = mapped.detect(&detector).unwrap();
         let truth = mapped.ground_truth();
         for (det, truth) in after.iter().zip(&truth) {
             assert_eq!(&det.predicted, truth);
@@ -1557,7 +1521,7 @@ mod tests {
         config.tile_size = 4;
         let mut mapped = MappedNetwork::from_network(&mut net, config.clone()).unwrap();
         let detector = OnlineFaultDetector::new(DetectorConfig::new(2).unwrap());
-        let mut detections = mapped.detect_incremental(&detector).unwrap();
+        let mut detections = mapped.detect(&detector).unwrap();
         mapped.apply_sparing(&detector, &mut detections).unwrap();
         mapped.write_weight(0, 3, 0.05).unwrap();
 
@@ -1576,8 +1540,8 @@ mod tests {
         assert_eq!(mapped.ground_truth(), back.ground_truth());
         // Identical future campaigns: per-tile RNG streams, stores, and
         // carried baselines all restore mid-sequence.
-        let a = mapped.detect_incremental(&detector).unwrap();
-        let b = back.detect_incremental(&detector).unwrap();
+        let a = mapped.detect(&detector).unwrap();
+        let b = back.detect(&detector).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.predicted, y.predicted);
             assert_eq!(x.cycles, y.cycles);

@@ -61,20 +61,13 @@ pub enum RemapAlgorithm {
         batch: usize,
     },
     /// A genetic algorithm optimizing each neuron group in turn
-    /// ("layer by layer" per the paper), with order crossover and swap
-    /// mutation. The search runs as `islands` independent populations with
-    /// per-island sub-RNGs (derived from the search seed) evolved in
-    /// parallel on the [`par`] worker budget; every
-    /// [`MIGRATION_INTERVAL`] generations the best individual of each
-    /// island replaces the worst of its ring successor. Island evolution
-    /// is pure (each consumes only its own snapshotted state), migration
-    /// and the final seeded tie-break are sequential, so the winning
-    /// permutation is identical at any thread count.
+    /// ("layer by layer" per the paper), with tournament selection, order
+    /// crossover and swap mutation. Each group evolves one population for
+    /// `iterations / population` generations from its own sub-RNG, derived
+    /// from the search seed and salted by the group index.
     Genetic {
-        /// Population size per island.
+        /// Population size (clamped to at least 4).
         population: usize,
-        /// Independent island populations (clamped to at least 1).
-        islands: usize,
     },
 }
 
@@ -498,24 +491,13 @@ impl RemapProblem {
                     self.greedy_swap_batch(&mut perms, batch.max(1), config.iterations, &mut rng);
                 }
             }
-            RemapAlgorithm::Genetic {
-                population,
-                islands,
-            } => {
+            RemapAlgorithm::Genetic { population } => {
                 let population = population.max(4);
-                let islands = islands.max(1);
-                // Same total search budget regardless of the island count.
-                let generations = (config.iterations / population / islands).max(1);
+                let generations = (config.iterations / population).max(1);
                 // Layer by layer, as in the paper.
                 for gi in 0..self.groups.len() {
-                    perms[gi] = self.genetic_group(
-                        &perms,
-                        gi,
-                        population,
-                        islands,
-                        generations,
-                        config.seed,
-                    );
+                    perms[gi] =
+                        self.genetic_group(&perms, gi, population, generations, config.seed);
                 }
             }
         }
@@ -612,109 +594,66 @@ impl RemapProblem {
         }
     }
 
-    /// Island-parallel GA over one neuron group with the other groups
-    /// fixed.
-    ///
-    /// Each island holds its own population and its own sub-RNG derived
-    /// from the search seed, so a round of evolution is a pure function of
-    /// the island's snapshot — the rounds fan out over
-    /// [`par::map_indices`] without perturbing the trajectory. After
-    /// each round the best individual of island `i` replaces the worst of
-    /// island `(i + 1) % islands` (computed from the pre-migration
-    /// snapshot, applied in island order). The final winner is the
-    /// minimum-cost individual across islands, ties broken by a seeded
-    /// per-island key so the choice never depends on island evaluation
-    /// order.
+    /// GA over one neuron group with the other groups fixed: one
+    /// population seeded with the current order, evolved by tournament
+    /// selection, order crossover, swap mutation and replace-worst. Returns
+    /// the best member (the first wins ties).
     fn genetic_group(
         &self,
         perms: &[Permutation],
         gi: usize,
         population: usize,
-        islands: usize,
         generations: usize,
         seed: u64,
     ) -> Permutation {
         let n = self.groups[gi].neurons;
-        let mut states: Vec<Island> = (0..islands)
-            .map(|island| {
-                // Golden-ratio seed spreading: distinct sub-streams per
-                // (group, island) that never collide with the solver's own
-                // `sim_rng(seed)` stream (the +1 skips the multiplier-zero
-                // case).
-                let salt =
-                    0x9E37_79B9_7F4A_7C15u64.wrapping_mul((gi * islands + island + 1) as u64);
-                let mut rng = sim_rng(seed.wrapping_add(salt));
-                let pop: Vec<Permutation> = (0..population)
-                    .map(|i| {
-                        if i == 0 {
-                            perms[gi].clone()
-                        } else {
-                            Permutation::random(n, &mut rng)
-                        }
-                    })
-                    .collect();
-                let scores = pop
-                    .iter()
-                    .map(|p| self.group_fitness(perms, gi, p))
-                    .collect();
-                Island { pop, scores, rng }
+        // Golden-ratio seed spreading: a distinct sub-stream per group that
+        // never collides with the solver's own `sim_rng(seed)` stream (the
+        // +1 skips the multiplier-zero case).
+        let salt = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul((gi + 1) as u64);
+        let mut rng = sim_rng(seed.wrapping_add(salt));
+        let mut pop: Vec<Permutation> = (0..population)
+            .map(|i| {
+                if i == 0 {
+                    perms[gi].clone()
+                } else {
+                    Permutation::random(n, &mut rng)
+                }
             })
             .collect();
-
-        // One fitness evaluation walks every layer once.
-        let cells: usize = self.layers.iter().map(|l| l.rows * l.cols).sum();
-        let mut remaining = generations;
-        while remaining > 0 {
-            let round = remaining.min(MIGRATION_INTERVAL);
-            remaining -= round;
-            let frozen: &[Island] = &states;
-            states = par::map_indices(islands, round * cells, |i| {
-                let mut island = frozen[i].clone();
-                self.evolve_island(&mut island, perms, gi, n, round);
-                island
-            });
-            if islands > 1 && remaining > 0 {
-                // Ring migration from the post-evolution snapshot.
-                let emigrants: Vec<(Permutation, u64)> = states
-                    .iter()
-                    .map(|isl| {
-                        let b = isl.best_index();
-                        (isl.pop[b].clone(), isl.scores[b])
-                    })
-                    .collect();
-                for (i, (immigrant, score)) in emigrants.iter().enumerate() {
-                    let dst = &mut states[(i + 1) % islands];
-                    let w = dst.worst_index();
-                    if *score < dst.scores[w] {
-                        dst.pop[w] = immigrant.clone();
-                        dst.scores[w] = *score;
-                    }
+        let mut scores: Vec<u64> = pop
+            .iter()
+            .map(|p| self.group_fitness(perms, gi, p))
+            .collect();
+        for _ in 0..generations {
+            // Tournament selection of two parents.
+            let mut pick = || {
+                let a = rng.gen_range(0..population);
+                let b = rng.gen_range(0..population);
+                if scores[a] <= scores[b] {
+                    a
+                } else {
+                    b
                 }
-            }
-        }
-
-        // Seeded tie-break: equal-cost winners from different islands are
-        // ranked by a per-island key derived from the seed, not by island
-        // position, so changing the island count reshuffles ties fairly.
-        let mut best: Option<(u64, u64, usize, usize)> = None;
-        for (i, isl) in states.iter().enumerate() {
-            let b = isl.best_index();
-            let tie = (seed ^ (i as u64).wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let key = (isl.scores[b], tie, i, b);
-            let improves = match best {
-                Some(k) => key < k,
-                None => true,
             };
-            if improves {
-                best = Some(key);
+            let (pa, pb) = (pick(), pick());
+            let mut child = order_crossover(&pop[pa], &pop[pb], &mut rng);
+            // Swap mutation.
+            if n >= 2 && rng.gen_bool(0.8) {
+                let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                child.swap(x, y);
+            }
+            let child_score = self.group_fitness(perms, gi, &child);
+            // Replace the worst member (the first wins ties) if the child
+            // improves on it.
+            let w = (0..population).fold(0, |w, i| if scores[i] > scores[w] { i } else { w });
+            if child_score < scores[w] {
+                pop[w] = child;
+                scores[w] = child_score;
             }
         }
-        match best {
-            Some((_, _, i, b)) => states[i].pop.swap_remove(b),
-            // Unreachable (islands >= 1), but degrade to "no change" rather
-            // than panicking mid-search.
-            None => perms[gi].clone(),
-        }
+        let best = (0..population).fold(0, |b, i| if scores[i] < scores[b] { i } else { b });
+        pop.swap_remove(best)
     }
 
     /// Fitness of one candidate permutation for group `gi`: `Dist(P, F)`
@@ -723,81 +662,6 @@ impl RemapProblem {
         let mut scratch = perms.to_vec();
         scratch[gi] = p.clone();
         self.cost(&scratch)
-    }
-
-    /// Evolves one island for `rounds` generations (tournament selection,
-    /// order crossover, swap mutation, replace-worst). Pure with respect to
-    /// everything but the island itself, so islands evolve in parallel.
-    fn evolve_island(
-        &self,
-        island: &mut Island,
-        perms: &[Permutation],
-        gi: usize,
-        n: usize,
-        rounds: usize,
-    ) {
-        for _ in 0..rounds {
-            // Tournament selection of two parents.
-            let pick = |rng: &mut rand::rngs::StdRng| -> usize {
-                let a = rng.gen_range(0..island.scores.len());
-                let b = rng.gen_range(0..island.scores.len());
-                if island.scores[a] <= island.scores[b] {
-                    a
-                } else {
-                    b
-                }
-            };
-            let pa = pick(&mut island.rng);
-            let pb = pick(&mut island.rng);
-            let mut child = order_crossover(&island.pop[pa], &island.pop[pb], &mut island.rng);
-            // Swap mutation.
-            if n >= 2 && island.rng.gen_bool(0.8) {
-                let (x, y) = (island.rng.gen_range(0..n), island.rng.gen_range(0..n));
-                child.swap(x, y);
-            }
-            let child_score = self.group_fitness(perms, gi, &child);
-            // Replace the worst member if the child improves on it.
-            let w = island.worst_index();
-            if child_score < island.scores[w] {
-                island.pop[w] = child;
-                island.scores[w] = child_score;
-            }
-        }
-    }
-}
-
-/// Generations an island evolves between ring migrations.
-const MIGRATION_INTERVAL: usize = 8;
-
-/// One independent GA population with its own deterministic sub-stream.
-#[derive(Debug, Clone)]
-struct Island {
-    pop: Vec<Permutation>,
-    scores: Vec<u64>,
-    rng: rand::rngs::StdRng,
-}
-
-impl Island {
-    /// Index of the best (lowest-score) member; first wins ties.
-    fn best_index(&self) -> usize {
-        let mut best = 0;
-        for (i, &s) in self.scores.iter().enumerate() {
-            if s < self.scores[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Index of the worst (highest-score) member; first wins ties.
-    fn worst_index(&self) -> usize {
-        let mut worst = 0;
-        for (i, &s) in self.scores.iter().enumerate() {
-            if s > self.scores[worst] {
-                worst = i;
-            }
-        }
-        worst
     }
 }
 
@@ -984,10 +848,7 @@ mod tests {
         let problem =
             RemapProblem::with_ground_truth(&mapped, &mask, CostModel::PaperDist).unwrap();
         let config = RemapConfig {
-            algorithm: RemapAlgorithm::Genetic {
-                population: 8,
-                islands: 2,
-            },
+            algorithm: RemapAlgorithm::Genetic { population: 8 },
             iterations: 4000,
             ..RemapConfig::default()
         };
@@ -996,20 +857,17 @@ mod tests {
     }
 
     #[test]
-    fn genetic_islands_are_thread_count_invariant() {
-        // Island evolution is pure over snapshotted island state and
-        // migration is sequential, so the winning permutations must not
-        // depend on how many workers evolved the islands.
+    fn genetic_plan_is_thread_count_invariant() {
+        // The GA is sequential; only `cost` may fan out (per layer, summed
+        // in layer order), so the winning permutations must not depend on
+        // the worker budget.
         let mut net = mlp(11);
         let mapped = mapped_with_faults(&mut net, 0.2, 11);
         let mask = magnitude_prune(&mut net, 0.5);
         let problem =
             RemapProblem::with_ground_truth(&mapped, &mask, CostModel::PaperDist).unwrap();
         let config = RemapConfig {
-            algorithm: RemapAlgorithm::Genetic {
-                population: 6,
-                islands: 4,
-            },
+            algorithm: RemapAlgorithm::Genetic { population: 6 },
             iterations: 2000,
             ..RemapConfig::default()
         };
@@ -1023,34 +881,6 @@ mod tests {
         let par4 = run_with(4);
         assert_eq!(seq.final_cost, par4.final_cost);
         assert_eq!(seq.perms(), par4.perms(), "identical trajectory required");
-    }
-
-    #[test]
-    fn more_islands_never_lose_to_one_on_average_seeds() {
-        // Not a statistical claim — just that the island machinery (ring
-        // migration, seeded tie-break) still converges on this instance.
-        let mut net = mlp(12);
-        let mapped = mapped_with_faults(&mut net, 0.15, 12);
-        let mask = magnitude_prune(&mut net, 0.6);
-        let problem =
-            RemapProblem::with_ground_truth(&mapped, &mask, CostModel::PaperDist).unwrap();
-        for islands in [1, 3] {
-            let config = RemapConfig {
-                algorithm: RemapAlgorithm::Genetic {
-                    population: 6,
-                    islands,
-                },
-                iterations: 3600,
-                ..RemapConfig::default()
-            };
-            let plan = problem.solve(&mapped, &config);
-            assert!(
-                plan.final_cost < plan.initial_cost,
-                "islands={islands}: {} !< {}",
-                plan.final_cost,
-                plan.initial_cost
-            );
-        }
     }
 
     #[test]

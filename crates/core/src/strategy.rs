@@ -260,48 +260,7 @@ impl DetectRemap {
     fn detection_phase(&mut self, ctx: &mut StrategyCtx<'_>) -> Result<(), FttError> {
         let recorder = ctx.metrics.recorder().clone();
         let _phase_span = recorder.span("detection_phase");
-        ctx.metrics.detection_campaigns.inc();
-        let campaign = ctx.metrics.detection_campaigns.get();
-        recorder.emit(Event::DetectionCampaignStart { campaign });
-
-        let detector = OnlineFaultDetector::new(ctx.flow.detector).with_recorder(&recorder);
-        let mut detections = {
-            let _detect_span = recorder.span("detect");
-            if ctx.flow.incremental_detection {
-                ctx.mapped.detect_incremental(&detector)?
-            } else {
-                ctx.mapped.detect(&detector)?
-            }
-        };
-        let (cycles, writes, untested, flagged) = sum_detections(&detections);
-        ctx.metrics.detection_cycles.add(cycles);
-        ctx.metrics.detection_writes.add(writes);
-        ctx.metrics.detection_untested_groups.add(untested);
-        self.cost.absorb(StrategyCost {
-            cycles,
-            write_pulses: writes,
-        });
-        recorder.set_write_pulses(ctx.mapped.total_write_pulses());
-
-        // The simulator knows the ground-truth fault maps, so every
-        // campaign is scored with a full confusion matrix (summed over all
-        // mapped layers) — the paper's detection-accuracy experiments fall
-        // out of the event stream for free.
-        let confusion = score_against_ground_truth(ctx.mapped, &detections);
-        recorder.emit(Event::DetectionCampaignEnd {
-            campaign,
-            flagged_cells: flagged,
-            cycles,
-            write_pulses: writes,
-            untested_groups: untested,
-            confusion: Some(confusion),
-        });
-        if writes > 0 {
-            recorder.emit(Event::WritePulseBatch {
-                pulses: writes,
-                phase: WritePhase::Detection,
-            });
-        }
+        let (detector, mut detections) = run_detection_campaign(ctx, &mut self.cost)?;
 
         // Tile sparing: retire tiles whose predicted fault density crossed
         // the configured threshold and swap in screened spares, before the
@@ -420,6 +379,66 @@ impl FaultStrategy for DetectRemap {
     fn cost(&self) -> StrategyCost {
         self.cost
     }
+}
+
+/// Runs one on-line detection campaign over every mapped tile and charges
+/// it: bumps the campaign counter and emits
+/// [`Event::DetectionCampaignStart`], detects under a `detect` span (nested
+/// in the caller's phase span), adds the campaign's cycles, pulses and
+/// untested groups to the flow counters and to `cost`, scores the
+/// predictions against ground truth into [`Event::DetectionCampaignEnd`],
+/// and emits the campaign's detection [`Event::WritePulseBatch`].
+///
+/// Returns the detector (for the caller's spare verify campaigns) and the
+/// per-layer detections.
+///
+/// # Errors
+///
+/// Detection failures propagate from [`MappedNetwork::detect`].
+pub fn run_detection_campaign(
+    ctx: &mut StrategyCtx<'_>,
+    cost: &mut StrategyCost,
+) -> Result<(OnlineFaultDetector, Vec<LayerDetection>), FttError> {
+    let recorder = ctx.metrics.recorder().clone();
+    ctx.metrics.detection_campaigns.inc();
+    let campaign = ctx.metrics.detection_campaigns.get();
+    recorder.emit(Event::DetectionCampaignStart { campaign });
+
+    let detector = OnlineFaultDetector::new(ctx.flow.detector).with_recorder(&recorder);
+    let detections = {
+        let _detect_span = recorder.span("detect");
+        ctx.mapped.detect(&detector)?
+    };
+    let (cycles, writes, untested, flagged) = sum_detections(&detections);
+    ctx.metrics.detection_cycles.add(cycles);
+    ctx.metrics.detection_writes.add(writes);
+    ctx.metrics.detection_untested_groups.add(untested);
+    cost.absorb(StrategyCost {
+        cycles,
+        write_pulses: writes,
+    });
+    recorder.set_write_pulses(ctx.mapped.total_write_pulses());
+
+    // The simulator knows the ground-truth fault maps, so every campaign
+    // is scored with a full confusion matrix (summed over all mapped
+    // layers) — the paper's detection-accuracy experiments fall out of the
+    // event stream for free.
+    let confusion = score_against_ground_truth(ctx.mapped, &detections);
+    recorder.emit(Event::DetectionCampaignEnd {
+        campaign,
+        flagged_cells: flagged,
+        cycles,
+        write_pulses: writes,
+        untested_groups: untested,
+        confusion: Some(confusion),
+    });
+    if writes > 0 {
+        recorder.emit(Event::WritePulseBatch {
+            pulses: writes,
+            phase: WritePhase::Detection,
+        });
+    }
+    Ok((detector, detections))
 }
 
 /// Sums `(cycles, write_pulses, untested_groups, flagged_cells)` over a

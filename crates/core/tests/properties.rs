@@ -92,7 +92,7 @@ proptest! {
         let algorithm = [
             RemapAlgorithm::RandomShuffle,
             RemapAlgorithm::SwapHillClimb,
-            RemapAlgorithm::Genetic { population: 6, islands: 2 },
+            RemapAlgorithm::Genetic { population: 6 },
         ][algorithm_pick];
         let mut net = mlp(seed, hidden);
         let mapped = MappedNetwork::from_network(

@@ -134,9 +134,9 @@ pub struct DetectionOutcome {
     /// untested group may carry undetected faults). 0 on a clean campaign.
     pub untested_groups: u64,
     /// Cells read into the off-chip store by this campaign: the full array
-    /// for [`OnlineFaultDetector::run`]'s "Read RRAM Values, Store Off-Chip"
-    /// step, only the cells written since the last campaign for
-    /// [`OnlineFaultDetector::run_incremental`].
+    /// when the campaign attached the store (Fig. 3's "Read RRAM Values,
+    /// Store Off-Chip" step, and every [`OnlineFaultDetector::run`]), only
+    /// the cells written since the last campaign on a warm store.
     pub store_read_cells: u64,
     /// The same reads expressed in row-wide read cycles (`⌈cells / cols⌉`).
     pub store_read_cycles: u64,
@@ -211,9 +211,13 @@ impl OnlineFaultDetector {
         &self.config
     }
 
-    /// Runs a full campaign: SA0 pass (`+δ`, compare, restore) followed by
-    /// the SA1 pass (`−δ`, compare, restore). The crossbar's training state
-    /// is recovered up to cells that wore out during the test itself.
+    /// Runs a one-shot campaign: SA0 pass (`+δ`, compare, restore) followed
+    /// by the SA1 pass (`−δ`, compare, restore) over every cell. This is
+    /// [`run_on_store`] on a store it attaches and then drops, with no
+    /// baseline. The crossbar's training state is recovered up to cells that
+    /// wore out during the test itself.
+    ///
+    /// [`run_on_store`]: Self::run_on_store
     ///
     /// # Errors
     ///
@@ -223,95 +227,35 @@ impl OnlineFaultDetector {
     /// [`DetectionOutcome::untested_groups`] and the campaign continues
     /// with the remaining groups (graceful degradation).
     pub fn run(&self, xbar: &mut Crossbar) -> Result<DetectionOutcome, RramError> {
-        if self.config.test_size == 0 {
-            // `DetectorConfig` fields are public, so a zero test size is
-            // constructible without going through `DetectorConfig::new`.
-            return Err(RramError::InvalidConfig(
-                "test size must be non-zero".into(),
-            ));
-        }
-        let adc = Adc::new(xbar.levels(), self.config.modulo_divisor)?;
-        let store = OffChipStore::read_from(xbar);
-        let store_read_cells = (xbar.rows() * xbar.cols()) as u64;
-        let (sa0_candidates, sa1_candidates) = match self.config.mode {
-            TestMode::AllCells => (
-                CandidateMask::all(xbar.rows(), xbar.cols()),
-                CandidateMask::all(xbar.rows(), xbar.cols()),
-            ),
-            TestMode::SelectedCells {
-                sa0_max_level,
-                sa1_min_level,
-            } => (
-                CandidateMask::sa0_candidates(&store, sa0_max_level),
-                CandidateMask::sa1_candidates(&store, sa1_min_level),
-            ),
-        };
-        let pulses_before = xbar.write_pulses();
-
-        let delta = i32::from(self.config.delta_levels);
-        let (sa0_map, sa0_cycles, sa0_untested) = self.kind_pass(
-            xbar,
-            &store,
-            &adc,
-            &sa0_candidates,
-            FaultKind::StuckAt0,
-            delta,
-            false,
-        )?;
-        let (sa1_map, sa1_cycles, sa1_untested) = self.kind_pass(
-            xbar,
-            &store,
-            &adc,
-            &sa1_candidates,
-            FaultKind::StuckAt1,
-            -delta,
-            false,
-        )?;
-
-        let canvas = FaultMap::healthy(xbar.rows(), xbar.cols());
-        let predicted = merge_kind_maps(&sa0_map, &sa1_map, &store, xbar.levels(), canvas);
-        let outcome = DetectionOutcome {
-            predicted,
-            sa0_cycles,
-            sa1_cycles,
-            write_pulses: xbar.write_pulses() - pulses_before,
-            sa0_candidates: sa0_candidates.count(),
-            sa1_candidates: sa1_candidates.count(),
-            untested_groups: sa0_untested + sa1_untested,
-            store_read_cells,
-            store_read_cycles: store_read_cells.div_ceil(xbar.cols() as u64),
-        };
-        self.record_campaign(&outcome);
-        Ok(outcome)
+        self.run_on_store(xbar, &mut None, None)
     }
 
-    /// Runs an *incremental* campaign against a persistent store created by
-    /// [`OffChipStore::attach`]: instead of re-reading the whole array, the
-    /// store is brought up to date from the crossbar's dirty-cell journal and
-    /// only the cells written since the last campaign (the store's pending
-    /// set, intersected with the mode's level predicate) are tested.
-    /// Untouched cells keep their verdict from `baseline` — normally the
-    /// previous campaign's [`DetectionOutcome::predicted`]; `None` means no
-    /// prior verdict (every untested cell is presumed healthy).
+    /// Runs a campaign against a tile's persistent off-chip store.
     ///
-    /// On a freshly attached store (everything pending, no baseline) the
-    /// result is identical to [`run`] except for
-    /// [`DetectionOutcome::store_read_cells`], which reflects the cheaper
-    /// journal-driven read path.
-    ///
-    /// [`run`]: Self::run
+    /// With no store yet (`None`), the campaign attaches one: it reads the
+    /// whole array ("Read RRAM Values, Store Off-Chip" in Fig. 3, charged as
+    /// `rows × cols` store reads) and tests every cell. With a store, it
+    /// brings the store up to date from the crossbar's dirty-cell journal
+    /// (charged as the journaled cells) and tests only the cells written
+    /// since the last campaign (the store's pending set, intersected with
+    /// the mode's level predicate). Untouched cells keep their verdict from
+    /// `baseline` — normally the previous campaign's
+    /// [`DetectionOutcome::predicted`]; `None` means no prior verdict (every
+    /// untested cell is presumed healthy). The store stays attached.
     ///
     /// # Errors
     ///
     /// Returns an error for a zero test size, an invalid modulo divisor, or
     /// a store/baseline whose dimensions do not match the crossbar.
-    pub fn run_incremental(
+    pub fn run_on_store(
         &self,
         xbar: &mut Crossbar,
-        store: &mut OffChipStore,
+        store: &mut Option<OffChipStore>,
         baseline: Option<&FaultMap>,
     ) -> Result<DetectionOutcome, RramError> {
         if self.config.test_size == 0 {
+            // `DetectorConfig` fields are public, so a zero test size is
+            // constructible without going through `DetectorConfig::new`.
             return Err(RramError::InvalidConfig(
                 "test size must be non-zero".into(),
             ));
@@ -325,7 +269,16 @@ impl OnlineFaultDetector {
                 });
             }
         }
-        let store_read_cells = store.sync_from(xbar)?;
+        let (store, store_read_cells) = match store {
+            Some(store) => {
+                let read = store.sync_from(xbar)?;
+                (store, read)
+            }
+            None => {
+                let cells = (xbar.rows() * xbar.cols()) as u64;
+                (store.insert(OffChipStore::attach(xbar)), cells)
+            }
+        };
         store.ensure_aggregates(self.config.test_size);
         let pending =
             CandidateMask::from_mask(xbar.rows(), xbar.cols(), store.pending_mask().to_vec());
@@ -341,7 +294,6 @@ impl OnlineFaultDetector {
                 pending.restrict_levels(store, |level| level >= sa1_min_level),
             ),
         };
-        store.clear_pending();
         let pulses_before = xbar.write_pulses();
 
         let delta = i32::from(self.config.delta_levels);
@@ -352,7 +304,6 @@ impl OnlineFaultDetector {
             &sa0_candidates,
             FaultKind::StuckAt0,
             delta,
-            true,
         )?;
         let (sa1_map, sa1_cycles, sa1_untested) = self.kind_pass(
             xbar,
@@ -361,7 +312,6 @@ impl OnlineFaultDetector {
             &sa1_candidates,
             FaultKind::StuckAt1,
             -delta,
-            true,
         )?;
 
         // Retested cells get fresh verdicts; everything else carries over.
@@ -380,8 +330,11 @@ impl OnlineFaultDetector {
         };
         let predicted = merge_kind_maps(&sa0_map, &sa1_map, store, xbar.levels(), canvas);
 
-        // The campaign's own nudges and restores are in the journal now;
-        // drop the round-tripped ones, keep failed restores pending.
+        // The pending cells are tested (cleared only now, so a campaign
+        // that errors out leaves them pending). The campaign's own nudges
+        // and restores are in the journal; drop the round-tripped ones,
+        // keep failed restores pending.
+        store.clear_pending();
         store.absorb_campaign_writes(xbar)?;
 
         let outcome = DetectionOutcome {
@@ -416,15 +369,9 @@ impl OnlineFaultDetector {
     /// predicted map, the cycles spent, and the number of comparison
     /// sweeps that failed and were skipped (graceful degradation).
     ///
-    /// With `cached_refs` the expected group sums come from the store's
-    /// incremental aggregates (`expected_*_group_sums_cached`, exact integer
-    /// equality with the dense sweep) instead of a dense per-cell delta
-    /// vector; the comparison results are identical either way.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "private per-kind step of `detect`; each argument is an independent input the \
-                  caller already holds, and a bundle struct would only rename them"
-    )]
+    /// The expected group sums come from the store's incremental aggregates
+    /// (`expected_*_group_sums_cached`, exact integer equality with the
+    /// dense per-cell-delta sweep).
     fn kind_pass(
         &self,
         xbar: &mut Crossbar,
@@ -433,20 +380,13 @@ impl OnlineFaultDetector {
         candidates: &CandidateMask,
         kind: FaultKind,
         delta: i32,
-        cached_refs: bool,
     ) -> Result<(FaultMap, u64, u64), RramError> {
         let (rows, cols) = (xbar.rows(), xbar.cols());
         let t = self.config.test_size;
 
-        // Step 1 (Fig. 3): write the increment to every candidate cell, and
-        // (on the dense path) record the per-cell delta for reference
-        // computation.
-        let mut deltas = vec![0i32; if cached_refs { 0 } else { rows * cols }];
+        // Step 1 (Fig. 3): write the increment to every candidate cell.
         for (r, c) in candidates.iter() {
             let _ = xbar.nudge(r, c, delta)?;
-            if !cached_refs {
-                deltas[r * cols + c] = delta;
-            }
         }
 
         // Steps 2-4: drive row groups, compare all candidate columns. The
@@ -483,11 +423,8 @@ impl OnlineFaultDetector {
             let per_group = par::map_indices(row_groups.len(), t * cols, |gi| {
                 let group = row_groups[gi].1.clone();
                 let actual = xbar.column_group_sums(group.clone())?;
-                let expected = if cached_refs {
-                    store.expected_column_group_sums_cached(group.clone(), candidates, delta)
-                } else {
-                    store.expected_column_group_sums(group.clone(), &deltas)
-                };
+                let expected =
+                    store.expected_column_group_sums_cached(group.clone(), candidates, delta);
                 let mut hits = Vec::new();
                 for (col, (&sum, &exp)) in actual.iter().zip(&expected).enumerate() {
                     if candidates.column_has_candidate(group.clone(), col)
@@ -516,11 +453,8 @@ impl OnlineFaultDetector {
             let per_group = par::map_indices(col_groups.len(), t * rows, |gi| {
                 let group = col_groups[gi].1.clone();
                 let actual = xbar.row_group_sums(group.clone())?;
-                let expected = if cached_refs {
-                    store.expected_row_group_sums_cached(group.clone(), candidates, delta)
-                } else {
-                    store.expected_row_group_sums(group.clone(), &deltas)
-                };
+                let expected =
+                    store.expected_row_group_sums_cached(group.clone(), candidates, delta);
                 let mut hits = Vec::new();
                 for (row, (&sum, &exp)) in actual.iter().zip(&expected).enumerate() {
                     if candidates.row_has_candidate(row, group.clone())
@@ -722,49 +656,36 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_full_campaign_on_fresh_store() {
+    fn attaching_campaign_charges_the_full_read_and_keeps_the_store_warm() {
         for config in [
             DetectorConfig::new(8).unwrap(),
             DetectorConfig::new(8).unwrap().with_selected_cells(),
         ] {
-            let mut a = faulty_xbar(32, 0.1, 21);
-            let mut b = faulty_xbar(32, 0.1, 21);
+            let mut xbar = faulty_xbar(32, 0.1, 21);
             let detector = OnlineFaultDetector::new(config);
-            let full = detector.run(&mut a).unwrap();
-            let mut store = OffChipStore::attach(&mut b);
-            let inc = detector.run_incremental(&mut b, &mut store, None).unwrap();
-            // Everything pending and no baseline → the incremental campaign
-            // is the full campaign, minus the snapshot re-read (attach
-            // pre-paid it, and nothing was written since).
-            assert_eq!(inc.predicted, full.predicted);
-            assert_eq!(inc.sa0_cycles, full.sa0_cycles);
-            assert_eq!(inc.sa1_cycles, full.sa1_cycles);
-            assert_eq!(inc.write_pulses, full.write_pulses);
-            assert_eq!(inc.sa0_candidates, full.sa0_candidates);
-            assert_eq!(inc.sa1_candidates, full.sa1_candidates);
-            assert_eq!(inc.untested_groups, full.untested_groups);
-            assert_eq!(full.store_read_cells, 32 * 32);
-            assert_eq!(inc.store_read_cells, 0);
-            assert_eq!(
-                a.read_all_levels(),
-                b.read_all_levels(),
-                "both restore identically"
-            );
+            let mut store = None;
+            let outcome = detector.run_on_store(&mut xbar, &mut store, None).unwrap();
+            assert_eq!(outcome.store_read_cells, 32 * 32);
+            assert_eq!(outcome.store_read_cycles, 32);
+            // The store stays attached and coherent, with nothing pending:
+            // no cell wore out under the test.
+            let store = store.unwrap();
+            assert_eq!(store, OffChipStore::read_from(&xbar));
+            assert_eq!(store.pending_count(), 0);
         }
     }
 
     #[test]
-    fn incremental_retests_only_dirty_cells_and_carries_baseline() {
+    fn warm_store_retests_only_dirty_cells_and_carries_baseline() {
         // Test size 1 localizes exactly, so predictions can be compared to
         // ground truth at every step.
         let mut xbar = faulty_xbar(24, 0.08, 22);
         let truth = xbar.fault_map();
         let detector = OnlineFaultDetector::new(DetectorConfig::new(1).unwrap());
-        let mut store = OffChipStore::attach(&mut xbar);
-        let first = detector
-            .run_incremental(&mut xbar, &mut store, None)
-            .unwrap();
+        let mut store = None;
+        let first = detector.run_on_store(&mut xbar, &mut store, None).unwrap();
         assert_eq!(first.predicted, truth);
+        assert_eq!(first.store_read_cells, 24 * 24, "attach reads every cell");
 
         // Sparse traffic between campaigns: a few weight writes and one new
         // hard fault.
@@ -776,7 +697,7 @@ mod tests {
         xbar.apply_fault_map(&injected);
 
         let second = detector
-            .run_incremental(&mut xbar, &mut store, Some(&first.predicted))
+            .run_on_store(&mut xbar, &mut store, Some(&first.predicted))
             .unwrap();
         assert_eq!(
             second.predicted,

@@ -5,7 +5,9 @@
 //! periodically, by exploiting the crossbar's parallel read-out:
 //!
 //! 1. **Read & store off-chip** — snapshot all cell levels
-//!    ([`reference::OffChipStore`]).
+//!    ([`reference::OffChipStore`]). The store persists between campaigns,
+//!    so a later campaign re-reads and retests only the cells written since
+//!    the last one.
 //! 2. **Write `+δw`** to the cells under test. A healthy cell moves up one
 //!    level; an SA0 cell cannot.
 //! 3. **Drive groups of `Tr` rows** and read every column's quiescent

@@ -6,17 +6,18 @@
 //! increment, saturating at the level range boundaries — so it can select the
 //! correct reference voltage for any tested group of rows or columns.
 //!
-//! Two usage modes share this type:
+//! Two constructors fill this type:
 //!
-//! * **Snapshot** ([`OffChipStore::read_from`]): a fresh full-array read at
-//!   the start of every campaign, as in Fig. 3 of the paper. Simple, and the
-//!   oracle against which the incremental mode is tested.
 //! * **Persistent** ([`OffChipStore::attach`] + [`OffChipStore::sync_from`]):
-//!   the store stays alive between campaigns and is kept coherent from the
-//!   crossbar's dirty-cell journal, so each campaign only re-reads the cells
-//!   written since the last one. A pending-cell mask remembers which cells
-//!   still await testing, and per-group sum aggregates make the expected
-//!   group references O(candidates) instead of O(cells) to compute.
+//!   the store every detection campaign runs on. It stays alive between
+//!   campaigns and is kept coherent from the crossbar's dirty-cell journal,
+//!   so each campaign only re-reads the cells written since the last one. A
+//!   pending-cell mask remembers which cells still await testing, and
+//!   per-group sum aggregates make the expected group references
+//!   O(candidates) instead of O(cells) to compute.
+//! * **Snapshot** ([`OffChipStore::read_from`]): a one-off full-array read
+//!   with nothing pending — the adaptive detector's store, and the oracle
+//!   the persistent store is tested against.
 
 use rram::crossbar::Crossbar;
 use rram::RramError;
@@ -83,7 +84,7 @@ pub struct OffChipStore {
     levels: u16,
     stored: Vec<u16>,
     /// Cells written (level-changed *or* rewritten) since they were last
-    /// tested — the incremental detector's candidate universe.
+    /// tested — the campaign's candidate universe.
     pending: Vec<bool>,
     pending_count: usize,
     agg: Option<GroupAggregates>,

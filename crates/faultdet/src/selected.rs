@@ -51,8 +51,8 @@ impl CandidateMask {
         Self { rows, cols, mask }
     }
 
-    /// Builds a mask from an explicit row-major bitmap — the incremental
-    /// detector's pending-cell set.
+    /// Builds a mask from an explicit row-major bitmap — the off-chip
+    /// store's pending-cell set.
     ///
     /// # Panics
     ///

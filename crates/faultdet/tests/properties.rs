@@ -3,7 +3,10 @@
 use faultdet::detector::{DetectorConfig, OnlineFaultDetector};
 use faultdet::metrics::DetectionReport;
 use proptest::prelude::*;
+use rand::Rng;
 use rram::crossbar::{Crossbar, CrossbarBuilder};
+use rram::endurance::EnduranceModel;
+use rram::fault::{FaultKind, FaultMap};
 use rram::spatial::SpatialDistribution;
 
 fn faulty_xbar(n: usize, fraction: f64, seed: u64) -> Crossbar {
@@ -12,7 +15,6 @@ fn faulty_xbar(n: usize, fraction: f64, seed: u64) -> Crossbar {
         .seed(seed)
         .build()
         .unwrap();
-    use rand::Rng;
     let mut rng = rram::rng::sim_rng(seed ^ 0xabcdef);
     for r in 0..n {
         for c in 0..n {
@@ -52,6 +54,94 @@ proptest! {
         let report = DetectionReport::evaluate(&truth, &outcome.predicted);
         prop_assert_eq!(report.fp, 0);
         prop_assert_eq!(report.fn_, 0);
+    }
+
+    /// Warm campaigns lose no fault. Between campaigns a crossbar with a
+    /// small endurance budget takes random journaled traffic: level writes,
+    /// nudges, cells hammered until they wear out, and injected faults.
+    /// Each campaign runs on the persistent store at test size 1 (exact
+    /// localization), retests only the pending cells and carries the
+    /// previous prediction forward; its prediction must equal the fault map
+    /// taken just before it. The one exception is a cell that wears out
+    /// under the campaign's own test writes — the next campaign must flag
+    /// it, so the last round runs with no traffic.
+    #[test]
+    fn warm_campaigns_lose_no_fault(
+        seed in 0u64..500,
+        rows in 2usize..10,
+        cols in 2usize..10,
+        rounds in 1usize..6,
+        ops in 0usize..16,
+    ) {
+        let mut xbar = CrossbarBuilder::new(rows, cols)
+            .initial_faults(SpatialDistribution::Uniform, 0.1)
+            .endurance(EnduranceModel::new(12.0, 4.0))
+            .seed(seed)
+            .build()
+            .unwrap();
+        let mut rng = rram::rng::sim_rng(seed ^ 0x5eed);
+        for r in 0..rows {
+            for c in 0..cols {
+                let _ = xbar.write_level(r, c, rng.gen_range(0..8)).unwrap();
+            }
+        }
+        let detector = OnlineFaultDetector::new(DetectorConfig::new(1).unwrap());
+        let mut store = None;
+        let mut previous: Option<FaultMap> = None;
+        // Round 0 attaches the store; rounds 1..=rounds carry traffic; the
+        // last round is quiet.
+        for round in 0..rounds + 2 {
+            if round > 0 && round <= rounds {
+                for _ in 0..ops {
+                    let (r, c) = (rng.gen_range(0..rows), rng.gen_range(0..cols));
+                    match rng.gen_range(0..4) {
+                        0 => {
+                            let _ = xbar.write_level(r, c, rng.gen_range(0..8)).unwrap();
+                        }
+                        1 => {
+                            let delta = if rng.gen_bool(0.5) { 1 } else { -1 };
+                            let _ = xbar.nudge(r, c, delta).unwrap();
+                        }
+                        2 => {
+                            for k in 0..32u16 {
+                                let _ = xbar.write_level(r, c, 7 * (k % 2)).unwrap();
+                            }
+                        }
+                        _ => {
+                            let mut injected = FaultMap::healthy(rows, cols);
+                            let kind = if rng.gen_bool(0.5) {
+                                FaultKind::StuckAt0
+                            } else {
+                                FaultKind::StuckAt1
+                            };
+                            injected.set(r, c, Some(kind));
+                            xbar.apply_fault_map(&injected);
+                        }
+                    }
+                }
+            }
+            let truth = xbar.fault_map();
+            let outcome = detector
+                .run_on_store(&mut xbar, &mut store, previous.as_ref())
+                .unwrap();
+            let after = xbar.fault_map();
+            for r in 0..rows {
+                for c in 0..cols {
+                    let worn_by_campaign = truth.get(r, c).is_none() && after.get(r, c).is_some();
+                    if !worn_by_campaign {
+                        prop_assert_eq!(
+                            outcome.predicted.get(r, c),
+                            truth.get(r, c),
+                            "round {} cell ({}, {})",
+                            round,
+                            r,
+                            c
+                        );
+                    }
+                }
+            }
+            previous = Some(outcome.predicted);
+        }
     }
 
     /// Selected-cell testing never takes more cycles than all-cells testing

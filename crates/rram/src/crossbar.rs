@@ -347,7 +347,8 @@ pub struct Crossbar {
     /// [`Crossbar::clear_dirty`], in first-touch order. Every cell-state
     /// mutation funnels through `sync_plane`, so this journal is complete:
     /// a cell absent from it cannot have changed level, conductance, or
-    /// fault state. Incremental detection reference stores drain it.
+    /// fault state. Detection campaigns' persistent reference stores
+    /// drain it.
     dirty: Vec<usize>,
     /// Optional telemetry handles; see [`Crossbar::attach_recorder`].
     metrics: Option<CrossbarMetrics>,

@@ -1,14 +1,15 @@
 //! End-to-end snapshot/resume invariant check, wired into CI as
 //! `just snapshot-check`.
 //!
-//! For each detection mode (full-sweep and incremental) this runs the same
-//! seeded training flow twice — once uninterrupted, once killed at an
-//! iteration boundary, serialized, and resumed in a fresh recorder — and
-//! requires the stitched event trace to be byte-identical to the
+//! This runs a seeded training flow twice — once uninterrupted, once killed
+//! at an iteration boundary, serialized, and resumed in a fresh recorder —
+//! and requires the stitched event trace to be byte-identical to the
 //! uninterrupted one and the final [`FlowStats`] to match field-for-field.
+//! The kill lands between campaigns, so the snapshot carries every tile's
+//! warm off-chip store.
 //!
-//! Exits 0 with a `PASS` line per mode, or 1 with a description of the
-//! first divergence. Never panics.
+//! Exits 0 with a `PASS` line, or 1 with a description of the first
+//! divergence. Never panics.
 
 use ftt_core::config::{FlowConfig, MappingConfig, MappingScope};
 use ftt_core::flow::FaultTolerantTrainer;
@@ -41,40 +42,34 @@ fn mapping() -> MappingConfig {
         .with_retire_fault_density(0.3)
 }
 
-fn flow(incremental: bool) -> FlowConfig {
-    let f = FlowConfig::fault_tolerant()
+fn flow() -> FlowConfig {
+    FlowConfig::fault_tolerant()
         .with_lr(LrSchedule::constant(0.1))
         .with_detection_interval(5)
         .with_detection_warmup(0)
-        .with_eval_interval(5);
-    if incremental {
-        f.with_incremental_detection()
-    } else {
-        f
-    }
+        .with_eval_interval(5)
 }
 
-fn traced(incremental: bool) -> Result<(FaultTolerantTrainer, JsonlView), String> {
+fn traced() -> Result<(FaultTolerantTrainer, JsonlView), String> {
     let recorder = Recorder::deterministic();
     let sink = JsonlSink::new();
     let view = sink.view();
     recorder.add_sink(Box::new(sink));
-    let trainer = FaultTolerantTrainer::with_recorder(net(), mapping(), flow(incremental), recorder)
+    let trainer = FaultTolerantTrainer::with_recorder(net(), mapping(), flow(), recorder)
         .map_err(|e| format!("building trainer: {e}"))?;
     Ok((trainer, view))
 }
 
-fn check_mode(incremental: bool) -> Result<(), String> {
-    let mode = if incremental { "incremental" } else { "full-sweep" };
+fn check() -> Result<(), String> {
     let data = SyntheticDataset::mnist_like(40, 10, SEED);
 
-    let (mut full, full_view) = traced(incremental)?;
+    let (mut full, full_view) = traced()?;
     full.train(&data, TOTAL_ITERS)
-        .map_err(|e| format!("[{mode}] uninterrupted run: {e}"))?;
+        .map_err(|e| format!("uninterrupted run: {e}"))?;
 
-    let (mut head, head_view) = traced(incremental)?;
+    let (mut head, head_view) = traced()?;
     head.train(&data, KILL_AT)
-        .map_err(|e| format!("[{mode}] head run: {e}"))?;
+        .map_err(|e| format!("head run: {e}"))?;
     let bytes = ftt_snapshot::snapshot(&mut head);
     drop(head); // the original "process" dies here; only `bytes` survives
 
@@ -82,11 +77,11 @@ fn check_mode(incremental: bool) -> Result<(), String> {
     let sink = JsonlSink::new();
     let tail_view = sink.view();
     recorder.add_sink(Box::new(sink));
-    let mut resumed = ftt_snapshot::resume(&bytes, net(), mapping(), flow(incremental), recorder)
-        .map_err(|e| format!("[{mode}] resume: {e}"))?;
+    let mut resumed = ftt_snapshot::resume(&bytes, net(), mapping(), flow(), recorder)
+        .map_err(|e| format!("resume: {e}"))?;
     resumed
         .train(&data, TOTAL_ITERS - KILL_AT)
-        .map_err(|e| format!("[{mode}] resumed run: {e}"))?;
+        .map_err(|e| format!("resumed run: {e}"))?;
 
     let stitched = format!("{}{}", head_view.contents(), tail_view.contents());
     let uninterrupted = full_view.contents();
@@ -97,7 +92,7 @@ fn check_mode(incremental: bool) -> Result<(), String> {
             .position(|(a, b)| a != b)
             .unwrap_or_else(|| stitched.len().min(uninterrupted.len()));
         return Err(format!(
-            "[{mode}] stitched trace diverges from uninterrupted trace at byte {at} \
+            "stitched trace diverges from uninterrupted trace at byte {at} \
              (stitched {} bytes, uninterrupted {} bytes)",
             stitched.len(),
             uninterrupted.len()
@@ -107,7 +102,7 @@ fn check_mode(incremental: bool) -> Result<(), String> {
     let (a, b) = (resumed.stats(), full.stats());
     if a != b {
         return Err(format!(
-            "[{mode}] final stats diverge: resumed {a:?} vs uninterrupted {b:?}"
+            "final stats diverge: resumed {a:?} vs uninterrupted {b:?}"
         ));
     }
 
@@ -115,13 +110,13 @@ fn check_mode(incremental: bool) -> Result<(), String> {
     // decode/encode roundtrip.
     let again = ftt_snapshot::snapshot(&mut resumed);
     let roundtrip = ftt_snapshot::decode(&again)
-        .map_err(|e| format!("[{mode}] re-decoding resumed snapshot: {e}"))?;
+        .map_err(|e| format!("re-decoding resumed snapshot: {e}"))?;
     if ftt_snapshot::encode(&roundtrip) != again {
-        return Err(format!("[{mode}] snapshot bytes not stable through roundtrip"));
+        return Err("snapshot bytes not stable through roundtrip".into());
     }
 
     println!(
-        "PASS [{mode}] {TOTAL_ITERS} iters == {KILL_AT} + snapshot({} bytes) + {}",
+        "PASS {TOTAL_ITERS} iters == {KILL_AT} + snapshot({} bytes) + {}",
         bytes.len(),
         TOTAL_ITERS - KILL_AT
     );
@@ -129,11 +124,9 @@ fn check_mode(incremental: bool) -> Result<(), String> {
 }
 
 fn main() {
-    for incremental in [false, true] {
-        if let Err(msg) = check_mode(incremental) {
-            eprintln!("FAIL {msg}");
-            std::process::exit(1);
-        }
+    if let Err(msg) = check() {
+        eprintln!("FAIL {msg}");
+        std::process::exit(1);
     }
-    println!("snapshot-check: all modes bit-identical across kill/restore");
+    println!("snapshot-check: bit-identical across kill/restore");
 }

@@ -894,7 +894,6 @@ mod tests {
             .with_detection_interval(5)
             .with_detection_warmup(0)
             .with_eval_interval(5)
-            .with_incremental_detection()
     }
 
     fn traced(seed: u64) -> (FaultTolerantTrainer, obs::JsonlView) {
@@ -993,7 +992,7 @@ mod tests {
                 break;
             }
         }
-        assert!(tampered, "incremental flow must have attached a store");
+        assert!(tampered, "a campaign must have attached a store");
         let bytes = encode(&state);
         assert!(matches!(
             resume(&bytes, net(3), mapping(3), flow(), Recorder::deterministic()),

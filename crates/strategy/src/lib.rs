@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use faultdet::detector::OnlineFaultDetector;
 use nn::pruning::{LayerMask, PruneMask};
 use obs::{Event, WritePhase};
 use rand::Rng;
@@ -42,8 +41,9 @@ use rram::rng::sim_rng;
 use ftt_core::error::FttError;
 
 pub use ftt_core::strategy::{
-    is_known_strategy_id, score_against_ground_truth, sum_detections, union_masks, DetectRemap,
-    FaultStrategy, NoOp, StrategyCost, StrategyCtx, StrategySelect, KNOWN_STRATEGY_IDS,
+    is_known_strategy_id, run_detection_campaign, score_against_ground_truth, sum_detections,
+    union_masks, DetectRemap, FaultStrategy, NoOp, StrategyCost, StrategyCtx, StrategySelect,
+    KNOWN_STRATEGY_IDS,
 };
 
 /// Constructs the strategy a [`StrategySelect`] names — all four
@@ -187,43 +187,7 @@ impl RedundantColumn {
     fn correction_campaign(&mut self, ctx: &mut StrategyCtx<'_>) -> Result<(), FttError> {
         let recorder = ctx.metrics.recorder().clone();
         let _phase_span = recorder.span("redundant_column_campaign");
-        ctx.metrics.detection_campaigns.inc();
-        let campaign = ctx.metrics.detection_campaigns.get();
-        recorder.emit(Event::DetectionCampaignStart { campaign });
-
-        let detector = OnlineFaultDetector::new(ctx.flow.detector).with_recorder(&recorder);
-        let mut detections = {
-            let _detect_span = recorder.span("detect");
-            if ctx.flow.incremental_detection {
-                ctx.mapped.detect_incremental(&detector)?
-            } else {
-                ctx.mapped.detect(&detector)?
-            }
-        };
-        let (cycles, writes, untested, flagged) = sum_detections(&detections);
-        ctx.metrics.detection_cycles.add(cycles);
-        ctx.metrics.detection_writes.add(writes);
-        ctx.metrics.detection_untested_groups.add(untested);
-        self.cost.absorb(StrategyCost {
-            cycles,
-            write_pulses: writes,
-        });
-        recorder.set_write_pulses(ctx.mapped.total_write_pulses());
-        let confusion = score_against_ground_truth(ctx.mapped, &detections);
-        recorder.emit(Event::DetectionCampaignEnd {
-            campaign,
-            flagged_cells: flagged,
-            cycles,
-            write_pulses: writes,
-            untested_groups: untested,
-            confusion: Some(confusion),
-        });
-        if writes > 0 {
-            recorder.emit(Event::WritePulseBatch {
-                pulses: writes,
-                phase: WritePhase::Detection,
-            });
-        }
+        let (detector, mut detections) = run_detection_campaign(ctx, &mut self.cost)?;
 
         // The correction itself: retire over-threshold column groups and
         // attach screened spares, at this strategy's own threshold (the

@@ -139,8 +139,8 @@ pub struct TileSlot {
     pub last_detection: Option<DetectionOutcome>,
     /// Error of the most recent campaign, when it failed.
     pub last_campaign_error: Option<RramError>,
-    /// Persistent off-chip reference store for incremental campaigns
-    /// (`None` until the first incremental campaign attaches one).
+    /// Persistent off-chip reference store of this tile's campaigns
+    /// (`None` until the first campaign attaches one).
     pub store: Option<OffChipStore>,
 }
 
@@ -379,8 +379,12 @@ impl TiledChip {
 
     /// Runs the §4 quiescent-voltage campaign on each listed tile,
     /// tile-locally: every tile gets its own campaign, so comparison
-    /// groups (Tr/Tc) never span tile edges. Campaigns fan out across the
-    /// [`par`] thread budget; results are stored on the slots and
+    /// groups (Tr/Tc) never span tile edges. Each tile keeps a persistent
+    /// [`OffChipStore`]: its first campaign attaches the store (a full
+    /// snapshot read) and tests every cell; later campaigns re-read and
+    /// retest only the cells written since, carrying the tile's last
+    /// predicted map forward for untouched cells. Campaigns fan out across
+    /// the [`par`] thread budget; results are stored on the slots and
     /// aggregated in ascending id order, so the stats (and any recorder
     /// counters the detector carries) are deterministic at any thread
     /// count. Retired and unknown ids are skipped silently — schedulers
@@ -390,32 +394,6 @@ impl TiledChip {
         detector: &OnlineFaultDetector,
         ids: &[usize],
     ) -> CampaignStats {
-        self.run_campaigns_with(detector, ids, false)
-    }
-
-    /// Incremental variant of [`run_campaigns`]: each tile keeps a
-    /// persistent [`OffChipStore`] (attached with a full snapshot on its
-    /// first incremental campaign) and subsequent campaigns only re-read and
-    /// retest the cells written since the previous one, carrying the tile's
-    /// last predicted map forward for untouched cells. Fresh tiles behave
-    /// exactly like a full campaign; warm tiles with sparse write traffic
-    /// cost a fraction of the cycles.
-    ///
-    /// [`run_campaigns`]: Self::run_campaigns
-    pub fn run_campaigns_incremental(
-        &mut self,
-        detector: &OnlineFaultDetector,
-        ids: &[usize],
-    ) -> CampaignStats {
-        self.run_campaigns_with(detector, ids, true)
-    }
-
-    fn run_campaigns_with(
-        &mut self,
-        detector: &OnlineFaultDetector,
-        ids: &[usize],
-        incremental: bool,
-    ) -> CampaignStats {
         let selected: BTreeSet<usize> = ids.iter().copied().collect();
         let campaign_ops = 8 * self.config.tile_size * self.config.tile_size;
         par::for_each_chunk_mut(&mut self.slots, campaign_ops, |_, slots| {
@@ -423,20 +401,8 @@ impl TiledChip {
                 if slot.retired || !selected.contains(&slot.id) {
                     continue;
                 }
-                let result = if incremental {
-                    let TileSlot {
-                        xbar,
-                        store,
-                        last_detection,
-                        ..
-                    } = slot;
-                    let store = store.get_or_insert_with(|| OffChipStore::attach(&mut *xbar));
-                    let baseline = last_detection.as_ref().map(|d| &d.predicted);
-                    detector.run_incremental(xbar, store, baseline)
-                } else {
-                    detector.run(&mut slot.xbar)
-                };
-                match result {
+                let baseline = slot.last_detection.as_ref().map(|d| &d.predicted);
+                match detector.run_on_store(&mut slot.xbar, &mut slot.store, baseline) {
                     Ok(outcome) => {
                         slot.last_detection = Some(outcome);
                         slot.last_campaign_error = None;
@@ -533,7 +499,10 @@ impl TiledChip {
         self.spares_remaining -= 1;
         self.spares_attached += 1;
         // In bounds: `id` was validated above and allocate only appends.
+        // The retired tile's store describes an array no campaign reads
+        // again; the spare attaches its own on its first (verify) campaign.
         self.slots[id].retired = true;
+        self.slots[id].store = None;
         self.slots[new_id].spare_origin = Some(id);
         if let Some(m) = &self.metrics {
             m.retired.inc();
@@ -551,45 +520,6 @@ impl TiledChip {
             });
         }
         Ok(SpareOutcome::Attached { new_id })
-    }
-
-    /// Hands the incremental-detection reference state over from a retired
-    /// tile to its spare: drops the retired slot's [`OffChipStore`] (it
-    /// describes an array no campaign will ever read again — a warm
-    /// `run_incremental` must never serve its cached aggregates) and, when
-    /// the retired tile *was* running incrementally and the spare already
-    /// passed a verification campaign, attaches a fresh store to the spare
-    /// with nothing pending, so the next incremental campaign starts warm
-    /// from the verified baseline instead of paying a full re-test.
-    ///
-    /// Full-mode tiles (no store) are untouched. Call after reprogramming
-    /// and verifying the spare (see `apply_sparing` in `ftt-core`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TileError::UnknownTile`] for invalid ids.
-    pub fn refresh_spare_store(
-        &mut self,
-        retired_id: usize,
-        new_id: usize,
-    ) -> Result<(), TileError> {
-        if new_id >= self.slots.len() {
-            return Err(TileError::UnknownTile { id: new_id });
-        }
-        let retired_slot = self
-            .slots
-            .get_mut(retired_id)
-            .ok_or(TileError::UnknownTile { id: retired_id })?;
-        let was_incremental = retired_slot.store.take().is_some();
-        // In bounds: `new_id` was checked above.
-        let spare = &mut self.slots[new_id];
-        if was_incremental && spare.last_detection.is_some() && spare.last_campaign_error.is_none()
-        {
-            let mut store = OffChipStore::attach(&mut spare.xbar);
-            store.clear_pending();
-            spare.store = Some(store);
-        }
-        Ok(())
     }
 
     /// Total write pulses over *all* slots, retired included (the chip's
@@ -791,7 +721,7 @@ pub struct TileSlotState {
     pub spare_origin: Option<usize>,
     /// Last campaign outcome, if any.
     pub last_detection: Option<DetectionState>,
-    /// Persistent incremental-detection store, if attached.
+    /// Persistent off-chip reference store, if a campaign attached one.
     pub store: Option<StoreState>,
 }
 
@@ -918,37 +848,31 @@ mod tests {
     }
 
     #[test]
-    fn incremental_campaigns_match_full_then_get_cheaper() {
+    fn first_campaign_matches_run_then_warm_ones_get_cheaper() {
         let injection = FaultInjection::new(SpatialDistribution::Uniform, 0.1).unwrap();
-        let build = || TiledChip::new(ChipConfig::new(8, 8, 13).with_injection(injection)).unwrap();
-        let (mut full_chip, mut inc_chip) = (build(), build());
-        let a = full_chip.allocate(8, 8).unwrap();
-        assert_eq!(inc_chip.allocate(8, 8).unwrap(), a);
+        let mut chip = TiledChip::new(ChipConfig::new(8, 8, 13).with_injection(injection)).unwrap();
+        let a = chip.allocate(8, 8).unwrap();
         let det = OnlineFaultDetector::new(DetectorConfig::new(2).unwrap());
 
-        let full = full_chip.run_campaigns(&det, &[a]);
-        let first = inc_chip.run_campaigns_incremental(&det, &[a]);
-        // A fresh tile's incremental campaign is the full campaign minus the
-        // snapshot re-read (attach pre-paid it).
-        assert_eq!(first.flagged_cells, full.flagged_cells);
-        assert_eq!(first.write_pulses, full.write_pulses);
-        assert!(
-            first.cycles < full.cycles,
-            "{} vs {}",
-            first.cycles,
-            full.cycles
-        );
+        // A fresh tile's campaign attaches the store and is a standalone
+        // `run`, snapshot read included.
+        let one_shot = det.run(&mut chip.tile(a).unwrap().clone()).unwrap();
+        let first = chip.run_campaigns(&det, &[a]);
+        assert_eq!(chip.last_detection(a).unwrap(), Some(&one_shot));
+        assert_eq!(first.cycles, one_shot.cycles());
+        assert_eq!(first.write_pulses, one_shot.write_pulses);
+        assert_eq!(first.flagged_cells, one_shot.predicted.count_faulty() as u64);
 
         // With no writes since, nothing is pending: the rerun is free and
         // the previous verdicts carry over.
-        let second = inc_chip.run_campaigns_incremental(&det, &[a]);
+        let second = chip.run_campaigns(&det, &[a]);
         assert_eq!(second.cycles, 0);
         assert_eq!(second.write_pulses, 0);
-        assert_eq!(second.flagged_cells, full.flagged_cells);
+        assert_eq!(second.flagged_cells, first.flagged_cells);
 
-        // A sparse write makes only its cells pending.
-        inc_chip.tile_mut(a).unwrap().write_level(0, 0, 5).unwrap();
-        let third = inc_chip.run_campaigns_incremental(&det, &[a]);
+        // A sparse write makes its cell pending again.
+        chip.tile_mut(a).unwrap().write_level(0, 0, 5).unwrap();
+        let third = chip.run_campaigns(&det, &[a]);
         assert!(third.cycles > 0);
         assert!(third.cycles < first.cycles);
     }
@@ -978,7 +902,7 @@ mod tests {
         let a = c.allocate(8, 8).unwrap();
         let b = c.allocate(6, 8).unwrap();
         let det = OnlineFaultDetector::new(DetectorConfig::new(2).unwrap());
-        c.run_campaigns_incremental(&det, &[a, b]);
+        c.run_campaigns(&det, &[a, b]);
         c.tile_mut(a).unwrap().write_level(0, 0, 5).unwrap();
         c.substitute(b).unwrap();
 
@@ -991,12 +915,12 @@ mod tests {
         assert_eq!(back.total_write_pulses(), c.total_write_pulses());
         assert_eq!(back.export_state(), st, "double roundtrip is lossless");
 
-        // Identical future behavior: the same incremental campaign on both
-        // chips produces identical stats and predictions.
+        // Identical future behavior: the same warm campaign on both chips
+        // produces identical stats and predictions.
         c.tile_mut(a).unwrap().write_level(1, 1, 3).unwrap();
         back.tile_mut(a).unwrap().write_level(1, 1, 3).unwrap();
-        let s1 = c.run_campaigns_incremental(&det, &[a]);
-        let s2 = back.run_campaigns_incremental(&det, &[a]);
+        let s1 = c.run_campaigns(&det, &[a]);
+        let s2 = back.run_campaigns(&det, &[a]);
         assert_eq!(s1, s2);
         assert_eq!(
             c.slot(a).unwrap().last_detection.as_ref().map(|d| &d.predicted),
@@ -1040,7 +964,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_spare_store_hands_over_incremental_state() {
+    fn substitute_drops_the_retired_store_and_verify_warms_the_spare() {
         let injection = FaultInjection::new(SpatialDistribution::Uniform, 0.3).unwrap();
         let mut c = TiledChip::new(
             ChipConfig::new(8, 8, 5)
@@ -1050,35 +974,25 @@ mod tests {
         .unwrap();
         let id = c.allocate(8, 8).unwrap();
         let det = OnlineFaultDetector::new(DetectorConfig::new(2).unwrap());
-        c.run_campaigns_incremental(&det, &[id]);
+        c.run_campaigns(&det, &[id]);
         assert!(c.slot(id).unwrap().store.is_some());
 
         let SpareOutcome::Attached { new_id } = c.substitute(id).unwrap() else {
             panic!("spare available");
         };
-        // The retired slot still holds its store until the handover.
-        assert!(c.slot(id).unwrap().store.is_some());
-        // Verify the spare (as apply_sparing does), then hand over.
-        c.run_campaigns(&det, &[new_id]);
-        c.refresh_spare_store(id, new_id).unwrap();
         assert!(c.slot(id).unwrap().store.is_none(), "stale store dropped");
+        assert!(c.slot(new_id).unwrap().store.is_none());
+        // Verifying the screened spare (as apply_sparing does) attaches its
+        // store and leaves nothing pending: the next campaign starts warm.
+        let verify = c.run_campaigns(&det, &[new_id]);
+        assert_eq!(
+            c.last_detection(new_id).unwrap().unwrap().store_read_cells,
+            64,
+            "the verify campaign pays the attach read"
+        );
+        assert!(verify.cycles > 0);
         let spare_store = c.slot(new_id).unwrap().store.as_ref().unwrap();
         assert_eq!(spare_store.pending_count(), 0, "verified baseline is warm");
-        assert!(c.refresh_spare_store(id, 99).is_err());
-        assert!(c.refresh_spare_store(99, new_id).is_err());
-    }
-
-    #[test]
-    fn refresh_spare_store_skips_full_mode_tiles() {
-        let mut c = chip(1);
-        let id = c.allocate(4, 4).unwrap();
-        let SpareOutcome::Attached { new_id } = c.substitute(id).unwrap() else {
-            panic!("spare available");
-        };
-        let det = OnlineFaultDetector::new(DetectorConfig::new(1).unwrap());
-        c.run_campaigns(&det, &[new_id]);
-        c.refresh_spare_store(id, new_id).unwrap();
-        assert!(c.slot(new_id).unwrap().store.is_none(), "full mode: no store");
     }
 
     #[test]

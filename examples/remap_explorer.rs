@@ -59,11 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 20_000,
             ),
             (
-                "genetic (pop 16, 4 islands)",
-                RemapAlgorithm::Genetic {
-                    population: 16,
-                    islands: 4,
-                },
+                "genetic (pop 16)",
+                RemapAlgorithm::Genetic { population: 16 },
                 20_000,
             ),
         ] {

@@ -63,7 +63,7 @@ clippy-unwrap:
 # Snapshot/restore gate (DESIGN.md §12): kill a seeded run at an iteration
 # boundary, serialize, resume in a fresh recorder, and require the stitched
 # JSONL trace and final stats to match the uninterrupted run exactly —
-# in both detection modes (full-sweep and incremental).
+# warm off-chip stores included.
 snapshot-check:
     cargo run --release -p ftt-snapshot --bin snapshot_check
 
