@@ -34,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod checks;
 pub mod config;
 pub mod diag;

@@ -118,52 +118,6 @@ fn stale_suppressions_surface_as_warnings() {
 }
 
 #[test]
-fn baseline_diff_suppresses_known_findings() {
-    let bin = env!("CARGO_BIN_EXE_ftt-lint");
-    let snapshot =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/expected.json");
-
-    // Diffing the fixture tree against its own snapshot: nothing new.
-    let out = Command::new(bin)
-        .args(["--root"])
-        .arg(fixture_root())
-        .args(["--baseline"])
-        .arg(&snapshot)
-        .output()
-        .expect("run ftt-lint --baseline");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stdout: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("0 new finding(s)"), "stdout: {text}");
-
-    // An empty baseline suppresses nothing: every finding is new.
-    let empty = fixture_root().join("../empty-baseline.json");
-    std::fs::write(&empty, "{\n  \"findings\": []\n}\n").expect("write empty baseline");
-    let out = Command::new(bin)
-        .args(["--root"])
-        .arg(fixture_root())
-        .args(["--baseline"])
-        .arg(&empty)
-        .output()
-        .expect("run ftt-lint --baseline (empty)");
-    std::fs::remove_file(&empty).ok();
-    assert_eq!(out.status.code(), Some(1));
-
-    // A malformed baseline is a usage error, not a silent pass.
-    let out = Command::new(bin)
-        .args(["--root"])
-        .arg(fixture_root())
-        .args(["--baseline", "/nonexistent/baseline.json"])
-        .output()
-        .expect("run ftt-lint --baseline (missing)");
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
 fn human_rendering_carries_file_line_spans() {
     let rep = report();
     let human = rep.to_human();

@@ -68,7 +68,6 @@ pub mod network;
 pub mod optimizer;
 pub mod permute;
 pub mod pruning;
-pub mod serialize;
 pub mod synth;
 pub mod tensor;
 
