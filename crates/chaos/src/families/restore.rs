@@ -240,6 +240,34 @@ pub fn restore(seed: u64) -> FamilyReport {
                 Err(SnapshotError::Invalid(_))
             ),
             "incoherent pending count must be rejected by domain validation",
+        )?;
+        // Swapped shard ids decode fine too: layer 0's first shard is
+        // 64x12 and its last the 16x12 remainder, so each id now names a
+        // tile of the wrong size for its shard.
+        let mut state = ftt_snapshot::decode(&good).map_err(|e| e.to_string())?;
+        let shards = &mut state
+            .mapped
+            .layers
+            .first_mut()
+            .ok_or("the snapshot maps no layer")?
+            .tiles;
+        let last = shards.len() - 1;
+        let (first_id, last_id) = (shards[0].2, shards[last].2);
+        shards[0].2 = last_id;
+        shards[last].2 = first_id;
+        let bytes = ftt_snapshot::encode(&state);
+        ensure(
+            matches!(
+                ftt_snapshot::resume(
+                    &bytes,
+                    net(seed ^ 0x53),
+                    mapping(seed ^ 0x53),
+                    flow(),
+                    Recorder::deterministic(),
+                ),
+                Err(SnapshotError::Invalid(_))
+            ),
+            "swapped shard tile ids must be rejected by domain validation",
         )
     });
 

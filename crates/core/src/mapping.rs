@@ -9,13 +9,12 @@
 //! cell, which is why a zero can *reuse* an SA0 cell, and an SA1 fault pins
 //! the weight at full scale.
 //!
-//! Since PR 5 the physical arrays live in an [`ftt_tile::TiledChip`]: the
-//! mapping holds chip-global tile *ids* (plus each shard's logical
-//! offset), the chip owns the arrays, the spare pool, and the retirement
-//! policy. Tile seeds and allocation order are unchanged from the
-//! pre-chip mapper (the chip uses the same
-//! `seed · 0x9E37_79B9 + counter` stream), so seeded runs reproduce
-//! bit-identically across the refactor.
+//! The physical arrays live in an [`ftt_tile::TiledChip`], which owns the
+//! arrays, the spare pool, and the retirement policy. A layer places each
+//! coding polarity through one [`ftt_tile::TiledMapping`] (chip-global
+//! tile ids in row-major shard order), so sparing re-points one id. Tile
+//! seeds follow allocation order (the chip's
+//! `seed · 0x9E37_79B9 + counter` stream).
 //!
 //! The mapped network is the single point through which training touches
 //! hardware: effective (fault- and variation-corrupted) weights are read
@@ -25,23 +24,25 @@
 use std::collections::BTreeSet;
 
 use faultdet::detector::OnlineFaultDetector;
-use ftt_tile::{ChipConfig, ChipState, ShardGrid, SpareOutcome, TiledChip};
+use ftt_tile::{ChipConfig, ChipState, Shard, SpareOutcome, TiledChip, TiledMapping};
 use nn::network::Network;
 use rram::cell::WriteOutcome;
 use rram::crossbar::Crossbar;
 use rram::fault::{FaultKind, FaultMap};
 use rram::spatial::FaultInjection;
 
-use crate::config::{MappingConfig, MappingScope};
+use crate::config::{MappingConfig, MappingScope, WeightCoding};
 use crate::error::FttError;
 
-/// One shard of a mapped layer: where it sits logically and which chip
-/// tile backs it (spare substitution re-points `id`).
+/// The cell of a weight's coding that one shard grid holds.
 #[derive(Debug, Clone, Copy)]
-struct TileRef {
-    row0: usize,
-    col0: usize,
-    id: usize,
+enum Polarity {
+    /// Unipolar coding's only cell: `|w|` (the sign lives in the periphery).
+    Magnitude,
+    /// Differential coding's positive cell: `max(w, 0)`.
+    Positive,
+    /// Differential coding's negative cell: `max(−w, 0)`.
+    Negative,
 }
 
 /// One weight layer placed on RRAM.
@@ -62,30 +63,61 @@ pub struct MappedLayer {
     /// training intends each cell to hold. Stuck cells silently refuse the
     /// writes, so the effective (hardware) weights diverge from these.
     targets: Vec<f32>,
-    tiles: Vec<TileRef>,
-    /// Second (negative-polarity) shard grid under differential coding;
-    /// empty for unipolar coding.
-    neg_tiles: Vec<TileRef>,
+    /// The magnitude (unipolar) or positive-polarity (differential) cells.
+    tiles: TiledMapping,
+    /// The negative-polarity cells under differential coding, on the same
+    /// grid as `tiles`; `None` for unipolar coding.
+    neg_tiles: Option<TiledMapping>,
 }
 
 impl MappedLayer {
-    fn tile_of(&self, row: usize, col: usize, tile_size: usize) -> usize {
-        let tiles_per_row = self.cols.div_ceil(tile_size);
-        (row / tile_size) * tiles_per_row + col / tile_size
-    }
-
-    /// Dimensions of the shard at `tile_idx` (remainder-aware).
-    fn shard_dims(&self, tile_idx: usize, tile_size: usize) -> (usize, usize) {
-        let t = &self.tiles[tile_idx];
-        (
-            tile_size.min(self.rows - t.row0),
-            tile_size.min(self.cols - t.col0),
-        )
-    }
-
     /// Whether this layer uses differential (two-cell) coding.
     pub fn is_differential(&self) -> bool {
-        !self.neg_tiles.is_empty()
+        self.neg_tiles.is_some()
+    }
+
+    /// The weight → conductance coding, for the cell of `polarity` at
+    /// full scale `w_max`: unipolar coding stores `|w| / w_max`;
+    /// differential coding stores `w⁺ / w_max` and `w⁻ / w_max` on a cell
+    /// pair (arXiv 2106.09166). Magnitudes beyond full scale clamp to 1.
+    fn conductance(w: f32, polarity: Polarity, w_max: f64) -> f64 {
+        let w = f64::from(w);
+        let magnitude = match polarity {
+            Polarity::Magnitude => w.abs(),
+            Polarity::Positive => w.max(0.0),
+            Polarity::Negative => (-w).max(0.0),
+        };
+        (magnitude / w_max).min(1.0)
+    }
+
+    /// The layer's shard grids with the polarity each holds: the magnitude
+    /// grid alone, or the positive grid then the negative one.
+    fn grids(&self) -> impl Iterator<Item = (Polarity, &TiledMapping)> {
+        let first = if self.is_differential() {
+            Polarity::Positive
+        } else {
+            Polarity::Magnitude
+        };
+        std::iter::once((first, &self.tiles))
+            .chain(self.neg_tiles.iter().map(|n| (Polarity::Negative, n)))
+    }
+
+    /// Every shard of every grid with the id of its tile, positive grid
+    /// first.
+    fn shards(&self) -> impl Iterator<Item = (Shard, usize)> + '_ {
+        self.grids().flat_map(|(_, grid)| grid.shards())
+    }
+
+    /// The tile backing weight `idx` (row-major) on `grid`, and the
+    /// weight's cell on it: `(id, row, col)`.
+    fn locate(&self, grid: &TiledMapping, idx: usize) -> Result<(usize, usize, usize), FttError> {
+        grid.locate(idx / self.cols, idx % self.cols)
+            .ok_or_else(|| {
+                FttError::InvalidConfig(format!(
+                    "weight index {idx} out of range for {}x{} layer",
+                    self.rows, self.cols
+                ))
+            })
     }
 
     /// The effective weight currently realized by the hardware at the given
@@ -100,27 +132,21 @@ impl MappedLayer {
     )]
     #[expect(
         clippy::expect_used,
-        reason = "test-only reference path; `tile_of` maps logical coordinates \
-                  onto the tile that covers them by construction"
+        reason = "test-only reference path; callers pass coordinates inside \
+                  the layer, whose grids only hold tiles of the chip"
     )]
-    fn effective(&self, chip: &TiledChip, row: usize, col: usize, tile_size: usize) -> f64 {
-        let ti = self.tile_of(row, col, tile_size);
-        let t = &self.tiles[ti];
-        let g = chip
-            .tile(t.id)
-            .expect("mapped tile exists on the chip")
-            .conductance(row - t.row0, col - t.col0)
-            .expect("tile coordinates are in range by construction");
-        if self.is_differential() {
-            let n = &self.neg_tiles[ti];
-            let g_neg = chip
-                .tile(n.id)
+    fn effective(&self, chip: &TiledChip, row: usize, col: usize) -> f64 {
+        let read = |grid: &TiledMapping| {
+            let (id, r, c) = grid.locate(row, col).expect("cell inside the layer");
+            chip.tile(id)
                 .expect("mapped tile exists on the chip")
-                .conductance(row - n.row0, col - n.col0)
-                .expect("tile coordinates are in range by construction");
-            (g - g_neg) * self.w_max
-        } else {
-            f64::from(self.signs[row * self.cols + col]) * g * self.w_max
+                .conductance(r, c)
+                .expect("tile coordinates are in range by construction")
+        };
+        let g = read(&self.tiles);
+        match &self.neg_tiles {
+            Some(neg) => (g - read(neg)) * self.w_max,
+            None => f64::from(self.signs[row * self.cols + col]) * g * self.w_max,
         }
     }
 
@@ -130,20 +156,12 @@ impl MappedLayer {
     /// wins when the pair disagrees.
     pub fn fault_map(&self, chip: &TiledChip) -> FaultMap {
         let mut map = FaultMap::healthy(self.rows, self.cols);
-        for tile in self.tiles.iter().chain(&self.neg_tiles) {
-            let Ok(xbar) = chip.tile(tile.id) else {
+        for (shard, id) in self.shards() {
+            let Ok(xbar) = chip.tile(id) else {
                 continue;
             };
-            let sub = xbar.fault_map();
-            for (r, c, kind) in sub.iter_faulty() {
-                let (lr, lc) = (tile.row0 + r, tile.col0 + c);
-                let merged = match (map.get(lr, lc), kind) {
-                    (Some(FaultKind::StuckAt1), _) | (_, FaultKind::StuckAt1) => {
-                        FaultKind::StuckAt1
-                    }
-                    _ => FaultKind::StuckAt0,
-                };
-                map.set(lr, lc, Some(merged));
+            for (r, c, kind) in xbar.fault_map().iter_faulty() {
+                merge_fault(&mut map, shard.row0 + r, shard.col0 + c, kind);
             }
         }
         map
@@ -152,10 +170,8 @@ impl MappedLayer {
     /// Fraction of this layer's *physical* cells carrying hard faults.
     pub fn fraction_faulty(&self, chip: &TiledChip) -> f64 {
         let faulty: usize = self
-            .tiles
-            .iter()
-            .chain(&self.neg_tiles)
-            .filter_map(|t| chip.tile(t.id).ok())
+            .shards()
+            .filter_map(|(_, id)| chip.tile(id).ok())
             .map(|x| x.fault_map().count_faulty())
             .sum();
         let cells = self.rows * self.cols * if self.is_differential() { 2 } else { 1 };
@@ -166,36 +182,17 @@ impl MappedLayer {
     pub fn targets(&self) -> &[f32] {
         &self.targets
     }
+}
 
-    /// Target conductances of the shard at `tile_idx`, shard-local
-    /// row-major, for the given polarity — what a freshly attached spare
-    /// must be programmed with.
-    fn shard_conductances(&self, tile_idx: usize, neg: bool, tile_size: usize) -> Vec<f64> {
-        let t = if neg {
-            &self.neg_tiles[tile_idx]
-        } else {
-            &self.tiles[tile_idx]
-        };
-        let (t_rows, t_cols) = self.shard_dims(tile_idx, tile_size);
-        let differential = self.is_differential();
-        let mut g = Vec::with_capacity(t_rows * t_cols);
-        for r in 0..t_rows {
-            for c in 0..t_cols {
-                let w = f64::from(self.targets[(t.row0 + r) * self.cols + (t.col0 + c)]);
-                let target = if differential {
-                    if neg {
-                        ((-w).max(0.0) / self.w_max).min(1.0)
-                    } else {
-                        (w.max(0.0) / self.w_max).min(1.0)
-                    }
-                } else {
-                    (w.abs() / self.w_max).min(1.0)
-                };
-                g.push(target);
-            }
-        }
-        g
-    }
+/// Marks logical cell `(row, col)` of `map` faulty with `kind`. The two
+/// cells of a differential pair merge onto one logical cell: SA1 (the
+/// severe kind — it pins full-scale current) wins when they disagree.
+fn merge_fault(map: &mut FaultMap, row: usize, col: usize, kind: FaultKind) {
+    let merged = match (map.get(row, col), kind) {
+        (Some(FaultKind::StuckAt1), _) | (_, FaultKind::StuckAt1) => FaultKind::StuckAt1,
+        _ => FaultKind::StuckAt0,
+    };
+    map.set(row, col, Some(merged));
 }
 
 /// Result of running the on-line detector over one mapped layer.
@@ -310,6 +307,30 @@ pub struct MappedLayerState {
     pub neg_tiles: Vec<(usize, usize, usize)>,
 }
 
+/// Rebuilds one polarity's shard map of captured layer `li` from its
+/// `(row0, col0, id)` entries: the ids must back the layer's shard grid
+/// tile for shard, and each captured origin must be its shard's.
+fn restore_grid(
+    chip: &TiledChip,
+    li: usize,
+    l: &MappedLayerState,
+    shards: &[(usize, usize, usize)],
+) -> Result<TiledMapping, FttError> {
+    let incoherent = |what: String| FttError::InvalidConfig(format!("snapshot layer {li}: {what}"));
+    let ids = shards.iter().map(|&(_, _, id)| id).collect();
+    let grid = TiledMapping::from_tile_ids(chip, l.rows, l.cols, ids)
+        .map_err(|e| incoherent(e.to_string()))?;
+    for ((shard, _), &(row0, col0, _)) in grid.shards().zip(shards) {
+        if (row0, col0) != (shard.row0, shard.col0) {
+            return Err(incoherent(format!(
+                "shard origin ({row0},{col0}) where the grid has ({},{})",
+                shard.row0, shard.col0
+            )));
+        }
+    }
+    Ok(grid)
+}
+
 /// Complete capture of a [`MappedNetwork`]: the chip (every tile's cells,
 /// wear, journal, campaign outcomes, stores, spare pool) plus each mapped
 /// layer's logical placement and software weight state. The
@@ -389,57 +410,23 @@ impl MappedNetwork {
                 .iter()
                 .map(|&w| if w < 0.0 { -1 } else { 1 })
                 .collect();
-            let weights: Vec<f32> = params.weights.to_vec();
-            let differential = config.coding == crate::config::WeightCoding::Differential;
-            // Normalized initial conductances, per polarity.
-            let pos_g: Vec<f64> = weights
-                .iter()
-                .map(|&w| (f64::from(w.max(0.0)) / w_max).min(1.0))
-                .collect();
-            let neg_g: Vec<f64> = weights
-                .iter()
-                .map(|&w| (f64::from((-w).max(0.0)) / w_max).min(1.0))
-                .collect();
-            let mag_g: Vec<f64> = weights
-                .iter()
-                .map(|&w| (f64::from(w.abs()) / w_max).min(1.0))
-                .collect();
-
-            let ts = config.tile_size;
-            let grid = ShardGrid::new(rows, cols, ts, ts).ok_or_else(|| {
-                FttError::InvalidConfig(format!(
-                    "layer {layer_index} has a zero-sized weight matrix"
-                ))
-            })?;
-            // Shards allocate and program in row-major grid order — the
-            // same build/program interleaving (and hence the same per-tile
-            // RNG streams) as the pre-chip mapper.
-            let build_grid =
-                |initial: &[f64], chip: &mut TiledChip| -> Result<Vec<TileRef>, FttError> {
-                    let mut tiles = Vec::with_capacity(grid.shard_count());
-                    for shard in grid.iter() {
-                        let id = chip.allocate(shard.rows, shard.cols)?;
-                        let xbar = chip.tile_mut(id)?;
-                        for r in 0..shard.rows {
-                            for c in 0..shard.cols {
-                                let g = initial[(shard.row0 + r) * cols + (shard.col0 + c)];
-                                let _ = xbar.write_analog(r, c, g)?;
-                            }
-                        }
-                        tiles.push(TileRef {
-                            row0: shard.row0,
-                            col0: shard.col0,
-                            id,
-                        });
-                    }
-                    Ok(tiles)
-                };
-            let (tiles, neg_tiles) = if differential {
-                let t = build_grid(&pos_g, &mut chip)?;
-                let n = build_grid(&neg_g, &mut chip)?;
-                (t, n)
-            } else {
-                (build_grid(&mag_g, &mut chip)?, Vec::new())
+            let targets = params.weights.to_vec();
+            // Each polarity's shards allocate and program in row-major
+            // order, all positive shards before any negative one: the
+            // tile counter, and hence every tile's RNG seed, follows
+            // (layer, polarity, shard) order.
+            let mut place = |polarity| {
+                let g: Vec<f64> = targets
+                    .iter()
+                    .map(|&w| MappedLayer::conductance(w, polarity, w_max))
+                    .collect();
+                TiledMapping::place(&mut chip, rows, cols, &g)
+            };
+            let (tiles, neg_tiles) = match config.coding {
+                WeightCoding::Unipolar => (place(Polarity::Magnitude)?, None),
+                WeightCoding::Differential => {
+                    (place(Polarity::Positive)?, Some(place(Polarity::Negative)?))
+                }
             };
             layers.push(MappedLayer {
                 weight_layer: k,
@@ -448,7 +435,7 @@ impl MappedNetwork {
                 cols,
                 w_max,
                 signs,
-                targets: weights,
+                targets,
                 tiles,
                 neg_tiles,
             });
@@ -513,16 +500,14 @@ impl MappedNetwork {
             let cols = layer.cols;
             let w_max = layer.w_max;
             let out = &mut params.weights;
-            if layer.is_differential() {
-                // `tiles` and `neg_tiles` share one grid geometry.
-                for (pos, neg) in layer.tiles.iter().zip(&layer.neg_tiles) {
-                    let px = self.chip.tile(pos.id)?;
-                    let nx = self.chip.tile(neg.id)?;
-                    let (t_rows, t_cols) = (px.rows(), px.cols());
-                    let gp = px.conductance_plane_f64();
-                    let gn = nx.conductance_plane_f64();
-                    for r in 0..t_rows {
-                        let dst = &mut out[(pos.row0 + r) * cols + pos.col0..][..t_cols];
+            if let Some(neg_tiles) = &layer.neg_tiles {
+                // Both polarities share one grid geometry.
+                for ((shard, pos), (_, neg)) in layer.tiles.shards().zip(neg_tiles.shards()) {
+                    let gp = self.chip.tile(pos)?.conductance_plane_f64();
+                    let gn = self.chip.tile(neg)?.conductance_plane_f64();
+                    let t_cols = shard.cols;
+                    for r in 0..shard.rows {
+                        let dst = &mut out[(shard.row0 + r) * cols + shard.col0..][..t_cols];
                         let gp_row = &gp[r * t_cols..(r + 1) * t_cols];
                         let gn_row = &gn[r * t_cols..(r + 1) * t_cols];
                         for ((d, &p), &n) in dst.iter_mut().zip(gp_row).zip(gn_row) {
@@ -531,12 +516,11 @@ impl MappedNetwork {
                     }
                 }
             } else {
-                for tile in &layer.tiles {
-                    let xbar = self.chip.tile(tile.id)?;
-                    let (t_rows, t_cols) = (xbar.rows(), xbar.cols());
-                    let plane = xbar.conductance_plane_f64();
-                    for r in 0..t_rows {
-                        let base = (tile.row0 + r) * cols + tile.col0;
+                for (shard, id) in layer.tiles.shards() {
+                    let plane = self.chip.tile(id)?.conductance_plane_f64();
+                    let t_cols = shard.cols;
+                    for r in 0..shard.rows {
+                        let base = (shard.row0 + r) * cols + shard.col0;
                         let dst = &mut out[base..base + t_cols];
                         let signs = &layer.signs[base..base + t_cols];
                         let g_row = &plane[r * t_cols..(r + 1) * t_cols];
@@ -568,52 +552,35 @@ impl MappedNetwork {
         idx: usize,
         value: f32,
     ) -> Result<WriteOutcome, FttError> {
-        let ts = self.config.tile_size;
         let layer = self.layers.get_mut(position).ok_or_else(|| {
             FttError::InvalidConfig(format!("mapped position {position} out of range"))
         })?;
-        if idx >= layer.rows * layer.cols {
-            return Err(FttError::InvalidConfig(format!(
-                "weight index {idx} out of range for {}x{} layer",
-                layer.rows, layer.cols
-            )));
-        }
-        let (row, col) = (idx / layer.cols, idx % layer.cols);
+        let cell = layer.locate(&layer.tiles, idx)?;
         layer.targets[idx] = value;
         if value != 0.0 {
             layer.signs[idx] = if value < 0.0 { -1 } else { 1 };
         }
-        let tile_idx = layer.tile_of(row, col, ts);
-        if layer.is_differential() {
-            // One-sided differential programming: two pulses per update.
-            let gp = (f64::from(value.max(0.0)) / layer.w_max).min(1.0);
-            let gn = (f64::from((-value).max(0.0)) / layer.w_max).min(1.0);
-            let tile = layer.tiles[tile_idx];
-            let pos =
-                self.chip
-                    .tile_mut(tile.id)?
-                    .pulse_analog(row - tile.row0, col - tile.col0, gp)?;
-            let tile = layer.neg_tiles[tile_idx];
-            let neg =
-                self.chip
-                    .tile_mut(tile.id)?
-                    .pulse_analog(row - tile.row0, col - tile.col0, gn)?;
-            // Report the more severe outcome (a new fault on either side).
-            Ok(match (pos, neg) {
-                (WriteOutcome::WoreOut(k), _) | (_, WriteOutcome::WoreOut(k)) => {
-                    WriteOutcome::WoreOut(k)
-                }
-                (WriteOutcome::Stuck(k), _) | (_, WriteOutcome::Stuck(k)) => WriteOutcome::Stuck(k),
-                (p, _) => p,
-            })
-        } else {
-            let g = (f64::from(value.abs()) / layer.w_max).min(1.0);
-            let tile = layer.tiles[tile_idx];
-            Ok(self
-                .chip
-                .tile_mut(tile.id)?
-                .pulse_analog(row - tile.row0, col - tile.col0, g)?)
-        }
+        let layer = &*layer;
+        let chip = &mut self.chip;
+        let mut pulse = |(id, r, c): (usize, usize, usize), polarity| -> Result<_, FttError> {
+            let g = MappedLayer::conductance(value, polarity, layer.w_max);
+            Ok(chip.tile_mut(id)?.pulse_analog(r, c, g)?)
+        };
+        let Some(neg_tiles) = &layer.neg_tiles else {
+            return pulse(cell, Polarity::Magnitude);
+        };
+        // One-sided differential programming: two pulses per update.
+        let neg_cell = layer.locate(neg_tiles, idx)?;
+        let pos = pulse(cell, Polarity::Positive)?;
+        let neg = pulse(neg_cell, Polarity::Negative)?;
+        // Report the more severe outcome (a new fault on either side).
+        Ok(match (pos, neg) {
+            (WriteOutcome::WoreOut(k), _) | (_, WriteOutcome::WoreOut(k)) => {
+                WriteOutcome::WoreOut(k)
+            }
+            (WriteOutcome::Stuck(k), _) | (_, WriteOutcome::Stuck(k)) => WriteOutcome::Stuck(k),
+            (p, _) => p,
+        })
     }
 
     /// Copies the *software* (intended) weights into the network — the view
@@ -642,7 +609,6 @@ impl MappedNetwork {
     /// reprogram the array after a re-mapping permutation. Returns the
     /// number of write pulses issued.
     pub fn reprogram_from(&mut self, net: &mut Network, epsilon: f64) -> Result<u64, FttError> {
-        let ts = self.config.tile_size;
         let mut writes = 0u64;
         for layer in &mut self.layers {
             let params = net
@@ -651,47 +617,16 @@ impl MappedNetwork {
             if params.weights.len() != layer.rows * layer.cols {
                 return Err(foreign_network_error(layer.layer_index));
             }
-            let differential = layer.is_differential();
             for idx in 0..layer.rows * layer.cols {
                 let target = params.weights[idx];
                 layer.targets[idx] = target;
                 if target != 0.0 {
                     layer.signs[idx] = if target < 0.0 { -1 } else { 1 };
                 }
-                let (row, col) = (idx / layer.cols, idx % layer.cols);
-                let tile_idx = layer.tile_of(row, col, ts);
-                if differential {
-                    let gp = (f64::from(target.max(0.0)) / layer.w_max).min(1.0);
-                    let gn = (f64::from((-target).max(0.0)) / layer.w_max).min(1.0);
-                    let t = layer.tiles[tile_idx];
-                    verify_write(
-                        self.chip.tile_mut(t.id)?,
-                        row - t.row0,
-                        col - t.col0,
-                        gp,
-                        epsilon,
-                        &mut writes,
-                    )?;
-                    let t = layer.neg_tiles[tile_idx];
-                    verify_write(
-                        self.chip.tile_mut(t.id)?,
-                        row - t.row0,
-                        col - t.col0,
-                        gn,
-                        epsilon,
-                        &mut writes,
-                    )?;
-                } else {
-                    let g = (f64::from(target.abs()) / layer.w_max).min(1.0);
-                    let t = layer.tiles[tile_idx];
-                    verify_write(
-                        self.chip.tile_mut(t.id)?,
-                        row - t.row0,
-                        col - t.col0,
-                        g,
-                        epsilon,
-                        &mut writes,
-                    )?;
+                for (polarity, grid) in layer.grids() {
+                    let (id, r, c) = layer.locate(grid, idx)?;
+                    let g = MappedLayer::conductance(target, polarity, layer.w_max);
+                    verify_write(self.chip.tile_mut(id)?, r, c, g, epsilon, &mut writes)?;
                 }
             }
         }
@@ -711,8 +646,8 @@ impl MappedNetwork {
         let mut first_err: Option<FttError> = None;
         let mut any_ok = false;
         let t = test_size.max(1);
-        for tile in layer.tiles.iter().chain(&layer.neg_tiles) {
-            let slot = self.chip.slot(tile.id)?;
+        for (shard, id) in layer.shards() {
+            let slot = self.chip.slot(id)?;
             if let Some(e) = &slot.last_campaign_error {
                 // Graceful degradation: the failed tile's groups are
                 // counted untested and the campaign continues with the
@@ -732,16 +667,7 @@ impl MappedNetwork {
             write_pulses += outcome.write_pulses;
             untested_groups += outcome.untested_groups;
             for (r, c, kind) in outcome.predicted.iter_faulty() {
-                // Differential pairs merge onto the logical cell; the
-                // severe kind (SA1) wins on disagreement.
-                let (lr, lc) = (tile.row0 + r, tile.col0 + c);
-                let merged = match (predicted.get(lr, lc), kind) {
-                    (Some(FaultKind::StuckAt1), _) | (_, FaultKind::StuckAt1) => {
-                        FaultKind::StuckAt1
-                    }
-                    _ => FaultKind::StuckAt0,
-                };
-                predicted.set(lr, lc, Some(merged));
+                merge_fault(&mut predicted, shard.row0 + r, shard.col0 + c, kind);
             }
         }
         if !any_ok {
@@ -778,8 +704,8 @@ impl MappedNetwork {
         let ids: Vec<usize> = self
             .layers
             .iter()
-            .flat_map(|l| l.tiles.iter().chain(&l.neg_tiles))
-            .map(|t| t.id)
+            .flat_map(|l| l.grids())
+            .flat_map(|(_, grid)| grid.tile_ids().iter().copied())
             .collect();
         let _ = self.chip.run_campaigns(detector, &ids);
         let t = detector.config().test_size;
@@ -830,24 +756,16 @@ impl MappedNetwork {
         detections: &mut [LayerDetection],
     ) -> Result<SparingOutcome, FttError> {
         let mut out = SparingOutcome::default();
-        let ts = self.config.tile_size;
         let mut dirty: BTreeSet<usize> = BTreeSet::new();
         for id in self.chip.tiles_over_density(threshold) {
             // Locate the shard this tile backs (spare-pool tiles that
             // back nothing are not retirable — nothing to re-point).
             let located = self.layers.iter().enumerate().find_map(|(li, l)| {
-                l.tiles
-                    .iter()
-                    .position(|t| t.id == id)
-                    .map(|ti| (li, false, ti))
-                    .or_else(|| {
-                        l.neg_tiles
-                            .iter()
-                            .position(|t| t.id == id)
-                            .map(|ti| (li, true, ti))
-                    })
+                l.grids().find_map(|(polarity, grid)| {
+                    grid.shard_of_tile(id).map(|shard| (li, polarity, shard))
+                })
             });
-            let Some((li, neg, tile_idx)) = located else {
+            let Some((li, polarity, shard)) = located else {
                 continue;
             };
             match self.chip.substitute(id)? {
@@ -858,8 +776,17 @@ impl MappedNetwork {
                 SpareOutcome::Attached { new_id } => {
                     out.tiles_retired += 1;
                     out.spares_attached += 1;
-                    // Program the spare with the shard's target weights.
-                    let g = self.layers[li].shard_conductances(tile_idx, neg, ts);
+                    // Program the spare with the shard's target weights,
+                    // shard-locally row-major.
+                    let layer = &self.layers[li];
+                    let mut g = Vec::with_capacity(shard.cells());
+                    for r in shard.row0..shard.row0 + shard.rows {
+                        let row = &layer.targets[r * layer.cols + shard.col0..][..shard.cols];
+                        g.extend(
+                            row.iter()
+                                .map(|&w| MappedLayer::conductance(w, polarity, layer.w_max)),
+                        );
+                    }
                     let before = self.chip.tile(new_id)?.write_pulses();
                     self.chip.tile_mut(new_id)?.program_conductances(&g)?;
                     out.reprogram_pulses += self.chip.tile(new_id)?.write_pulses() - before;
@@ -870,12 +797,10 @@ impl MappedNetwork {
                     let stats = self.chip.run_campaigns(detector, &[new_id]);
                     out.verify_cycles += stats.cycles;
                     out.verify_write_pulses += stats.write_pulses;
-                    // Re-point the shard.
+                    // Re-point the shard (`id` backs one shard of one grid).
                     let layer = &mut self.layers[li];
-                    if neg {
-                        layer.neg_tiles[tile_idx].id = new_id;
-                    } else {
-                        layer.tiles[tile_idx].id = new_id;
+                    for grid in std::iter::once(&mut layer.tiles).chain(&mut layer.neg_tiles) {
+                        grid.repoint(id, new_id);
                     }
                     dirty.insert(li);
                 }
@@ -916,14 +841,12 @@ impl MappedNetwork {
     pub fn fraction_faulty(&self) -> f64 {
         let mut faulty = 0usize;
         let mut total = 0usize;
-        for layer in &self.layers {
-            for tile in layer.tiles.iter().chain(&layer.neg_tiles) {
-                let Ok(xbar) = self.chip.tile(tile.id) else {
-                    continue;
-                };
-                faulty += xbar.fault_map().count_faulty();
-                total += xbar.rows() * xbar.cols();
-            }
+        for (_, id) in self.layers.iter().flat_map(MappedLayer::shards) {
+            let Ok(xbar) = self.chip.tile(id) else {
+                continue;
+            };
+            faulty += xbar.fault_map().count_faulty();
+            total += xbar.rows() * xbar.cols();
         }
         faulty as f64 / total.max(1) as f64
     }
@@ -944,6 +867,9 @@ impl MappedNetwork {
     /// Captures the complete mapping state for checkpointing: the chip
     /// plus every layer's placement, signs, and software weights.
     pub fn export_state(&self) -> MappedState {
+        let captured = |grid: &TiledMapping| -> Vec<(usize, usize, usize)> {
+            grid.shards().map(|(s, id)| (s.row0, s.col0, id)).collect()
+        };
         let layer_state = |l: &MappedLayer| MappedLayerState {
             weight_layer: l.weight_layer,
             layer_index: l.layer_index,
@@ -952,8 +878,8 @@ impl MappedNetwork {
             w_max: l.w_max,
             signs: l.signs.clone(),
             targets: l.targets.clone(),
-            tiles: l.tiles.iter().map(|t| (t.row0, t.col0, t.id)).collect(),
-            neg_tiles: l.neg_tiles.iter().map(|t| (t.row0, t.col0, t.id)).collect(),
+            tiles: captured(&l.tiles),
+            neg_tiles: l.neg_tiles.as_ref().map(captured).unwrap_or_default(),
         };
         MappedState {
             chip: self.chip.export_state(),
@@ -972,18 +898,16 @@ impl MappedNetwork {
     /// # Errors
     ///
     /// Returns [`FttError::InvalidConfig`] when the capture is internally
-    /// incoherent (mismatched lengths, unknown tile ids, out-of-range
-    /// shard origins) and propagates chip-level restore failures.
+    /// incoherent (mismatched lengths, a non-positive `w_max`, or shard
+    /// entries that do not describe the layer's shard grid: wrong count,
+    /// unknown tile ids, a tile whose dimensions are not its shard's, a
+    /// captured origin that is not its shard's) and propagates chip-level
+    /// restore failures.
     pub fn restore_state(config: MappingConfig, state: &MappedState) -> Result<Self, FttError> {
         let chip = TiledChip::restore_state(chip_config(&config)?, &state.chip)?;
         let mut layers = Vec::with_capacity(state.layers.len());
         for (li, l) in state.layers.iter().enumerate() {
             let cells = l.rows * l.cols;
-            if l.rows == 0 || l.cols == 0 {
-                return Err(FttError::InvalidConfig(format!(
-                    "snapshot layer {li} has a zero-sized weight matrix"
-                )));
-            }
             if l.signs.len() != cells || l.targets.len() != cells {
                 return Err(FttError::InvalidConfig(format!(
                     "snapshot layer {li} carries {} signs / {} targets for {} cells",
@@ -998,32 +922,11 @@ impl MappedNetwork {
                     l.w_max
                 )));
             }
-            if l.tiles.is_empty() || (!l.neg_tiles.is_empty() && l.neg_tiles.len() != l.tiles.len())
-            {
-                return Err(FttError::InvalidConfig(format!(
-                    "snapshot layer {li} has {} positive and {} negative shards",
-                    l.tiles.len(),
-                    l.neg_tiles.len()
-                )));
-            }
-            let as_refs = |shards: &[(usize, usize, usize)]| -> Result<Vec<TileRef>, FttError> {
-                let mut refs = Vec::with_capacity(shards.len());
-                for &(row0, col0, id) in shards {
-                    if chip.tile(id).is_err() {
-                        return Err(FttError::InvalidConfig(format!(
-                            "snapshot layer {li} references unknown tile {id}"
-                        )));
-                    }
-                    if row0 >= l.rows || col0 >= l.cols {
-                        return Err(FttError::InvalidConfig(format!(
-                            "snapshot layer {li} shard origin ({row0},{col0}) is outside \
-                             its {}x{} matrix",
-                            l.rows, l.cols
-                        )));
-                    }
-                    refs.push(TileRef { row0, col0, id });
-                }
-                Ok(refs)
+            let tiles = restore_grid(&chip, li, l, &l.tiles)?;
+            let neg_tiles = if l.neg_tiles.is_empty() {
+                None
+            } else {
+                Some(restore_grid(&chip, li, l, &l.neg_tiles)?)
             };
             layers.push(MappedLayer {
                 weight_layer: l.weight_layer,
@@ -1033,8 +936,8 @@ impl MappedNetwork {
                 w_max: l.w_max,
                 signs: l.signs.clone(),
                 targets: l.targets.clone(),
-                tiles: as_refs(&l.tiles)?,
-                neg_tiles: as_refs(&l.neg_tiles)?,
+                tiles,
+                neg_tiles,
             });
         }
         Ok(Self {
@@ -1158,7 +1061,7 @@ mod tests {
                     .to_vec();
                 for r in 0..layer.rows {
                     for c in 0..layer.cols {
-                        let reference = layer.effective(mapped.chip(), r, c, 4) as f32;
+                        let reference = layer.effective(mapped.chip(), r, c) as f32;
                         assert_eq!(
                             loaded[r * layer.cols + c],
                             reference,
@@ -1381,41 +1284,63 @@ mod tests {
 
     #[test]
     fn sparing_replaces_dense_fault_tiles() {
+        use crate::config::WeightCoding;
         // Heavy faults, a spare pool, and an aggressive threshold: after
         // one detect + sparing pass the faulty tiles are swapped for
         // spares and the effective weights recover toward the targets.
-        let mut net = mlp();
-        let mut config = MappingConfig::new(MappingScope::EntireNetwork)
-            .with_initial_fault_fraction(0.25)
-            .with_seed(17)
-            .with_spare_tiles(64)
-            .with_retire_fault_density(0.05);
-        config.tile_size = 4;
-        let mut mapped = MappedNetwork::from_network(&mut net, config).unwrap();
-        let faulty_before = mapped.fraction_faulty();
-        assert!(faulty_before > 0.1);
-        let detector = OnlineFaultDetector::new(DetectorConfig::new(1).unwrap());
-        let mut detections = mapped.detect(&detector).unwrap();
-        let flagged_before: usize = detections.iter().map(|d| d.predicted.count_faulty()).sum();
-        assert!(flagged_before > 0);
-        let outcome = mapped.apply_sparing(&detector, &mut detections).unwrap();
-        assert!(outcome.tiles_retired > 0, "{outcome:?}");
-        assert_eq!(outcome.tiles_retired, outcome.spares_attached);
-        assert!(outcome.reprogram_pulses > 0);
-        assert!(outcome.verify_cycles > 0);
-        assert_eq!(mapped.chip().tiles_retired(), outcome.tiles_retired);
-        // Spares come from the screened pool (fault-free at attach), so
-        // swapping them in strictly lowers the in-service fault density.
-        let faulty_after = mapped.fraction_faulty();
-        assert!(
-            faulty_after < faulty_before,
-            "{faulty_after} vs {faulty_before}"
-        );
-        // The recomposed detections mirror the post-sparing ground truth
-        // (test size 1 is exact, and each spare was verified).
-        let truth = mapped.ground_truth();
-        for (det, truth) in detections.iter().zip(&truth) {
-            assert_eq!(&det.predicted, truth);
+        // Under differential coding negative shards re-point too.
+        for coding in [WeightCoding::Unipolar, WeightCoding::Differential] {
+            let mut net = mlp();
+            let mut config = MappingConfig::new(MappingScope::EntireNetwork)
+                .with_coding(coding)
+                .with_initial_fault_fraction(0.25)
+                .with_seed(17)
+                .with_spare_tiles(64)
+                .with_retire_fault_density(0.05);
+            config.tile_size = 4;
+            let mut mapped = MappedNetwork::from_network(&mut net, config).unwrap();
+            let neg_before: Vec<usize> = mapped
+                .layers
+                .iter()
+                .flat_map(|l| l.neg_tiles.iter().flat_map(|g| g.tile_ids().to_vec()))
+                .collect();
+            let faulty_before = mapped.fraction_faulty();
+            assert!(faulty_before > 0.1);
+            let detector = OnlineFaultDetector::new(DetectorConfig::new(1).unwrap());
+            let mut detections = mapped.detect(&detector).unwrap();
+            let flagged_before: usize = detections.iter().map(|d| d.predicted.count_faulty()).sum();
+            assert!(flagged_before > 0);
+            let outcome = mapped.apply_sparing(&detector, &mut detections).unwrap();
+            assert!(outcome.tiles_retired > 0, "{outcome:?}");
+            assert_eq!(outcome.tiles_retired, outcome.spares_attached);
+            assert!(outcome.reprogram_pulses > 0);
+            assert!(outcome.verify_cycles > 0);
+            assert_eq!(mapped.chip().tiles_retired(), outcome.tiles_retired);
+            // Every shard now points at an in-service tile; under
+            // differential coding, negative shards were among the retired.
+            let in_service = |id: usize| !mapped.chip().slot(id).unwrap().retired;
+            for layer in mapped.layers() {
+                assert!(layer.shards().all(|(_, id)| in_service(id)), "{coding:?}");
+            }
+            let neg_retired = neg_before.iter().filter(|&&id| !in_service(id)).count();
+            assert_eq!(
+                neg_retired > 0,
+                coding == WeightCoding::Differential,
+                "{coding:?}: {neg_retired} negative shards retired"
+            );
+            // Spares come from the screened pool (fault-free at attach), so
+            // swapping them in strictly lowers the in-service fault density.
+            let faulty_after = mapped.fraction_faulty();
+            assert!(
+                faulty_after < faulty_before,
+                "{coding:?}: {faulty_after} vs {faulty_before}"
+            );
+            // The recomposed detections mirror the post-sparing ground truth
+            // (test size 1 is exact, and each spare was verified).
+            let truth = mapped.ground_truth();
+            for (det, truth) in detections.iter().zip(&truth) {
+                assert_eq!(&det.predicted, truth, "{coding:?}");
+            }
         }
     }
 
@@ -1463,7 +1388,7 @@ mod tests {
         let before: Vec<Vec<usize>> = mapped
             .layers
             .iter()
-            .map(|l| l.tiles.iter().map(|t| t.id).collect())
+            .map(|l| l.tiles.tile_ids().to_vec())
             .collect();
         let outcome = mapped.apply_sparing(&detector, &mut detections).unwrap();
         assert!(outcome.spares_attached > 0, "{outcome:?}");
@@ -1475,21 +1400,22 @@ mod tests {
             .enumerate()
             .find_map(|(li, l)| {
                 l.tiles
+                    .tile_ids()
                     .iter()
                     .enumerate()
-                    .find(|(ti, t)| before[li][*ti] != t.id)
+                    .find(|&(ti, &id)| before[li][ti] != id)
                     .map(|(ti, _)| (li, ti))
             })
             .unwrap();
         // The retired slot's store is gone; the spare carries a warm one
         // with nothing pending (its verify campaign covered it).
         let retired_id = before[li][ti];
-        let new_id = mapped.layers[li].tiles[ti].id;
+        let new_id = mapped.layers[li].tiles.tile_ids()[ti];
         assert!(mapped.chip().slot(retired_id).unwrap().store.is_none());
         let spare_store = mapped.chip().slot(new_id).unwrap().store.as_ref().unwrap();
         assert_eq!(spare_store.pending_count(), 0, "verified baseline is warm");
-        let t = mapped.layers[li].tiles[ti];
-        let idx = t.row0 * mapped.layers[li].cols + t.col0;
+        let shard = mapped.layers[li].tiles.shard_of_tile(new_id).unwrap();
+        let idx = shard.row0 * mapped.layers[li].cols + shard.col0;
         let mut worn = false;
         for i in 0..80 {
             let v = if i % 2 == 0 { 0.01 } else { 0.02 };
@@ -1512,62 +1438,92 @@ mod tests {
 
     #[test]
     fn mapped_state_roundtrip_is_behavior_identical() {
-        let mut net = mlp();
-        let mut config = MappingConfig::new(MappingScope::EntireNetwork)
-            .with_initial_fault_fraction(0.25)
-            .with_seed(17)
-            .with_spare_tiles(8)
-            .with_retire_fault_density(0.05);
-        config.tile_size = 4;
-        let mut mapped = MappedNetwork::from_network(&mut net, config.clone()).unwrap();
-        let detector = OnlineFaultDetector::new(DetectorConfig::new(2).unwrap());
-        let mut detections = mapped.detect(&detector).unwrap();
-        mapped.apply_sparing(&detector, &mut detections).unwrap();
-        mapped.write_weight(0, 3, 0.05).unwrap();
+        use crate::config::WeightCoding;
+        for coding in [WeightCoding::Unipolar, WeightCoding::Differential] {
+            let mut net = mlp();
+            let mut config = MappingConfig::new(MappingScope::EntireNetwork)
+                .with_coding(coding)
+                .with_initial_fault_fraction(0.25)
+                .with_seed(17)
+                .with_spare_tiles(8)
+                .with_retire_fault_density(0.05);
+            config.tile_size = 4;
+            let mut mapped = MappedNetwork::from_network(&mut net, config.clone()).unwrap();
+            let detector = OnlineFaultDetector::new(DetectorConfig::new(2).unwrap());
+            let mut detections = mapped.detect(&detector).unwrap();
+            let spared = mapped.apply_sparing(&detector, &mut detections).unwrap();
+            assert!(spared.spares_attached > 0, "{coding:?}: {spared:?}");
+            mapped.write_weight(0, 3, 0.05).unwrap();
 
-        let state = mapped.export_state();
-        let mut back = MappedNetwork::restore_state(config, &state).unwrap();
-        assert_eq!(back.export_state(), state, "double roundtrip is lossless");
+            let state = mapped.export_state();
+            let mut back = MappedNetwork::restore_state(config, &state).unwrap();
+            assert_eq!(back.export_state(), state, "double roundtrip is lossless");
 
-        let mut net_a = mlp();
-        let mut net_b = mlp();
-        mapped.load_effective_weights(&mut net_a).unwrap();
-        back.load_effective_weights(&mut net_b).unwrap();
-        assert_eq!(
-            net_a.layer_params_mut(0).unwrap().weights.to_vec(),
-            net_b.layer_params_mut(0).unwrap().weights.to_vec()
-        );
-        assert_eq!(mapped.ground_truth(), back.ground_truth());
-        // Identical future campaigns: per-tile RNG streams, stores, and
-        // carried baselines all restore mid-sequence.
-        let a = mapped.detect(&detector).unwrap();
-        let b = back.detect(&detector).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.predicted, y.predicted);
-            assert_eq!(x.cycles, y.cycles);
-            assert_eq!(x.write_pulses, y.write_pulses);
+            let mut net_a = mlp();
+            let mut net_b = mlp();
+            mapped.load_effective_weights(&mut net_a).unwrap();
+            back.load_effective_weights(&mut net_b).unwrap();
+            assert_eq!(
+                net_a.layer_params_mut(0).unwrap().weights.to_vec(),
+                net_b.layer_params_mut(0).unwrap().weights.to_vec()
+            );
+            assert_eq!(mapped.ground_truth(), back.ground_truth());
+            // Identical future campaigns: per-tile RNG streams, stores, and
+            // carried baselines all restore mid-sequence.
+            let a = mapped.detect(&detector).unwrap();
+            let b = back.detect(&detector).unwrap();
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.predicted, y.predicted);
+                assert_eq!(x.cycles, y.cycles);
+                assert_eq!(x.write_pulses, y.write_pulses);
+            }
         }
     }
 
     #[test]
     fn restore_state_rejects_incoherent_captures() {
         let mut net = mlp();
-        let config = MappingConfig::new(MappingScope::EntireNetwork).with_seed(3);
+        let mut config = MappingConfig::new(MappingScope::EntireNetwork).with_seed(3);
+        config.tile_size = 4; // the 6x10 layer is a 2x3 grid of shards
         let mapped = MappedNetwork::from_network(&mut net, config.clone()).unwrap();
         let good = mapped.export_state();
         assert!(MappedNetwork::restore_state(config.clone(), &good).is_ok());
+        let incoherent = |bad: &MappedState| {
+            matches!(
+                MappedNetwork::restore_state(config.clone(), bad),
+                Err(FttError::InvalidConfig(_))
+            )
+        };
 
         let mut bad = good.clone();
         bad.layers[0].tiles[0].2 = 999;
-        assert!(MappedNetwork::restore_state(config.clone(), &bad).is_err());
+        assert!(incoherent(&bad));
+
+        // The first shard is 4x4 and the last a 2x2 remainder: swapping
+        // their tile ids leaves each tile backing a shard of another size.
+        let mut bad = good.clone();
+        let shards = &mut bad.layers[0].tiles;
+        let (first, last) = (shards[0].2, shards[5].2);
+        shards[0].2 = last;
+        shards[5].2 = first;
+        assert!(incoherent(&bad));
+
+        // A shard origin off the grid.
+        let mut bad = good.clone();
+        bad.layers[0].tiles[0].0 = 5;
+        assert!(incoherent(&bad));
+
+        let mut bad = good.clone();
+        bad.layers[0].tiles.pop();
+        assert!(incoherent(&bad));
 
         let mut bad = good.clone();
         bad.layers[0].targets.pop();
-        assert!(MappedNetwork::restore_state(config.clone(), &bad).is_err());
+        assert!(incoherent(&bad));
 
-        let mut bad = good.clone();
+        let mut bad = good;
         bad.layers[0].w_max = f64::NAN;
-        assert!(MappedNetwork::restore_state(config, &bad).is_err());
+        assert!(incoherent(&bad));
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //!   multiplication in both directions, per-cell wear tracking, and the
 //!   quiescent read/write primitives the on-line test method drives.
 //! * **Peripheral models** ([`adc`]) — level-granularity ADC with the
-//!   mod-2ⁿ truncation used by the paper's comparison circuitry, and
-//!   weight↔conductance codecs ([`quantize`]).
+//!   mod-2ⁿ truncation used by the paper's comparison circuitry.
 //!
 //! # Example
 //!
@@ -58,7 +57,6 @@ pub mod endurance;
 pub mod energy;
 pub mod error;
 pub mod fault;
-pub mod quantize;
 pub mod rng;
 pub mod spatial;
 pub mod stats;

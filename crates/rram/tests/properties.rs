@@ -6,7 +6,6 @@ use rram::cell::{RramCell, WriteOutcome};
 use rram::crossbar::CrossbarBuilder;
 use rram::endurance::EnduranceModel;
 use rram::fault::FaultKind;
-use rram::quantize::{DifferentialCodec, LevelQuantizer, UnipolarCodec};
 use rram::rng::sim_rng;
 use rram::spatial::{FaultInjection, SpatialDistribution};
 use rram::variation::WriteVariation;
@@ -123,28 +122,6 @@ proptest! {
         let divisor = 2u32.pow(pow);
         let adc = Adc::new(8, divisor).unwrap();
         prop_assert_eq!(adc.reduce(sum), sum % u64::from(divisor));
-    }
-
-    /// Unipolar codec roundtrip error is bounded by half a quantization step.
-    #[test]
-    fn unipolar_roundtrip_bounded(w_max in 0.1f64..10.0, w_frac in 0.0f64..1.0) {
-        let codec = UnipolarCodec::new(w_max, 8).unwrap();
-        let w = w_frac * w_max;
-        let decoded = codec.decode_level(codec.encode(w));
-        let half_step = 0.5 * w_max / 7.0;
-        prop_assert!((decoded - w).abs() <= half_step + 1e-9);
-    }
-
-    /// Differential codec roundtrip error is bounded by half a step.
-    #[test]
-    fn differential_roundtrip_bounded(w_max in 0.1f64..10.0, w_frac in -1.0f64..1.0) {
-        let codec = DifferentialCodec::new(w_max, 8).unwrap();
-        let q = LevelQuantizer::new(8).unwrap();
-        let w = w_frac * w_max;
-        let (p, n) = codec.encode(w);
-        let decoded = codec.decode(q.dequantize(p), q.dequantize(n));
-        let half_step = 0.5 * w_max / 7.0;
-        prop_assert!((decoded - w).abs() <= half_step + 1e-9);
     }
 
     /// Endurance samples are always at least one write.

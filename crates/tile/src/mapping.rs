@@ -23,7 +23,7 @@
 //! predicate ([`rram::crossbar::sparse_enough`]) so they take the same
 //! branch.
 
-use rram::crossbar::sparse_enough;
+use rram::crossbar::{sparse_enough, Crossbar};
 use rram::fault::FaultMap;
 use rram::RramError;
 
@@ -41,6 +41,46 @@ pub struct TiledMapping {
     tiles: Vec<usize>,
 }
 
+/// The shard grid of a `rows × cols` matrix on the chip's tiles.
+fn chip_grid(chip: &TiledChip, rows: usize, cols: usize) -> Result<ShardGrid, TileError> {
+    let ts = chip.config().tile_size;
+    ShardGrid::new(rows, cols, ts, ts)
+        .ok_or_else(|| TileError::InvalidConfig("matrix dims must be non-zero".into()))
+}
+
+/// Rejects a logical row-major buffer that does not cover `grid`.
+fn check_plane(grid: &ShardGrid, len: usize) -> Result<(), TileError> {
+    if len != grid.rows * grid.cols {
+        return Err(TileError::Rram(RramError::DimensionMismatch {
+            expected: grid.rows * grid.cols,
+            actual: len,
+        }));
+    }
+    Ok(())
+}
+
+/// Writes `shard`'s cells of a logical row-major conductance plane onto
+/// its tile, shard-locally row-major (one [`Crossbar::write_analog`] per
+/// cell, as [`Crossbar::program_conductances`] issues them). Returns the
+/// number of cells whose value changed.
+fn write_shard(
+    xbar: &mut Crossbar,
+    shard: &Shard,
+    cols: usize,
+    targets: &[f64],
+) -> Result<u64, RramError> {
+    let mut changed = 0;
+    for r in 0..shard.rows {
+        let row = &targets[(shard.row0 + r) * cols + shard.col0..][..shard.cols];
+        for (c, &g) in row.iter().enumerate() {
+            if xbar.write_analog(r, c, g)?.changed() {
+                changed += 1;
+            }
+        }
+    }
+    Ok(changed)
+}
+
 impl TiledMapping {
     /// Shards a `rows × cols` matrix onto freshly allocated chip tiles
     /// (row-major shard order — the chip's canonical allocation order).
@@ -49,12 +89,76 @@ impl TiledMapping {
     ///
     /// Rejects zero dimensions; propagates allocation failures.
     pub fn allocate(chip: &mut TiledChip, rows: usize, cols: usize) -> Result<Self, TileError> {
-        let ts = chip.config().tile_size;
-        let grid = ShardGrid::new(rows, cols, ts, ts)
-            .ok_or_else(|| TileError::InvalidConfig("matrix dims must be non-zero".into()))?;
+        let grid = chip_grid(chip, rows, cols)?;
         let mut tiles = Vec::with_capacity(grid.shard_count());
         for shard in grid.iter() {
             tiles.push(chip.allocate(shard.rows, shard.cols)?);
+        }
+        Ok(TiledMapping { grid, tiles })
+    }
+
+    /// [`TiledMapping::allocate`] followed by [`TiledMapping::program`],
+    /// with the same tile ids and per-tile writes, except that each tile
+    /// is programmed right after its allocation, while it is still in
+    /// cache.
+    ///
+    /// # Errors
+    ///
+    /// Rejects zero dimensions and a buffer whose length is not
+    /// `rows × cols`; propagates allocation and device errors.
+    pub fn place(
+        chip: &mut TiledChip,
+        rows: usize,
+        cols: usize,
+        targets: &[f64],
+    ) -> Result<Self, TileError> {
+        let grid = chip_grid(chip, rows, cols)?;
+        check_plane(&grid, targets.len())?;
+        let mut tiles = Vec::with_capacity(grid.shard_count());
+        for shard in grid.iter() {
+            let id = chip.allocate(shard.rows, shard.cols)?;
+            write_shard(chip.tile_mut(id)?, &shard, cols, targets)?;
+            tiles.push(id);
+        }
+        Ok(TiledMapping { grid, tiles })
+    }
+
+    /// Rebuilds the mapping of a `rows × cols` matrix from captured tile
+    /// ids in row-major shard order (what [`TiledMapping::tile_ids`]
+    /// reports) — the checkpoint-restore counterpart of
+    /// [`TiledMapping::allocate`]. No tile is allocated or written.
+    ///
+    /// # Errors
+    ///
+    /// Rejects zero dimensions, an id count other than the grid's shard
+    /// count, unknown ids, and a tile whose dimensions are not its shard's.
+    pub fn from_tile_ids(
+        chip: &TiledChip,
+        rows: usize,
+        cols: usize,
+        tiles: Vec<usize>,
+    ) -> Result<Self, TileError> {
+        let grid = chip_grid(chip, rows, cols)?;
+        if tiles.len() != grid.shard_count() {
+            return Err(TileError::InvalidConfig(format!(
+                "{} tile ids for the {} shards of a {rows}x{cols} matrix",
+                tiles.len(),
+                grid.shard_count()
+            )));
+        }
+        for (shard, &id) in grid.iter().zip(&tiles) {
+            let xbar = chip.tile(id)?;
+            if (xbar.rows(), xbar.cols()) != (shard.rows, shard.cols) {
+                return Err(TileError::InvalidConfig(format!(
+                    "tile {id} is {}x{} but backs the {}x{} shard at ({},{})",
+                    xbar.rows(),
+                    xbar.cols(),
+                    shard.rows,
+                    shard.cols,
+                    shard.row0,
+                    shard.col0
+                )));
+            }
         }
         Ok(TiledMapping { grid, tiles })
     }
@@ -67,6 +171,11 @@ impl TiledMapping {
     /// Tile ids in row-major shard order.
     pub fn tile_ids(&self) -> &[usize] {
         &self.tiles
+    }
+
+    /// The shards in row-major order, each with the id of its tile.
+    pub fn shards(&self) -> impl Iterator<Item = (Shard, usize)> + '_ {
+        self.grid.iter().zip(self.tiles.iter().copied())
     }
 
     /// Logical rows.
@@ -100,16 +209,6 @@ impl TiledMapping {
         n
     }
 
-    /// Extracts the shard-local slice of a logical row-major buffer.
-    fn shard_local<T: Copy>(&self, shard: &Shard, logical: &[T]) -> Vec<T> {
-        let mut local = Vec::with_capacity(shard.cells());
-        for r in 0..shard.rows {
-            let base = (shard.row0 + r) * self.grid.cols + shard.col0;
-            local.extend_from_slice(&logical[base..base + shard.cols]);
-        }
-        local
-    }
-
     /// Programs the whole matrix from a row-major conductance plane in
     /// `[0, 1]` (shard by shard, shard-locally row-major — the same
     /// per-tile write order the monolithic mapper uses). Returns the
@@ -120,47 +219,25 @@ impl TiledMapping {
     /// Rejects a buffer whose length is not `rows × cols`; propagates
     /// device errors (cells already programmed stay programmed).
     pub fn program(&self, chip: &mut TiledChip, targets: &[f64]) -> Result<u64, TileError> {
-        if targets.len() != self.grid.rows * self.grid.cols {
-            return Err(TileError::Rram(RramError::DimensionMismatch {
-                expected: self.grid.rows * self.grid.cols,
-                actual: targets.len(),
-            }));
-        }
+        check_plane(&self.grid, targets.len())?;
         let mut changed = 0;
-        for (shard, &id) in self.grid.iter().zip(&self.tiles) {
-            let local = self.shard_local(&shard, targets);
-            changed += chip.tile_mut(id)?.program_conductances(&local)?;
+        for (shard, id) in self.shards() {
+            changed += write_shard(chip.tile_mut(id)?, &shard, self.grid.cols, targets)?;
         }
         Ok(changed)
     }
 
-    /// Writes one logical cell (training-style analog write on the
-    /// owning shard's tile).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range coordinates and device errors propagate.
-    pub fn write_analog(
-        &self,
-        chip: &mut TiledChip,
-        row: usize,
-        col: usize,
-        target: f64,
-    ) -> Result<(), TileError> {
-        let oob = || {
-            TileError::Rram(RramError::OutOfBounds {
-                row,
-                col,
-                rows: self.grid.rows,
-                cols: self.grid.cols,
-            })
-        };
-        let (sr, sc) = self.grid.shard_of_cell(row, col).ok_or_else(oob)?;
-        let shard = self.grid.shard(sr, sc).ok_or_else(oob)?;
-        let id = self.tiles[self.grid.shard_index(sr, sc)];
-        chip.tile_mut(id)?
-            .write_analog(row - shard.row0, col - shard.col0, target)?;
-        Ok(())
+    /// Locates logical cell `(row, col)`: the id of the tile backing it
+    /// and the cell's coordinates on that tile, as `(id, row, col)`.
+    /// `None` outside the matrix.
+    pub fn locate(&self, row: usize, col: usize) -> Option<(usize, usize, usize)> {
+        let (sr, sc) = self.grid.shard_of_cell(row, col)?;
+        let id = *self.tiles.get(self.grid.shard_index(sr, sc))?;
+        Some((
+            id,
+            row - sr * self.grid.tile_rows,
+            col - sc * self.grid.tile_cols,
+        ))
     }
 
     /// Composes the logical fault map from the shard tiles' maps.
@@ -170,7 +247,7 @@ impl TiledMapping {
     /// Unknown tile ids propagate.
     pub fn fault_map(&self, chip: &TiledChip) -> Result<FaultMap, TileError> {
         let mut map = FaultMap::healthy(self.grid.rows, self.grid.cols);
-        for (shard, &id) in self.grid.iter().zip(&self.tiles) {
+        for (shard, id) in self.shards() {
             let sub = chip.tile(id)?.fault_map();
             for (r, c, kind) in sub.iter_faulty() {
                 map.set(shard.row0 + r, shard.col0 + c, Some(kind));
@@ -193,7 +270,7 @@ impl TiledMapping {
                 actual: map.rows() * map.cols(),
             }));
         }
-        for (shard, &id) in self.grid.iter().zip(&self.tiles) {
+        for (shard, id) in self.shards() {
             let mut local = FaultMap::healthy(shard.rows, shard.cols);
             for r in 0..shard.rows {
                 for c in 0..shard.cols {
@@ -327,6 +404,7 @@ mod tests {
     use crate::chip::ChipConfig;
     use rram::crossbar::CrossbarBuilder;
     use rram::fault::FaultKind;
+    use rram::spatial::{FaultInjection, SpatialDistribution};
 
     /// Deterministic pseudo-random conductances/inputs without pulling in
     /// an RNG: a splitmix-style integer hash mapped to [0, 1).
@@ -343,9 +421,8 @@ mod tests {
         tile: usize,
     ) -> (TiledChip, TiledMapping, rram::Crossbar) {
         let mut chip = TiledChip::new(ChipConfig::new(tile, 8, 5)).unwrap();
-        let mapping = TiledMapping::allocate(&mut chip, rows, cols).unwrap();
         let targets: Vec<f64> = (0..rows * cols).map(|i| lcg01(i as u64)).collect();
-        mapping.program(&mut chip, &targets).unwrap();
+        let mapping = TiledMapping::place(&mut chip, rows, cols, &targets).unwrap();
         let mut mono = CrossbarBuilder::new(rows, cols).seed(977).build().unwrap();
         mono.program_conductances(&targets).unwrap();
         (chip, mapping, mono)
@@ -394,6 +471,20 @@ mod tests {
                 &mono.mvm(&sparse).unwrap(),
             );
         }
+    }
+
+    #[test]
+    fn place_matches_allocate_then_program() {
+        let config = ChipConfig::new(16, 8, 5)
+            .with_injection(FaultInjection::new(SpatialDistribution::Uniform, 0.2).unwrap());
+        let targets: Vec<f64> = (0..40 * 30).map(|i| lcg01(i as u64)).collect();
+        let mut placed = TiledChip::new(config).unwrap();
+        let a = TiledMapping::place(&mut placed, 40, 30, &targets).unwrap();
+        let mut programmed = TiledChip::new(config).unwrap();
+        let b = TiledMapping::allocate(&mut programmed, 40, 30).unwrap();
+        b.program(&mut programmed, &targets).unwrap();
+        assert_eq!(a.tile_ids(), b.tile_ids());
+        assert_eq!(placed.export_state(), programmed.export_state());
     }
 
     #[test]
@@ -484,7 +575,21 @@ mod tests {
         assert!(mapping.mvm(&chip, &[0.0; 39]).is_err());
         assert!(mapping.mvm_batch(&chip, &[0.0; 41], 1).is_err());
         assert!(mapping.program(&mut chip, &[0.5; 7]).is_err());
-        assert!(mapping.write_analog(&mut chip, 40, 0, 0.5).is_err());
+        assert!(TiledMapping::place(&mut chip, 40, 30, &[0.5; 7]).is_err());
+        assert!(mapping.locate(40, 0).is_none());
+        assert!(mapping.locate(0, 30).is_none());
+        let ids = mapping.tile_ids().to_vec();
+        assert!(TiledMapping::from_tile_ids(&chip, 40, 30, ids.clone()).is_ok());
+        assert!(TiledMapping::from_tile_ids(&chip, 40, 30, ids[1..].to_vec()).is_err());
+        assert!(TiledMapping::from_tile_ids(&chip, 0, 30, ids.clone()).is_err());
+        let mut unknown = ids.clone();
+        unknown[0] = 99;
+        assert!(TiledMapping::from_tile_ids(&chip, 40, 30, unknown).is_err());
+        // The first shard is 16x16, the last an 8x14 remainder.
+        let mut swapped = ids;
+        let last = swapped.len() - 1;
+        swapped.swap(0, last);
+        assert!(TiledMapping::from_tile_ids(&chip, 40, 30, swapped).is_err());
     }
 
     #[test]
@@ -492,8 +597,13 @@ mod tests {
         let mut chip = TiledChip::new(ChipConfig::new(16, 8, 3).with_spare_tiles(1)).unwrap();
         let mut mapping = TiledMapping::allocate(&mut chip, 20, 20).unwrap();
         // Cell (17, 3) lives in shard (1, 0) — the bottom remainder band.
-        mapping.write_analog(&mut chip, 17, 3, 1.0).unwrap();
         let id = mapping.tile_ids()[2];
+        assert_eq!(mapping.locate(17, 3), Some((id, 1, 3)));
+        let write = |chip: &mut TiledChip, mapping: &TiledMapping, g| {
+            let (id, r, c) = mapping.locate(17, 3).unwrap();
+            chip.tile_mut(id).unwrap().write_analog(r, c, g).unwrap();
+        };
+        write(&mut chip, &mapping, 1.0);
         assert_eq!(chip.tile(id).unwrap().conductance(1, 3).unwrap(), 1.0);
         // Substitute that tile and re-point the shard.
         let new_id = match chip.substitute(id).unwrap() {
@@ -503,7 +613,7 @@ mod tests {
         assert_eq!(mapping.repoint(id, new_id), 1);
         assert_eq!(mapping.shard_of_tile(new_id).unwrap().row0, 16);
         // Writes now land on the spare.
-        mapping.write_analog(&mut chip, 17, 3, 0.5).unwrap();
+        write(&mut chip, &mapping, 0.5);
         assert_eq!(chip.tile(new_id).unwrap().conductance(1, 3).unwrap(), 0.5);
     }
 }

@@ -74,6 +74,14 @@ sanitize-chaos:
     RRAM_FTT_SANITIZE=1 RRAM_FTT_THREADS=4 cargo test -q --test chaos_harness
     RRAM_FTT_SANITIZE=1 RRAM_FTT_THREADS=1024 cargo test -q --test chaos_harness
 
+# Replay golden: reruns the seeded fault-tolerant run behind
+# results/replay.csv (detection campaigns, each followed by the sparing
+# pass, the remap search and reprogramming; self-checked against the
+# trainer's FlowStats) and fails if the committed CSV changed.
+replay-golden:
+    cargo run --release -p ftt-bench --bin replay
+    git diff --exit-code results/replay.csv
+
 # Tiled-chip walkthrough (DESIGN.md §11): maps an MNIST-sized MLP whose
 # layers span many tiles, trains through the tiled chip with sparing
 # enabled, and prints the per-tile health report + chip event counts.
