@@ -248,19 +248,22 @@ impl FaultTolerantTrainer {
     ///
     /// Propagates hardware and configuration errors.
     pub fn train(&mut self, data: &Dataset, iterations: u64) -> Result<&TrainingCurve, FttError> {
-        let mut data = data.clone();
         // Resume the batch stream where the previous `train` call left it
         // (the stream position is part of the checkpoint state), falling
         // back to a fresh iteration-salted shuffle when the geometry
-        // changed — a different dataset or batch size starts over.
+        // changed — a different dataset or batch size starts over. Only
+        // the fresh shuffle needs a copy of the dataset to reseed; a
+        // resumed stream carries its own RNG and reads the caller's.
         let resume = self.batch_stream.take().filter(|st| {
             st.batch == self.flow.batch && st.train_len == data.train_len()
         });
-        let mut batches = match &resume {
-            Some(st) => data.try_resume_train_batches(st)?,
+        let mut reseeded;
+        let (data, mut batches) = match &resume {
+            Some(st) => (data, data.try_resume_train_batches(st)?),
             None => {
-                data.set_shuffle_seed(self.flow.data_seed ^ self.iteration);
-                data.try_train_batches(self.flow.batch)?
+                reseeded = data.clone();
+                reseeded.set_shuffle_seed(self.flow.data_seed ^ self.iteration);
+                (&reseeded, reseeded.try_train_batches(self.flow.batch)?)
             }
         };
         let eval_interval = self.flow.eval_interval.max(1);
@@ -294,7 +297,6 @@ impl FaultTolerantTrainer {
             // frozen by the persistent re-mapping mask and/or the strategy's
             // per-iteration mask receive no update.
             let lr = self.flow.lr.lr(self.iteration);
-            let wear_before = self.mapped.wear_faults();
             let merged_mask;
             let frozen: Option<&PruneMask> = match (&self.active_mask, &self.iteration_mask) {
                 (Some(a), None) => Some(a),
@@ -313,7 +315,7 @@ impl FaultTolerantTrainer {
             self.metrics
                 .nan_updates_skipped
                 .add(report.nan_updates_skipped);
-            let new_wear = self.mapped.wear_faults() - wear_before;
+            let new_wear = report.new_faults;
             self.metrics.wear_faults_during_training.add(new_wear);
             if new_wear > 0 {
                 self.strategy
@@ -366,7 +368,7 @@ impl FaultTolerantTrainer {
 
             // Evaluation checkpoint.
             if self.iteration.is_multiple_of(eval_interval) || step + 1 == iterations {
-                let acc = self.evaluate(&data)?;
+                let acc = self.evaluate(data)?;
                 self.curve.push(CurvePoint {
                     iteration: self.iteration,
                     test_accuracy: acc,
@@ -847,6 +849,27 @@ mod tests {
         let first = curve.points().first().unwrap().faulty_fraction;
         let last = curve.points().last().unwrap().faulty_fraction;
         assert!(last >= first);
+    }
+
+    #[test]
+    fn differential_training_wear_counts_every_cell() {
+        // Zero weights code as two zero-conductance cells, and budgets
+        // without spread wear both cells of a pair out on the same pulse.
+        // The statistics come from the update reports and must count both,
+        // as the chip does.
+        let mut net = small_net(5);
+        for (_, params) in net.param_layers_mut() {
+            params.weights.fill(0.0);
+        }
+        let mapping = MappingConfig::new(MappingScope::EntireNetwork)
+            .with_coding(crate::config::WeightCoding::Differential)
+            .with_endurance(EnduranceModel::new(3.0, 0.0));
+        let flow = FlowConfig::original().with_lr(LrSchedule::constant(0.1));
+        let mut trainer = FaultTolerantTrainer::new(net, mapping, flow).unwrap();
+        trainer.train(&small_data(), 4).unwrap();
+        let cells = 2 * (784 * 32 + 32 * 10);
+        assert_eq!(trainer.mapped().wear_faults(), cells);
+        assert_eq!(trainer.stats().wear_faults_during_training, cells);
     }
 
     /// A traced fault-tolerant flow on a deterministic recorder with a

@@ -195,6 +195,23 @@ fn merge_fault(map: &mut FaultMap, row: usize, col: usize, kind: FaultKind) {
     map.set(row, col, Some(merged));
 }
 
+/// The outcome one weight's write reports: its only cell's, or for a
+/// differential pair the more severe of the two — a wear-out on either
+/// side, then a stuck cell on either side, then the positive cell's.
+fn merge_outcomes(cells: &[WriteOutcome]) -> WriteOutcome {
+    match *cells {
+        [cell] => cell,
+        [pos, neg] => match (pos, neg) {
+            (WriteOutcome::WoreOut(k), _) | (_, WriteOutcome::WoreOut(k)) => {
+                WriteOutcome::WoreOut(k)
+            }
+            (WriteOutcome::Stuck(k), _) | (_, WriteOutcome::Stuck(k)) => WriteOutcome::Stuck(k),
+            (p, _) => p,
+        },
+        _ => WriteOutcome::NoChange,
+    }
+}
+
 /// Result of running the on-line detector over one mapped layer.
 #[derive(Debug, Clone)]
 pub struct LayerDetection {
@@ -534,53 +551,86 @@ impl MappedNetwork {
         Ok(())
     }
 
-    /// Programs one weight with an unconditional training pulse (no
-    /// write-verify — the paper's original on-line training pulses the cell
-    /// even for a vanishing update, which is the wear threshold training
-    /// eliminates). The magnitude is clamped to the layer's full scale; the
-    /// sign is stored in the periphery. Returns the hardware write outcome
-    /// (stuck cells ignore the write; the write may wear the cell out).
+    /// Programs a batch of weights of mapped layer `position` with
+    /// unconditional training pulses (no write-verify — the paper's
+    /// original on-line training pulses a cell even for a vanishing
+    /// update, which is the wear threshold training eliminates). Each
+    /// update is `(idx, value)` with `idx` row-major, and the indices must
+    /// not decrease. Magnitudes clamp to the layer's full scale; under
+    /// unipolar coding the sign is stored in the periphery.
+    ///
+    /// Pulses go out in update order, the positive cell before the
+    /// negative one under differential coding, so every tile sees its
+    /// writes (and draws its write noise) in the order one pulse per cell
+    /// would. Shards are found by stepping a [`ftt_tile::CellCursor`], not
+    /// by dividing, and each run of consecutive pulses on one tile is one
+    /// [`Crossbar::pulse_analog_batch`], which moves
+    /// `rram_write_pulses_total` once.
+    ///
+    /// `on_changed(idx)` is called for every update whose write changed
+    /// the hardware. Under differential coding that is the pair's merged
+    /// outcome, in which a stuck cell on either side reports the pair
+    /// stuck. Returns the number of cells that wore out, counting both
+    /// cells of a pair.
     ///
     /// # Errors
     ///
-    /// Returns [`FttError::InvalidConfig`] if `position` or `idx` is out of
-    /// range, and propagates crossbar errors (including a non-finite
-    /// `value`, which the hardware layer rejects).
-    pub fn write_weight(
+    /// Returns [`FttError::InvalidConfig`] if `position` is out of range or
+    /// an index lies past the layer or behind an earlier one (nothing is
+    /// written then), and propagates crossbar errors.
+    pub fn write_weights(
         &mut self,
         position: usize,
-        idx: usize,
-        value: f32,
-    ) -> Result<WriteOutcome, FttError> {
+        updates: &[(usize, f32)],
+        mut on_changed: impl FnMut(usize),
+    ) -> Result<u64, FttError> {
         let layer = self.layers.get_mut(position).ok_or_else(|| {
             FttError::InvalidConfig(format!("mapped position {position} out of range"))
         })?;
-        let cell = layer.locate(&layer.tiles, idx)?;
-        layer.targets[idx] = value;
-        if value != 0.0 {
-            layer.signs[idx] = if value < 0.0 { -1 } else { 1 };
-        }
-        let layer = &*layer;
-        let chip = &mut self.chip;
-        let mut pulse = |(id, r, c): (usize, usize, usize), polarity| -> Result<_, FttError> {
-            let g = MappedLayer::conductance(value, polarity, layer.w_max);
-            Ok(chip.tile_mut(id)?.pulse_analog(r, c, g)?)
-        };
-        let Some(neg_tiles) = &layer.neg_tiles else {
-            return pulse(cell, Polarity::Magnitude);
-        };
-        // One-sided differential programming: two pulses per update.
-        let neg_cell = layer.locate(neg_tiles, idx)?;
-        let pos = pulse(cell, Polarity::Positive)?;
-        let neg = pulse(neg_cell, Polarity::Negative)?;
-        // Report the more severe outcome (a new fault on either side).
-        Ok(match (pos, neg) {
-            (WriteOutcome::WoreOut(k), _) | (_, WriteOutcome::WoreOut(k)) => {
-                WriteOutcome::WoreOut(k)
+        // Every pulse in issue order: its tile, and its cell on the tile
+        // with the target conductance.
+        let grids: Vec<(Polarity, &[usize])> =
+            layer.grids().map(|(p, grid)| (p, grid.tile_ids())).collect();
+        let mut tiles = Vec::with_capacity(updates.len() * grids.len());
+        let mut cells = Vec::with_capacity(updates.len() * grids.len());
+        let mut cursor = layer.tiles.grid().cursor();
+        for &(idx, value) in updates {
+            let (shard, cell) = cursor.seek(idx).ok_or_else(|| {
+                FttError::InvalidConfig(format!(
+                    "weight index {idx} is past the {}x{} layer or behind an earlier update",
+                    layer.rows, layer.cols
+                ))
+            })?;
+            for &(polarity, ids) in &grids {
+                tiles.push(ids[shard]);
+                cells.push((cell, MappedLayer::conductance(value, polarity, layer.w_max)));
             }
-            (WriteOutcome::Stuck(k), _) | (_, WriteOutcome::Stuck(k)) => WriteOutcome::Stuck(k),
-            (p, _) => p,
-        })
+        }
+        let mut outcomes = Vec::with_capacity(cells.len());
+        let mut start = 0;
+        for run in tiles.chunk_by(|a, b| a == b) {
+            let end = start + run.len();
+            self.chip
+                .tile_mut(run[0])?
+                .pulse_analog_batch(&cells[start..end], &mut outcomes)?;
+            start = end;
+        }
+        let cells_per_weight = grids.len();
+        let mut worn = 0;
+        for (&(idx, value), weight) in updates.iter().zip(outcomes.chunks(cells_per_weight)) {
+            layer.targets[idx] = value;
+            if value != 0.0 {
+                layer.signs[idx] = if value < 0.0 { -1 } else { 1 };
+            }
+            worn += weight
+                .iter()
+                .map(|o| u64::from(o.new_fault().is_some()))
+                .sum::<u64>();
+            if merge_outcomes(weight).changed() {
+                on_changed(idx);
+            }
+        }
+        Ok(worn)
     }
 
     /// Copies the *software* (intended) weights into the network — the view
@@ -1110,12 +1160,12 @@ mod tests {
                 .unwrap();
         let w_max = mapped.layers()[0].w_max as f32;
         let target = -0.5 * w_max;
-        mapped.write_weight(0, 3, target).unwrap();
+        mapped.write_weights(0, &[(3, target)], |_| {}).unwrap();
         mapped.load_effective_weights(&mut net).unwrap();
         let read = net.layer_params_mut(0).unwrap().weights[3];
         assert!((read - target).abs() < 1e-5, "{read} vs {target}");
         // Magnitudes beyond full scale clamp.
-        mapped.write_weight(0, 3, 10.0 * w_max).unwrap();
+        mapped.write_weights(0, &[(3, 10.0 * w_max)], |_| {}).unwrap();
         mapped.load_effective_weights(&mut net).unwrap();
         let read = net.layer_params_mut(0).unwrap().weights[3];
         assert!((read - w_max).abs() < 1e-5);
@@ -1155,6 +1205,99 @@ mod tests {
         }
     }
 
+    /// The per-cell write [`MappedNetwork::write_weights`] batches: the
+    /// shard found by division, one `pulse_analog` per cell, the positive
+    /// cell first. Returns the weight's merged outcome and its worn cells.
+    fn write_weight_reference(
+        mapped: &mut MappedNetwork,
+        position: usize,
+        idx: usize,
+        value: f32,
+    ) -> (WriteOutcome, u64) {
+        let layer = &mut mapped.layers[position];
+        layer.targets[idx] = value;
+        if value != 0.0 {
+            layer.signs[idx] = if value < 0.0 { -1 } else { 1 };
+        }
+        let mut cells = Vec::new();
+        for (polarity, grid) in layer.grids() {
+            let (id, r, c) = layer.locate(grid, idx).unwrap();
+            let g = MappedLayer::conductance(value, polarity, layer.w_max);
+            cells.push(mapped.chip.tile_mut(id).unwrap().pulse_analog(r, c, g).unwrap());
+        }
+        let worn = cells.iter().filter(|o| o.new_fault().is_some()).count();
+        (merge_outcomes(&cells), worn as u64)
+    }
+
+    #[test]
+    fn batched_writes_match_per_cell_pulses() {
+        use crate::config::WeightCoding;
+        use rram::variation::WriteVariation;
+        // 4² tiles split both layers on both axes; write noise and a short
+        // endurance exercise every tile's RNG stream and the wear-outs.
+        for coding in [WeightCoding::Unipolar, WeightCoding::Differential] {
+            let config = MappingConfig::new(MappingScope::EntireNetwork)
+                .with_coding(coding)
+                .with_tile_size(4)
+                .with_variation(WriteVariation::new(0.05))
+                .with_endurance(EnduranceModel::new(6.0, 2.0))
+                .with_initial_fault_fraction(0.1)
+                .with_seed(29);
+            let build = || {
+                let recorder = obs::Recorder::new();
+                let mut mapped = MappedNetwork::from_network(&mut mlp(), config.clone()).unwrap();
+                mapped.attach_recorder(&recorder);
+                (mapped, recorder)
+            };
+            let (mut batched, batched_rec) = build();
+            let (mut reference, reference_rec) = build();
+            for round in 0..12u32 {
+                for position in 0..2 {
+                    let cells = batched.layers()[position].rows * batched.layers()[position].cols;
+                    let updates: Vec<(usize, f32)> = (0..cells)
+                        .filter(|&idx| (idx as u32 * 7 + round * 3) % 5 < 2)
+                        .map(|idx| (idx, ((idx as f32 + round as f32) * 0.37).sin() * 0.6))
+                        .collect();
+                    let mut changed = Vec::new();
+                    let worn = batched
+                        .write_weights(position, &updates, |idx| changed.push(idx))
+                        .unwrap();
+                    let mut expected_changed = Vec::new();
+                    let mut expected_worn = 0;
+                    for &(idx, value) in &updates {
+                        let (outcome, w) =
+                            write_weight_reference(&mut reference, position, idx, value);
+                        if outcome.changed() {
+                            expected_changed.push(idx);
+                        }
+                        expected_worn += w;
+                    }
+                    assert_eq!(changed, expected_changed, "{coding:?} round {round}");
+                    assert_eq!(worn, expected_worn, "{coding:?} round {round}");
+                }
+                assert_eq!(batched.export_state(), reference.export_state());
+            }
+            assert!(batched.wear_faults() > 0, "{coding:?}: the run must wear cells out");
+            let pulses = |r: &obs::Recorder| r.registry().counter_value("rram_write_pulses_total");
+            assert_eq!(pulses(&batched_rec), pulses(&reference_rec));
+        }
+    }
+
+    #[test]
+    fn write_weights_rejects_bad_batches_before_writing() {
+        let mut net = mlp();
+        let mut mapped =
+            MappedNetwork::from_network(&mut net, MappingConfig::new(MappingScope::EntireNetwork))
+                .unwrap();
+        let before = mapped.export_state();
+        let mut calls = 0;
+        assert!(mapped.write_weights(0, &[(3, 0.1), (2, 0.1)], |_| calls += 1).is_err());
+        assert!(mapped.write_weights(0, &[(3, 0.1), (60, 0.1)], |_| calls += 1).is_err());
+        assert!(mapped.write_weights(2, &[(0, 0.1)], |_| calls += 1).is_err());
+        assert_eq!(calls, 0);
+        assert_eq!(mapped.export_state(), before, "a rejected batch writes nothing");
+    }
+
     #[test]
     fn endurance_wear_creates_faults_through_mapping() {
         let mut net = mlp();
@@ -1170,7 +1313,7 @@ mod tests {
         let mut worn = false;
         for i in 0..10 {
             let v = if i % 2 == 0 { 0.01 } else { 0.02 };
-            if let WriteOutcome::WoreOut(_) = mapped.write_weight(0, 0, v).unwrap() {
+            if mapped.write_weights(0, &[(0, v)], |_| {}).unwrap() > 0 {
                 worn = true;
                 break;
             }
@@ -1212,8 +1355,8 @@ mod tests {
         .unwrap();
         let uni_before = uni.total_write_pulses();
         let diff_before = diff.total_write_pulses();
-        uni.write_weight(0, 0, 0.01).unwrap();
-        diff.write_weight(0, 0, 0.01).unwrap();
+        uni.write_weights(0, &[(0, 0.01)], |_| {}).unwrap();
+        diff.write_weights(0, &[(0, 0.01)], |_| {}).unwrap();
         assert_eq!(uni.total_write_pulses() - uni_before, 1);
         assert_eq!(
             diff.total_write_pulses() - diff_before,
@@ -1419,7 +1562,7 @@ mod tests {
         let mut worn = false;
         for i in 0..80 {
             let v = if i % 2 == 0 { 0.01 } else { 0.02 };
-            if let WriteOutcome::WoreOut(_) = mapped.write_weight(li, idx, v).unwrap() {
+            if mapped.write_weights(li, &[(idx, v)], |_| {}).unwrap() > 0 {
                 worn = true;
                 break;
             }
@@ -1453,7 +1596,7 @@ mod tests {
             let mut detections = mapped.detect(&detector).unwrap();
             let spared = mapped.apply_sparing(&detector, &mut detections).unwrap();
             assert!(spared.spares_attached > 0, "{coding:?}: {spared:?}");
-            mapped.write_weight(0, 3, 0.05).unwrap();
+            mapped.write_weights(0, &[(3, 0.05)], |_| {}).unwrap();
 
             let state = mapped.export_state();
             let mut back = MappedNetwork::restore_state(config, &state).unwrap();

@@ -16,7 +16,7 @@
 use nn::network::Network;
 
 use crate::error::FttError;
-use crate::mapping::MappedNetwork;
+use crate::mapping::{MappedLayer, MappedNetwork};
 
 /// When to suppress a weight write.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,6 +89,164 @@ impl UpdateReport {
     }
 }
 
+/// Gradients per block of the max sweep. The selection walk skips a block
+/// whose largest `|δw|` is below the iteration's threshold without
+/// visiting its entries.
+const BLOCK: usize = 16;
+
+/// The bit pattern of `|g|`. Non-negative IEEE-754 values order exactly
+/// like their bit patterns read as unsigned integers, and ∞ and NaN sort
+/// above every finite value, so an integer max (which LLVM vectorizes at
+/// the baseline x86-64 target, unlike a float max) finds the largest `|g|`.
+fn abs_bits(g: f32) -> u32 {
+    g.to_bits() & 0x7fff_ffff
+}
+
+/// `abs_bits(∞)`: every finite `|g|` is below it, ∞ and NaN are not.
+const INF_BITS: u32 = 0x7f80_0000;
+
+/// The largest `abs_bits` of a block.
+fn max_bits(block: &[f32]) -> u32 {
+    block.iter().fold(0, |m, &g| m.max(abs_bits(g)))
+}
+
+/// The max sweep over one layer's gradients: fills `block_max` (one slot
+/// per block) with each block's largest `abs_bits` and returns the layer's
+/// largest finite one. A block holding NaN/∞ is rescanned for its finite
+/// entries.
+fn sweep_blocks(grads: &[f32], block_max: &mut [u32]) -> u32 {
+    let (blocks, tail) = grads.as_chunks::<BLOCK>();
+    for (m, block) in block_max.iter_mut().zip(blocks) {
+        *m = max_bits(block);
+    }
+    if let (false, Some(m)) = (tail.is_empty(), block_max.last_mut()) {
+        *m = max_bits(tail);
+    }
+    block_max
+        .iter()
+        .zip(grads.chunks(BLOCK))
+        .map(|(&m, block)| {
+            if m < INF_BITS {
+                m
+            } else {
+                block
+                    .iter()
+                    .map(|&g| abs_bits(g))
+                    .filter(|&b| b < INF_BITS)
+                    .max()
+                    .unwrap_or(0)
+            }
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// One layer's inputs to the selection walk.
+struct LayerUpdate<'a> {
+    grads: &'a [f32],
+    /// The layer's slice of the sweep's block maxima.
+    block_max: &'a [u32],
+    targets: &'a [f32],
+    /// Pruned weights, which receive no update.
+    frozen: Option<&'a [bool]>,
+}
+
+/// The smallest `abs_bits` whose `f64(|g|) · lr_abs` is not below `floor`.
+/// The product of two f32 values is exact in f64, so it is monotone in
+/// `|g|`: every finite gradient under the cutoff has `|δw| < floor`, and
+/// none at or above it does. `INF_BITS` when every finite `|g|` is below;
+/// 0 when none is (a NaN product compares false).
+fn cutoff_bits(lr_abs: f64, floor: f64) -> u32 {
+    let (mut lo, mut hi) = (0, INF_BITS);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if f64::from(f32::from_bits(mid)) * lr_abs < floor {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The iteration-wide inputs to the selection walk.
+struct Selection {
+    lr: f32,
+    lr64: f64,
+    /// `cutoff_bits` of the iteration's floor, a lower bound on every
+    /// cell's threshold: an entry whose `abs_bits` is below it is
+    /// suppressed, and so is a block whose maximum is.
+    cut: u32,
+}
+
+impl Selection {
+    /// Walks one layer: skips each block under the cutoff (counting its
+    /// unfrozen entries as suppressed) and visits the rest entry by entry
+    /// with the scalar loop's precedence — frozen, then under the cutoff,
+    /// then non-finite, then `|δw| < threshold(idx)`. Surviving updates go
+    /// to `updates` in ascending index order. Returns
+    /// `(skipped, non_finite)`.
+    fn walk(
+        &self,
+        layer: &LayerUpdate<'_>,
+        threshold: impl Fn(usize) -> f64,
+        updates: &mut Vec<(usize, f32)>,
+    ) -> (u64, u64) {
+        let (mut skipped, mut non_finite) = (0u64, 0u64);
+        for (b, (&m, block)) in layer
+            .block_max
+            .iter()
+            .zip(layer.grads.chunks(BLOCK))
+            .enumerate()
+        {
+            let base = b * BLOCK;
+            let frozen = layer.frozen.map(|f| &f[base..base + block.len()]);
+            if m < self.cut {
+                let held = frozen.map_or(0, |f| f.iter().filter(|&&p| p).count());
+                skipped += (block.len() - held) as u64;
+                continue;
+            }
+            for (j, &g) in block.iter().enumerate() {
+                if frozen.is_some_and(|f| f[j]) {
+                    continue; // pruned weights stay parked at zero
+                }
+                if abs_bits(g) < self.cut {
+                    skipped += 1;
+                    continue;
+                }
+                let dw = f64::from(g) * self.lr64;
+                if !dw.is_finite() {
+                    non_finite += 1;
+                    continue;
+                }
+                let idx = base + j;
+                if dw.abs() < threshold(idx) {
+                    skipped += 1;
+                } else {
+                    updates.push((idx, layer.targets[idx] - self.lr * g));
+                }
+            }
+        }
+        (skipped, non_finite)
+    }
+}
+
+/// The error for a mapped layer the network does not carry.
+fn missing_layer(layer_index: usize) -> FttError {
+    FttError::InvalidConfig(format!(
+        "mapped layer {layer_index} has no parameters in this network"
+    ))
+}
+
+/// The error for a mapped layer whose gradient, ledger or frozen mask has
+/// another shape.
+fn mismatch(layer: &MappedLayer) -> FttError {
+    FttError::InvalidConfig(format!(
+        "mapped layer {} ({}x{}) does not match the network, ledgers or frozen mask",
+        layer.layer_index, layer.rows, layer.cols
+    ))
+}
+
 /// Applies Algorithm 1: decides which updates to write through to the
 /// crossbars and keeps per-cell write ledgers.
 #[derive(Debug, Clone)]
@@ -96,6 +254,8 @@ pub struct ThresholdTrainer {
     policy: ThresholdPolicy,
     /// Per mapped-layer position, per weight: accumulated write count.
     write_amounts: Vec<Vec<u32>>,
+    /// Scratch: the max sweep's per-block maxima, all layers in turn.
+    block_max: Vec<u32>,
 }
 
 impl ThresholdTrainer {
@@ -109,21 +269,14 @@ impl ThresholdTrainer {
         Self {
             policy,
             write_amounts,
+            block_max: Vec::new(),
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> ThresholdPolicy {
-        self.policy
-    }
-
-    /// Per-cell write counts of one mapped layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `position` is out of range.
-    pub fn write_amounts(&self, position: usize) -> &[u32] {
-        &self.write_amounts[position]
+    /// Per-cell write counts of one mapped layer; `None` when `position`
+    /// is out of range.
+    pub fn write_amounts(&self, position: usize) -> Option<&[u32]> {
+        self.write_amounts.get(position).map(Vec::as_slice)
     }
 
     /// One training-iteration update (lines 4–13 of Algorithm 1).
@@ -136,7 +289,7 @@ impl ThresholdTrainer {
     ///
     /// # Errors
     ///
-    /// Propagates crossbar write errors.
+    /// See [`ThresholdTrainer::apply_with_mask`].
     pub fn apply(
         &mut self,
         mapped: &mut MappedNetwork,
@@ -150,10 +303,161 @@ impl ThresholdTrainer {
     /// `frozen` are never updated — after a re-mapping phase the pruned
     /// zeros must stay parked on their (possibly faulty) cells.
     ///
+    /// Two sweeps whose cost follows the issued writes (DESIGN.md §6.7):
+    /// a max sweep that also records every block's largest `|g|`, then a
+    /// selection walk that skips each block below the threshold and
+    /// visits only the rest. The result — report, ledgers, every pulse —
+    /// equals [`ThresholdTrainer::apply_reference`], the scalar loop it
+    /// replaced, bit for bit.
+    ///
     /// # Errors
     ///
-    /// Propagates crossbar write errors.
+    /// Returns [`FttError::InvalidConfig`] when `net`, the ledgers or a
+    /// frozen layer do not match the mapping, and propagates crossbar
+    /// write errors.
     pub fn apply_with_mask(
+        &mut self,
+        mapped: &mut MappedNetwork,
+        net: &mut Network,
+        lr: f32,
+        frozen: Option<&nn::pruning::PruneMask>,
+    ) -> Result<UpdateReport, FttError> {
+        // Max sweep: every block's largest |g|, and the largest finite one.
+        let blocks: usize = mapped
+            .layers()
+            .iter()
+            .map(|l| (l.rows * l.cols).div_ceil(BLOCK))
+            .sum();
+        self.block_max.resize(blocks, 0);
+        let mut finite_max = 0;
+        let mut blocks_done = 0;
+        for layer in mapped.layers() {
+            let params = net
+                .layer_params_mut(layer.layer_index)
+                .ok_or_else(|| missing_layer(layer.layer_index))?;
+            let grads = params.weight_grad;
+            if grads.len() != layer.rows * layer.cols {
+                return Err(mismatch(layer));
+            }
+            let layer_blocks = blocks_done..blocks_done + grads.len().div_ceil(BLOCK);
+            blocks_done = layer_blocks.end;
+            finite_max = finite_max.max(sweep_blocks(grads, &mut self.block_max[layer_blocks]));
+        }
+        // f64(|g|)·f64(lr) of two f32 values is exact in f64, so for a
+        // positive finite LR the largest |δw| is the largest finite |g|
+        // times the LR. Any other LR makes every finite δw ≤ 0 or
+        // non-finite, which the scalar max never takes: it stays +0.0.
+        let lr64 = f64::from(lr);
+        let max_abs_dw = if lr64 > 0.0 && lr64.is_finite() {
+            f64::from(f32::from_bits(finite_max)) * lr64
+        } else {
+            0.0
+        };
+        let mut report = UpdateReport {
+            max_abs_dw,
+            ..Default::default()
+        };
+
+        // A degenerate iteration — every finite update is exactly zero while
+        // a thresholding policy is active — carries no information: every
+        // finite update is suppressed (a threshold of +∞) instead of pulsing
+        // every cell with a zero update. The None policy keeps the original
+        // method's pulse-everything behaviour: its threshold is 0, which
+        // suppresses nothing, since even a zero update costs a pulse.
+        let degenerate = max_abs_dw == 0.0 && !matches!(self.policy, ThresholdPolicy::None);
+        let uniform = match self.policy {
+            _ if degenerate => Some(f64::INFINITY),
+            ThresholdPolicy::None => Some(0.0),
+            ThresholdPolicy::Fixed { fraction } => Some(fraction * max_abs_dw),
+            ThresholdPolicy::WearAware { .. } => None,
+        };
+        // A wear-aware threshold only grows with the write count when the
+        // growth is finite and non-negative; then the cold-cell threshold
+        // bounds every cell's from below. Otherwise nothing is skipped
+        // before its exact comparison.
+        let floor = match (uniform, self.policy) {
+            (Some(thr), _) => thr,
+            (None, ThresholdPolicy::WearAware { fraction, growth })
+                if growth >= 0.0 && growth.is_finite() =>
+            {
+                fraction * max_abs_dw
+            }
+            (None, _) => f64::NAN,
+        };
+        let selection = Selection {
+            lr,
+            lr64,
+            cut: cutoff_bits(lr64.abs(), floor),
+        };
+
+        // Selection, then the layer's writes; layers touch disjoint
+        // targets and ledgers, so this equals selecting every layer first.
+        let mut updates = Vec::new();
+        let mut blocks_done = 0;
+        for pos in 0..mapped.layers().len() {
+            let layer = &mapped.layers()[pos];
+            let params = net
+                .layer_params_mut(layer.layer_index)
+                .ok_or_else(|| missing_layer(layer.layer_index))?;
+            let cells = params.weight_grad.len();
+            let frozen_layer = frozen
+                .and_then(|m| m.layers().iter().find(|l| l.layer_index == layer.layer_index))
+                .map(|l| l.pruned.as_slice());
+            let ledger = &self.write_amounts;
+            if ledger.get(pos).map(Vec::len) != Some(cells)
+                || frozen_layer.is_some_and(|f| f.len() != cells)
+            {
+                return Err(mismatch(layer));
+            }
+            let blocks = cells.div_ceil(BLOCK);
+            let view = LayerUpdate {
+                grads: params.weight_grad,
+                block_max: &self.block_max[blocks_done..blocks_done + blocks],
+                targets: layer.targets(),
+                frozen: frozen_layer,
+            };
+            blocks_done += blocks;
+            updates.clear();
+            let (skipped, non_finite) = match uniform {
+                Some(thr) => selection.walk(&view, |_| thr, &mut updates),
+                None => {
+                    let ledger = &ledger[pos];
+                    let policy = self.policy;
+                    selection.walk(
+                        &view,
+                        |idx| policy.threshold(max_abs_dw, ledger[idx]),
+                        &mut updates,
+                    )
+                }
+            };
+            report.writes_skipped += skipped;
+            report.nan_updates_skipped += non_finite;
+
+            let ledger = &mut self.write_amounts[pos];
+            let mut issued = 0;
+            report.new_faults += mapped.write_weights(pos, &updates, |idx| {
+                issued += 1;
+                ledger[idx] += 1;
+            })?;
+            report.writes_issued += issued;
+        }
+
+        self.apply_software_sgd(mapped, net, lr, &mut report);
+        Ok(report)
+    }
+
+    /// The scalar four-pass loop [`ThresholdTrainer::apply_with_mask`]
+    /// replaced, kept as its oracle: the tests and the chaos harness
+    /// require both to agree on the report (`max_abs_dw` bit for bit),
+    /// the ledgers, the targets and every tile's state. Each update is its
+    /// own one-weight [`MappedNetwork::write_weights`] batch. The flow
+    /// never calls it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FttError::InvalidConfig`] when `net` does not carry a
+    /// mapped layer, and propagates crossbar write errors.
+    pub fn apply_reference(
         &mut self,
         mapped: &mut MappedNetwork,
         net: &mut Network,
@@ -173,11 +477,9 @@ impl ThresholdTrainer {
         // max would silently stay 0 and zero every threshold.
         let mut max_abs_dw = 0.0f64;
         for &(_, layer_index) in &mapped_positions {
-            let params = net.layer_params_mut(layer_index).ok_or_else(|| {
-                FttError::InvalidConfig(format!(
-                    "mapped layer {layer_index} has no parameters in this network"
-                ))
-            })?;
+            let params = net
+                .layer_params_mut(layer_index)
+                .ok_or_else(|| missing_layer(layer_index))?;
             for &g in params.weight_grad {
                 let dw = f64::from(g.abs()) * f64::from(lr);
                 if dw.is_finite() && dw > max_abs_dw {
@@ -195,37 +497,24 @@ impl ThresholdTrainer {
             max_abs_dw,
             ..Default::default()
         };
-        // A degenerate iteration — every finite update is exactly zero while
-        // a thresholding policy is active — carries no information: skip the
-        // whole pass deterministically instead of pulsing every cell with a
-        // zero update (the None policy keeps the original method's
-        // pulse-everything behaviour).
         let degenerate = max_abs_dw == 0.0 && !matches!(self.policy, ThresholdPolicy::None);
         let mut pending: Vec<(usize, Vec<(usize, f32)>)> = Vec::new();
         for &(pos, layer_index) in &mapped_positions {
             let frozen_layer =
                 frozen.and_then(|m| m.layers().iter().find(|l| l.layer_index == layer_index));
             let targets = mapped.layers()[pos].targets();
-            let params = net.layer_params_mut(layer_index).ok_or_else(|| {
-                FttError::InvalidConfig(format!(
-                    "mapped layer {layer_index} has no parameters in this network"
-                ))
-            })?;
+            let params = net
+                .layer_params_mut(layer_index)
+                .ok_or_else(|| missing_layer(layer_index))?;
             let mut updates = Vec::new();
             for (idx, &g) in params.weight_grad.iter().enumerate() {
                 if let Some(fl) = frozen_layer {
                     if fl.pruned[idx] {
-                        continue; // pruned weights stay parked at zero
+                        continue;
                     }
                 }
-                // Every weight is either pulsed or suppressed each
-                // iteration: the original method has no write-verify, so
-                // even a zero update costs a pulse (None's threshold is 0,
-                // which suppresses nothing).
                 let dw = f64::from(g) * f64::from(lr);
                 if !dw.is_finite() {
-                    // A NaN/∞ gradient fails every `<` comparison below and
-                    // would write NaN into the hardware; skip and count it.
                     report.nan_updates_skipped += 1;
                     continue;
                 }
@@ -248,21 +537,33 @@ impl ThresholdTrainer {
         // Pass 3: write through to the hardware and update the ledgers.
         for (pos, updates) in pending {
             for (idx, value) in updates {
-                let outcome = mapped.write_weight(pos, idx, value)?;
-                if outcome.changed() {
+                let mut changed = false;
+                report.new_faults +=
+                    mapped.write_weights(pos, &[(idx, value)], |_| changed = true)?;
+                if changed {
                     report.writes_issued += 1;
                     self.write_amounts[pos][idx] += 1;
-                }
-                if outcome.new_fault().is_some() {
-                    report.new_faults += 1;
                 }
             }
         }
 
         // Pass 4: software SGD for unmapped weight layers and all biases.
-        let mapped_layer_indices: Vec<usize> = mapped_positions.iter().map(|&(_, li)| li).collect();
+        self.apply_software_sgd(mapped, net, lr, &mut report);
+        Ok(report)
+    }
+
+    /// Plain SGD for the weight layers the chip does not hold and for all
+    /// biases (they live in the digital periphery). Non-finite gradients
+    /// are skipped and counted.
+    fn apply_software_sgd(
+        &self,
+        mapped: &MappedNetwork,
+        net: &mut Network,
+        lr: f32,
+        report: &mut UpdateReport,
+    ) {
         for (layer_index, params) in net.param_layers_mut() {
-            if !mapped_layer_indices.contains(&layer_index) {
+            if !mapped.layers().iter().any(|l| l.layer_index == layer_index) {
                 for (w, &g) in params.weights.iter_mut().zip(params.weight_grad) {
                     if g.is_finite() {
                         *w -= lr * g;
@@ -281,7 +582,6 @@ impl ThresholdTrainer {
                 }
             }
         }
-        Ok(report)
     }
 
     /// Captures the per-cell write ledgers (checkpoint). The policy is
@@ -322,15 +622,6 @@ impl ThresholdTrainer {
         }
         self.write_amounts = ledgers;
         Ok(())
-    }
-
-    /// Resets the ledgers to match a (re-built) mapping.
-    pub fn reset(&mut self, mapped: &MappedNetwork) {
-        self.write_amounts = mapped
-            .layers()
-            .iter()
-            .map(|l| vec![0u32; l.rows * l.cols])
-            .collect();
     }
 }
 
@@ -437,8 +728,62 @@ mod tests {
         one_backward(&mut net);
         let mut trainer = ThresholdTrainer::new(ThresholdPolicy::None, &mapped);
         let report = trainer.apply(&mut mapped, &mut net, 0.1).unwrap();
-        let ledger_total: u64 = trainer.write_amounts(0).iter().map(|&n| u64::from(n)).sum();
+        let ledger_total: u64 = trainer
+            .write_amounts(0)
+            .unwrap()
+            .iter()
+            .map(|&n| u64::from(n))
+            .sum();
         assert_eq!(ledger_total, report.writes_issued);
+    }
+
+    #[test]
+    fn differential_wear_counts_both_cells_of_a_pair() {
+        use crate::config::WeightCoding;
+        use rram::endurance::EnduranceModel;
+        // Zero weights code as two zero-conductance cells, and budgets
+        // without spread wear both cells of every pair out on the same
+        // pulse: the report must count cells, as the chip does.
+        let mut rng = init_rng(2);
+        let mut net = Network::new();
+        net.push(Dense::new(8, 4, &mut rng));
+        net.layer_params_mut(0).unwrap().weights.fill(0.0);
+        let config = MappingConfig::new(MappingScope::EntireNetwork)
+            .with_coding(WeightCoding::Differential)
+            .with_endurance(EnduranceModel::new(3.0, 0.0));
+        let mut mapped = MappedNetwork::from_network(&mut net, config).unwrap();
+        let mut trainer = ThresholdTrainer::new(ThresholdPolicy::None, &mapped);
+        let mut per_step = Vec::new();
+        for _ in 0..4 {
+            mapped.load_effective_weights(&mut net).unwrap();
+            one_backward(&mut net);
+            let before = mapped.wear_faults();
+            let report = trainer.apply(&mut mapped, &mut net, 0.1).unwrap();
+            assert_eq!(report.new_faults, mapped.wear_faults() - before);
+            per_step.push(report.new_faults);
+        }
+        assert_eq!(per_step, vec![0, 0, 2 * 32, 0]);
+    }
+
+    #[test]
+    fn cutoff_splits_exactly_at_the_floor() {
+        // Just under the cutoff the product is below the floor, and at the
+        // cutoff it is not — including zero, subnormal and non-finite
+        // learning rates and floors.
+        let below = |b: u32, lr: f64, floor: f64| f64::from(f32::from_bits(b)) * lr < floor;
+        for lr in [0.1f32, 1e-3, 2.0, 0.0, 1e-40, f32::MAX, f32::INFINITY, f32::NAN] {
+            let lr = f64::from(lr);
+            for floor in [0.0, 1e-9, 0.013, 1.0, 1e30, f64::INFINITY, f64::NAN, -1.0] {
+                let cut = cutoff_bits(lr, floor);
+                assert!(cut <= INF_BITS);
+                if cut > 0 {
+                    assert!(below(cut - 1, lr, floor), "lr {lr} floor {floor}");
+                }
+                if cut < INF_BITS {
+                    assert!(!below(cut, lr, floor), "lr {lr} floor {floor}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -490,7 +835,7 @@ mod tests {
         let g = Tensor::from_vec(vec![4, 4], vec![0.0; 16]);
         net.backward(&g);
         let mut trainer = ThresholdTrainer::new(ThresholdPolicy::paper_default(), &mapped);
-        let before = trainer.write_amounts(0).to_vec();
+        let before = trainer.write_amounts(0).unwrap().to_vec();
         let report = trainer.apply(&mut mapped, &mut net, 0.1).unwrap();
         assert_eq!(report.max_abs_dw, 0.0);
         assert_eq!(
@@ -498,7 +843,7 @@ mod tests {
             "a zero iteration must not pulse cells"
         );
         assert_eq!(report.writes_skipped, 32);
-        assert_eq!(trainer.write_amounts(0), before.as_slice());
+        assert_eq!(trainer.write_amounts(0), Some(before.as_slice()));
         // Running it twice is bit-identical (deterministic skip).
         let report2 = trainer.apply(&mut mapped, &mut net, 0.1).unwrap();
         assert_eq!(report.writes_skipped, report2.writes_skipped);

@@ -10,10 +10,12 @@ use nn::layers::{Dense, Relu};
 use nn::loss::softmax_cross_entropy;
 use nn::network::Network;
 use nn::optimizer::LrSchedule;
-use nn::pruning::magnitude_prune;
+use nn::pruning::{magnitude_prune, LayerMask, PruneMask};
 use nn::synth::SyntheticDataset;
 use nn::tensor::Tensor;
 use proptest::prelude::*;
+use rram::endurance::EnduranceModel;
+use rram::variation::WriteVariation;
 
 fn mlp(seed: u64, hidden: usize) -> Network {
     let mut rng = init_rng(seed);
@@ -22,6 +24,153 @@ fn mlp(seed: u64, hidden: usize) -> Network {
     net.push(Relu::new());
     net.push(Dense::new(hidden, 4, &mut rng));
     net
+}
+
+/// A splitmix64 hash mapped to [0, 1): deterministic case data without an
+/// RNG.
+fn unit(seed: u64, i: u64) -> f64 {
+    let mut z = seed
+        .wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add(1);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// A `rows × cols` output gradient that is mostly zero rows, with small,
+/// large, NaN and ±∞ entries mixed into the rest.
+fn sparse_poisoned(seed: u64, rows: usize, cols: usize) -> Vec<f32> {
+    (0..rows * cols)
+        .map(|i| {
+            let (row, i) = ((i / cols) as u64, i as u64);
+            if unit(seed, 1_000 + row) < 0.6 {
+                return 0.0;
+            }
+            match unit(seed, i) {
+                u if u < 0.04 => f32::NAN,
+                u if u < 0.06 => f32::INFINITY,
+                u if u < 0.08 => f32::NEG_INFINITY,
+                u if u < 0.3 => 0.0,
+                u if u < 0.5 => (u as f32 - 0.4) * 1e-3,
+                u => (u as f32 - 0.75) * 4.0,
+            }
+        })
+        .collect()
+}
+
+/// Back-propagates `dy` through `net` on the identity batch: the first
+/// layer's weight gradient is then `dY·W₂ᵀ` row for row (the GEMM skips the
+/// identity's zeros), so zero rows of `dy` stay exactly zero in it.
+fn backward_identity(net: &mut Network, inputs: usize, dy: Vec<f32>) {
+    let eye: Vec<f32> = (0..inputs * inputs)
+        .map(|i| if i % (inputs + 1) == 0 { 1.0 } else { 0.0 })
+        .collect();
+    let outputs = dy.len() / inputs;
+    net.forward_train(&Tensor::from_vec(vec![inputs, inputs], eye));
+    net.backward(&Tensor::from_vec(vec![inputs, outputs], dy));
+}
+
+/// Every software parameter's bits, layer by layer.
+fn param_bits(net: &mut Network) -> Vec<Vec<u32>> {
+    net.param_layers_mut()
+        .map(|(_, p)| {
+            let bias = p.bias.map(|b| b.to_vec()).unwrap_or_default();
+            p.weights.iter().chain(&bias).map(|w| w.to_bits()).collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The block-skipped update equals the scalar four-pass loop after
+    /// every step: report (`max_abs_dw` bit for bit), ledgers, targets and
+    /// signs, every tile's state, and the software parameters — over all
+    /// three policies (wear-aware with growing and shrinking thresholds),
+    /// both codings, with and without a frozen mask, on
+    /// tiles that split the layers, under write noise and wear-outs.
+    #[test]
+    fn update_matches_scalar_oracle(
+        seed in 0u64..10_000,
+        inputs in 3usize..40,
+        hidden in 1usize..20,
+        tile in 2usize..9,
+        policy in 0usize..4,
+        differential in any::<bool>(),
+        with_frozen in any::<bool>(),
+        map_both in any::<bool>(),
+        lr_pick in 0usize..10,
+    ) {
+        let policy = match policy {
+            0 => ThresholdPolicy::None,
+            1 => ThresholdPolicy::Fixed { fraction: 0.05 },
+            2 => ThresholdPolicy::WearAware { fraction: 0.02, growth: 0.7 },
+            // Thresholds that shrink with wear: no block may be skipped.
+            _ => ThresholdPolicy::WearAware { fraction: 0.3, growth: -0.2 },
+        };
+        let lr = [0.1, 0.37, 1e-3, 2.0, 0.05, 0.1, 0.0, -0.0, -0.2, f32::NAN][lr_pick];
+        let coding = if differential {
+            WeightCoding::Differential
+        } else {
+            WeightCoding::Unipolar
+        };
+        let scope = if map_both {
+            MappingScope::EntireNetwork
+        } else {
+            MappingScope::WeightLayers(vec![0])
+        };
+        let config = MappingConfig::new(scope)
+            .with_coding(coding)
+            .with_tile_size(tile)
+            .with_variation(WriteVariation::new(0.05))
+            .with_endurance(EnduranceModel::new(5.0, 2.0))
+            .with_initial_fault_fraction(0.05)
+            .with_seed(seed);
+        let build = || {
+            let mut rng = init_rng(seed);
+            let mut net = Network::new();
+            net.push(Dense::new(inputs, hidden, &mut rng));
+            net.push(Dense::new(hidden, 3, &mut rng));
+            let mapped = MappedNetwork::from_network(&mut net, config.clone()).unwrap();
+            let trainer = ThresholdTrainer::new(policy, &mapped);
+            (net, mapped, trainer)
+        };
+        let (mut net_a, mut mapped_a, mut fast) = build();
+        let (mut net_b, mut mapped_b, mut oracle) = build();
+        let frozen = with_frozen.then(|| {
+            let layers = [(0, inputs, hidden), (1, hidden, 3)];
+            PruneMask::from_layers(
+                layers
+                    .iter()
+                    .map(|&(layer_index, rows, cols)| LayerMask {
+                        layer_index,
+                        shape: (rows, cols),
+                        pruned: (0..rows * cols)
+                            .map(|i| unit(seed ^ 0xF00D, (layer_index * 997 + i) as u64) < 0.3)
+                            .collect(),
+                    })
+                    .collect(),
+            )
+        });
+        for step in 0..4u64 {
+            let dy = sparse_poisoned(seed ^ (step << 32), inputs, 3);
+            for (net, mapped) in [(&mut net_a, &mapped_a), (&mut net_b, &mapped_b)] {
+                mapped.load_effective_weights(net).unwrap();
+                backward_identity(net, inputs, dy.clone());
+            }
+            let a = fast
+                .apply_with_mask(&mut mapped_a, &mut net_a, lr, frozen.as_ref())
+                .unwrap();
+            let b = oracle
+                .apply_reference(&mut mapped_b, &mut net_b, lr, frozen.as_ref())
+                .unwrap();
+            prop_assert_eq!(a.max_abs_dw.to_bits(), b.max_abs_dw.to_bits(), "step {}", step);
+            prop_assert_eq!(a, b, "step {}", step);
+            prop_assert_eq!(fast.export_ledgers(), oracle.export_ledgers());
+            prop_assert_eq!(mapped_a.export_state(), mapped_b.export_state());
+            prop_assert_eq!(param_bits(&mut net_a), param_bits(&mut net_b));
+        }
+    }
 }
 
 proptest! {

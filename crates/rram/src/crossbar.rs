@@ -479,7 +479,7 @@ impl Crossbar {
         let i = self.idx(row, col)?;
         let noise = self.sample_noise();
         let outcome = self.cells[i].write_level(target, noise);
-        self.finish_write(i, outcome)
+        self.finish_write(i, outcome, true)
     }
 
     /// Programs an arbitrary analog conductance in `[0, 1]` — the write
@@ -505,7 +505,7 @@ impl Crossbar {
         let i = self.idx(row, col)?;
         let noise = self.sample_noise();
         let outcome = self.cells[i].write_analog(target, noise);
-        self.finish_write(i, outcome)
+        self.finish_write(i, outcome, true)
     }
 
     /// Bulk-programs every cell from a row-major conductance plane in
@@ -611,7 +611,50 @@ impl Crossbar {
         let i = self.idx(row, col)?;
         let noise = self.sample_noise();
         let outcome = self.cells[i].pulse_analog(target, noise);
-        self.finish_write(i, outcome)
+        self.finish_write(i, outcome, true)
+    }
+
+    /// Unconditional training pulses on row-major cells, in slice order:
+    /// [`Crossbar::pulse_analog`] for each `(i, target)`, where
+    /// `i = row · cols + col`, with each outcome appended to `outcomes`.
+    /// The one difference from a loop of `pulse_analog` calls is the
+    /// telemetry: `rram_write_pulses_total` moves once for the batch
+    /// instead of once per pulse.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RramError::OutOfBounds`] for an index past the array and
+    /// [`RramError::NonFiniteValue`] for a NaN/infinite target. The pulses
+    /// before it stay issued and counted.
+    pub fn pulse_analog_batch(
+        &mut self,
+        cells: &[(usize, f64)],
+        outcomes: &mut Vec<WriteOutcome>,
+    ) -> Result<(), RramError> {
+        let before = self.write_pulses;
+        let issued = cells.iter().try_for_each(|&(i, target)| {
+            if !target.is_finite() {
+                return Err(RramError::NonFiniteValue {
+                    context: "pulse_analog_batch target",
+                });
+            }
+            if i >= self.cells.len() {
+                return Err(RramError::OutOfBounds {
+                    row: i / self.cols,
+                    col: i % self.cols,
+                    rows: self.rows,
+                    cols: self.cols,
+                });
+            }
+            let noise = self.sample_noise();
+            let outcome = self.cells[i].pulse_analog(target, noise);
+            outcomes.push(self.finish_write(i, outcome, false)?);
+            Ok(())
+        });
+        if let Some(m) = &self.metrics {
+            m.write_pulses.add(self.write_pulses - before);
+        }
+        issued
     }
 
     /// Adjusts the cell level by `delta` (the paper's "Write ±δw").
@@ -623,7 +666,7 @@ impl Crossbar {
         let i = self.idx(row, col)?;
         let noise = self.sample_noise();
         let outcome = self.cells[i].nudge(delta, noise);
-        self.finish_write(i, outcome)
+        self.finish_write(i, outcome, true)
     }
 
     /// Draws a zero-mean write-variation noise sample. Centred on 0.5 so the
@@ -656,14 +699,24 @@ impl Crossbar {
         }
     }
 
-    fn finish_write(&mut self, i: usize, outcome: WriteOutcome) -> Result<WriteOutcome, RramError> {
+    /// The write funnel every write primitive ends in: counts the pulse,
+    /// sticks a cell whose endurance the write exhausted, and refreshes the
+    /// planes. `meter` bumps `rram_write_pulses_total` for a changed
+    /// outcome; [`Crossbar::pulse_analog_batch`] passes `false` and bumps
+    /// the counter once for its whole batch.
+    fn finish_write(
+        &mut self,
+        i: usize,
+        outcome: WriteOutcome,
+        meter: bool,
+    ) -> Result<WriteOutcome, RramError> {
         debug_assert!(
             outcome != WriteOutcome::Exhausted,
             "crossbar sticks cells at the write that exhausts them"
         );
         if outcome.changed() {
             self.write_pulses += 1;
-            if let Some(m) = &self.metrics {
+            if let (true, Some(m)) = (meter, &self.metrics) {
                 m.write_pulses.inc();
             }
             if self.cells[i].is_worn_out() && !self.cells[i].state().is_faulty() {

@@ -100,6 +100,21 @@ impl ShardGrid {
         Some((row / self.tile_rows, col / self.tile_cols))
     }
 
+    /// A [`CellCursor`] at the matrix's first cell.
+    pub fn cursor(&self) -> CellCursor {
+        CellCursor {
+            grid: *self,
+            len: self.rows * self.cols,
+            col_shards: self.col_shards(),
+            last: 0,
+            row_start: 0,
+            local_row: 0,
+            band: 0,
+            col_shard: 0,
+            col0: 0,
+        }
+    }
+
     /// Iterates all shards in row-major order (the canonical allocation,
     /// programming, and reduction order of this crate).
     pub fn iter(&self) -> impl Iterator<Item = Shard> + '_ {
@@ -111,6 +126,67 @@ impl ShardGrid {
             )]
             self.shard(i / cols, i % cols).expect("index in grid range")
         })
+    }
+}
+
+/// Locates non-decreasing row-major cell indices on a [`ShardGrid`]
+/// without dividing. It steps rows, row bands and column shards forward as
+/// the indices grow, so a walk over `n` indices of an `r`-row matrix costs
+/// `O(n + r)` additions in all; [`ShardGrid::shard_of_cell`] is the
+/// dividing reference it must agree with.
+#[derive(Debug, Clone)]
+pub struct CellCursor {
+    grid: ShardGrid,
+    /// Cells in the matrix (`rows · cols`).
+    len: usize,
+    /// Cached [`ShardGrid::col_shards`].
+    col_shards: usize,
+    /// The previous index sought.
+    last: usize,
+    /// Index of the current row's first cell (`row · cols`).
+    row_start: usize,
+    /// The current row's offset inside its band.
+    local_row: usize,
+    /// The current row band (`sr`).
+    band: usize,
+    /// The current column shard (`sc`) and its first column.
+    col_shard: usize,
+    col0: usize,
+}
+
+impl CellCursor {
+    /// The shard covering row-major cell `idx`, as its row-major index in
+    /// the grid ([`ShardGrid::shard_index`]), and the cell's row-major
+    /// index on that shard. `None` past the matrix or below the previous
+    /// index.
+    #[inline]
+    pub fn seek(&mut self, idx: usize) -> Option<(usize, usize)> {
+        let g = &self.grid;
+        if idx < self.last || idx >= self.len {
+            return None;
+        }
+        self.last = idx;
+        while idx - self.row_start >= g.cols {
+            self.row_start += g.cols;
+            self.local_row += 1;
+            if self.local_row == g.tile_rows {
+                self.local_row = 0;
+                self.band += 1;
+            }
+            self.col_shard = 0;
+            self.col0 = 0;
+        }
+        let mut col = idx - self.row_start - self.col0;
+        while col >= g.tile_cols {
+            col -= g.tile_cols;
+            self.col0 += g.tile_cols;
+            self.col_shard += 1;
+        }
+        let shard_cols = g.tile_cols.min(g.cols - self.col0);
+        Some((
+            self.band * self.col_shards + self.col_shard,
+            self.local_row * shard_cols + col,
+        ))
     }
 }
 
@@ -168,6 +244,45 @@ mod tests {
         assert!(g.shard_of_cell(300, 0).is_none());
         assert!(g.shard_of_cell(0, 200).is_none());
         assert!(g.shard(3, 0).is_none());
+    }
+
+    #[test]
+    fn cursor_matches_dividing_lookup() {
+        // Exact and remainder grids, tiles wider and taller than the
+        // matrix, and walks that visit every cell, every 7th cell, and
+        // each cell twice.
+        for (rows, cols, tr, tc) in [
+            (20, 20, 16, 16),
+            (17, 15, 4, 16),
+            (16, 17, 16, 4),
+            (5, 3, 8, 8),
+            (33, 31, 5, 7),
+            (1, 40, 3, 3),
+            (40, 1, 3, 3),
+        ] {
+            let g = ShardGrid::new(rows, cols, tr, tc).unwrap();
+            for step in [1, 7] {
+                let mut cursor = g.cursor();
+                for idx in (0..rows * cols).step_by(step) {
+                    let (r, c) = (idx / cols, idx % cols);
+                    let (sr, sc) = g.shard_of_cell(r, c).unwrap();
+                    let shard = g.shard(sr, sc).unwrap();
+                    let expected = (
+                        g.shard_index(sr, sc),
+                        (r - shard.row0) * shard.cols + (c - shard.col0),
+                    );
+                    assert_eq!(cursor.seek(idx), Some(expected), "{rows}x{cols} idx {idx}");
+                    assert_eq!(cursor.seek(idx), Some(expected), "repeat idx {idx}");
+                }
+                assert_eq!(cursor.seek(rows * cols), None, "past the matrix");
+            }
+        }
+        let g = ShardGrid::new(10, 10, 4, 4).unwrap();
+        let mut cursor = g.cursor();
+        assert!(cursor.seek(55).is_some());
+        assert_eq!(cursor.seek(54), None, "backwards within a shard");
+        assert_eq!(cursor.seek(53), None, "backwards across shards");
+        assert_eq!(cursor.seek(45), None, "backwards across rows");
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use chip::{
     TiledChip,
 };
 pub use error::TileError;
-pub use geometry::{Shard, ShardGrid};
+pub use geometry::{CellCursor, Shard, ShardGrid};
 pub use health::TileHealth;
 pub use mapping::TiledMapping;
 pub use schedule::{DetectionScheduler, LullConfig, SchedulePolicy};
