@@ -507,30 +507,7 @@ impl FaultTolerantTrainer {
         }
         let mut net = net;
         let mut mapped = MappedNetwork::restore_state(mapping, &state.mapped)?;
-        // Software parameters: the template must have exactly the captured
-        // parameter layers.
-        let captured: Vec<usize> = state.params.iter().map(|p| p.layer_index).collect();
-        let template: Vec<usize> = net.param_layers_mut().map(|(li, _)| li).collect();
-        if captured != template {
-            return Err(FttError::InvalidConfig(format!(
-                "snapshot carries parameter layers {captured:?} but the template \
-                 network has {template:?}"
-            )));
-        }
-        for p in &state.params {
-            let mut params = net
-                .layer_params_mut(p.layer_index)
-                .ok_or_else(|| foreign_snapshot_error(p.layer_index))?;
-            if params.weights.len() != p.weights.len() {
-                return Err(foreign_snapshot_error(p.layer_index));
-            }
-            params.weights.copy_from_slice(&p.weights);
-            match (&mut params.bias, &p.bias) {
-                (Some(dst), Some(src)) if dst.len() == src.len() => dst.copy_from_slice(src),
-                (None, None) => {}
-                _ => return Err(foreign_snapshot_error(p.layer_index)),
-            }
-        }
+        transplant_params(&mut net, &state.params)?;
         mapped.attach_recorder(&recorder);
         let mut trainer = ThresholdTrainer::new(flow.threshold, &mapped);
         trainer.restore_ledgers(state.ledgers.clone(), &mapped)?;
@@ -589,8 +566,45 @@ fn builtin_strategy(select: &StrategySelect) -> Result<Box<dyn FaultStrategy>, F
     }
 }
 
-/// The error raised when a [`TrainerState`] does not fit the template
-/// network handed to [`FaultTolerantTrainer::restore_state`].
+/// Copies captured software parameters into `net`, the template network
+/// a restore or a migration rebuilds from.
+///
+/// The template must have exactly the captured parameter layers, in
+/// order, each with the captured weight count and the same bias shape
+/// (equal length on both sides, or absent on both).
+///
+/// # Errors
+///
+/// Returns [`FttError::InvalidConfig`] when the capture does not fit the
+/// template; `net` may then hold part of the capture.
+pub fn transplant_params(net: &mut Network, params: &[NetParamState]) -> Result<(), FttError> {
+    let captured: Vec<usize> = params.iter().map(|p| p.layer_index).collect();
+    let template: Vec<usize> = net.param_layers_mut().map(|(li, _)| li).collect();
+    if captured != template {
+        return Err(FttError::InvalidConfig(format!(
+            "snapshot carries parameter layers {captured:?} but the template \
+             network has {template:?}"
+        )));
+    }
+    for p in params {
+        let mut dst = net
+            .layer_params_mut(p.layer_index)
+            .ok_or_else(|| foreign_snapshot_error(p.layer_index))?;
+        if dst.weights.len() != p.weights.len() {
+            return Err(foreign_snapshot_error(p.layer_index));
+        }
+        dst.weights.copy_from_slice(&p.weights);
+        match (&mut dst.bias, &p.bias) {
+            (Some(dst), Some(src)) if dst.len() == src.len() => dst.copy_from_slice(src),
+            (None, None) => {}
+            _ => return Err(foreign_snapshot_error(p.layer_index)),
+        }
+    }
+    Ok(())
+}
+
+/// The error raised when a captured parameter layer does not fit the
+/// template network ([`transplant_params`]).
 fn foreign_snapshot_error(layer_index: usize) -> FttError {
     FttError::InvalidConfig(format!(
         "snapshot parameter layer {layer_index} does not fit the template network"

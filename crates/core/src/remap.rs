@@ -21,14 +21,6 @@
 //! `Dist(P, F)` decomposes per layer, so [`RemapProblem::cost`] fans the
 //! per-layer recounts across the [`par`] worker budget and sums the
 //! partials in layer order (identical to the sequential count).
-//! [`RemapAlgorithm::GreedySwapBatch`] goes further: each round draws a
-//! *batch* of candidate swaps up front, scores every candidate's
-//! incremental delta against the frozen permutations in parallel
-//! (read-only [`RemapProblem::neuron_cost`] probes), then applies the
-//! improving, non-conflicting candidates sequentially in draw order. Both
-//! the candidate stream (drawn before the fan-out) and the application
-//! policy are deterministic, so the search trajectory is identical at any
-//! thread count.
 
 use nn::network::Network;
 use nn::permute::{permute_columns, permute_hidden_neurons, permute_row_blocks, Permutation};
@@ -51,15 +43,6 @@ pub enum RemapAlgorithm {
     /// The paper's method: repeatedly exchange two random neurons and keep
     /// the exchange when the cost does not increase.
     SwapHillClimb,
-    /// Batched variant of the paper's method built for wide arrays: each
-    /// round draws `batch` candidate swaps, scores all their incremental
-    /// deltas in parallel against the frozen permutations, then applies the
-    /// strictly improving, non-conflicting candidates in draw order.
-    /// Deterministic at any thread count.
-    GreedySwapBatch {
-        /// Candidate swaps scored per round.
-        batch: usize,
-    },
     /// A genetic algorithm optimizing each neuron group in turn
     /// ("layer by layer" per the paper), with tournament selection, order
     /// crossover and swap mutation. Each group evolves one population for
@@ -381,22 +364,9 @@ impl RemapProblem {
     /// of `layer`'s column `j` plus `layer + 1`'s row block `j`, under the
     /// given permutations. Used for O(rows + block·cols) swap deltas.
     fn neuron_cost(&self, perms: &[Permutation], group_idx: usize, j: usize) -> u64 {
-        self.neuron_cost_as(perms, group_idx, j, perms[group_idx].as_slice()[j])
-    }
-
-    /// [`neuron_cost`] with the source neuron at position `j` overridden to
-    /// `src` instead of `perms[group_idx][j]`. This scores a *hypothetical*
-    /// swap without mutating any permutation: after swapping positions
-    /// `a, b` the cost at `a` is `neuron_cost_as(…, a, perms[g][b])` and
-    /// vice versa, because within a group the cost at one position never
-    /// depends on the group's assignment at other positions (the in/out
-    /// environment comes from *adjacent* groups). Read-only, so candidate
-    /// swaps can be scored in parallel against frozen permutations.
-    ///
-    /// [`neuron_cost`]: Self::neuron_cost
-    fn neuron_cost_as(&self, perms: &[Permutation], group_idx: usize, j: usize, src: usize) -> u64 {
         let group = self.groups[group_idx];
         let li = group.layer;
+        let src = perms[group_idx].as_slice()[j];
         let mut total = 0u64;
         // Column j of layer li.
         {
@@ -486,11 +456,6 @@ impl RemapProblem {
                     }
                 }
             }
-            RemapAlgorithm::GreedySwapBatch { batch } => {
-                if !self.groups.is_empty() {
-                    self.greedy_swap_batch(&mut perms, batch.max(1), config.iterations, &mut rng);
-                }
-            }
             RemapAlgorithm::Genetic { population } => {
                 let population = population.max(4);
                 let generations = (config.iterations / population).max(1);
@@ -512,85 +477,6 @@ impl RemapProblem {
             perms: plan_perms,
             initial_cost,
             final_cost,
-        }
-    }
-
-    /// The batched greedy swap search. Per round:
-    ///
-    /// 1. draw `batch` candidate `(group, a, b)` swaps from the (sequential,
-    ///    deterministic) RNG stream;
-    /// 2. score every candidate's delta in parallel with read-only
-    ///    [`Self::neuron_cost_as`] probes against the frozen permutations;
-    /// 3. apply strictly improving candidates in draw order, skipping any
-    ///    whose delta may have gone stale — a position already swapped this
-    ///    round, or a group whose in/out environment (an adjacent group)
-    ///    was already modified this round.
-    ///
-    /// The parallel step is pure, so the trajectory is identical at any
-    /// thread count.
-    fn greedy_swap_batch(
-        &self,
-        perms: &mut [Permutation],
-        batch: usize,
-        iterations: usize,
-        rng: &mut rand::rngs::StdRng,
-    ) {
-        // groups adjacent to gi: those feeding its layer or fed by it.
-        let adjacent: Vec<Vec<usize>> = self
-            .groups
-            .iter()
-            .map(|g| {
-                self.groups
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, h)| h.layer + 1 == g.layer || g.layer + 1 == h.layer)
-                    .map(|(hi, _)| hi)
-                    .collect()
-            })
-            .collect();
-        // Four neuron_cost probes per candidate, each O(rows + block·cols).
-        let probe_ops = self
-            .groups
-            .iter()
-            .map(|g| 4 * (self.layers[g.layer].rows + g.block * self.layers[g.layer + 1].cols))
-            .max()
-            .unwrap_or(0);
-        let rounds = (iterations / batch).max(1);
-        for _ in 0..rounds {
-            let candidates: Vec<(usize, usize, usize)> = (0..batch)
-                .filter_map(|_| {
-                    let gi = rng.gen_range(0..self.groups.len());
-                    let n = self.groups[gi].neurons;
-                    let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                    (a != b).then(|| (gi, a.min(b), a.max(b)))
-                })
-                .collect();
-            let frozen: &[Permutation] = perms;
-            let deltas = par::map_indices(candidates.len(), probe_ops, |k| {
-                let (gi, a, b) = candidates[k];
-                let (pa, pb) = (frozen[gi].as_slice()[a], frozen[gi].as_slice()[b]);
-                let before =
-                    self.neuron_cost_as(frozen, gi, a, pa) + self.neuron_cost_as(frozen, gi, b, pb);
-                let after =
-                    self.neuron_cost_as(frozen, gi, a, pb) + self.neuron_cost_as(frozen, gi, b, pa);
-                after as i64 - before as i64
-            });
-            let mut touched: Vec<Vec<bool>> =
-                self.groups.iter().map(|g| vec![false; g.neurons]).collect();
-            let mut group_modified = vec![false; self.groups.len()];
-            for (&(gi, a, b), &delta) in candidates.iter().zip(&deltas) {
-                if delta >= 0
-                    || touched[gi][a]
-                    || touched[gi][b]
-                    || adjacent[gi].iter().any(|&hi| group_modified[hi])
-                {
-                    continue;
-                }
-                perms[gi].swap(a, b);
-                touched[gi][a] = true;
-                touched[gi][b] = true;
-                group_modified[gi] = true;
-            }
         }
     }
 
@@ -795,49 +681,6 @@ mod tests {
         };
         let plan = problem.solve(&mapped, &config);
         assert!(plan.final_cost < plan.initial_cost, "{plan:?}");
-    }
-
-    #[test]
-    fn greedy_batch_reduces_cost() {
-        let mut net = mlp(4);
-        let mapped = mapped_with_faults(&mut net, 0.15, 4);
-        let mask = magnitude_prune(&mut net, 0.6);
-        let problem =
-            RemapProblem::with_ground_truth(&mapped, &mask, CostModel::PaperDist).unwrap();
-        let config = RemapConfig {
-            algorithm: RemapAlgorithm::GreedySwapBatch { batch: 32 },
-            iterations: 3000,
-            ..RemapConfig::default()
-        };
-        let plan = problem.solve(&mapped, &config);
-        assert!(plan.final_cost < plan.initial_cost, "{plan:?}");
-    }
-
-    #[test]
-    fn greedy_batch_is_thread_count_invariant() {
-        // Candidates are drawn before the fan-out and applied with a
-        // deterministic policy, so the search trajectory must not depend on
-        // how many workers scored the deltas.
-        let mut net = mlp(10);
-        let mapped = mapped_with_faults(&mut net, 0.2, 10);
-        let mask = magnitude_prune(&mut net, 0.5);
-        let problem =
-            RemapProblem::with_ground_truth(&mapped, &mask, CostModel::PaperDist).unwrap();
-        let config = RemapConfig {
-            algorithm: RemapAlgorithm::GreedySwapBatch { batch: 16 },
-            iterations: 1000,
-            ..RemapConfig::default()
-        };
-        let run_with = |threads: usize| {
-            par::set_thread_count(threads);
-            let plan = problem.solve(&mapped, &config);
-            par::set_thread_count(0);
-            plan
-        };
-        let seq = run_with(1);
-        let par4 = run_with(4);
-        assert_eq!(seq.final_cost, par4.final_cost);
-        assert_eq!(seq.perms(), par4.perms(), "identical trajectory required");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! this check never fires on.
 //!
 //! Policies rustc or clippy can express (panics, `unsafe`, narrowing
-//! casts) are not checks here: they are lint flags on the `just clippy`
-//! and `just clippy-unwrap` gates (DESIGN.md §10).
+//! casts, wall clocks, unordered collections, unscoped threads) are not
+//! checks here: they are lint flags on the `just clippy` and
+//! `just clippy-unwrap` gates and the root `clippy.toml` (DESIGN.md §10).
 //!
 //! Adding a check: implement [`Check`], give it a unique short id, and
 //! add it to [`catalog`]. Fixture coverage (one failing + one passing
@@ -21,26 +22,22 @@ use crate::model::{SourceFile, Workspace};
 use crate::model2::SemanticModel;
 
 mod cycle_audit;
-mod determinism;
 mod float_soundness;
 mod obs_policy;
 mod obs_schema;
 mod par_capture;
-mod resume_panic;
 mod workspace;
 
 pub use cycle_audit::CycleAudit;
-pub use determinism::Determinism;
 pub use float_soundness::FloatSoundness;
 pub use obs_policy::ObsPolicy;
 pub use obs_schema::ObsSchema;
 pub use par_capture::ParCapture;
-pub use resume_panic::ResumePanic;
 pub use workspace::WorkspaceConsistency;
 
 /// A single static-analysis policy.
 pub trait Check {
-    /// Short stable id (`"D1"`).
+    /// Short stable id (`"F1"`).
     fn id(&self) -> &'static str;
 
     /// One-line description for reports and docs.
@@ -67,12 +64,10 @@ pub trait Check {
 pub fn catalog() -> Vec<Box<dyn Check>> {
     vec![
         Box::new(ParCapture),
-        Box::new(Determinism),
         Box::new(CycleAudit),
         Box::new(FloatSoundness),
         Box::new(ObsPolicy),
         Box::new(ObsSchema),
-        Box::new(ResumePanic),
         Box::new(WorkspaceConsistency),
     ]
 }

@@ -7,8 +7,8 @@
 //! [lint]
 //! exclude = ["crates/shims", "crates/lint/tests/fixtures"]
 //!
-//! [checks.D1]
-//! crates = ["rram", "nn"]
+//! [checks.E2]
+//! sink_idents = ["FlowStats", "CampaignStats"]
 //! allow = ["crates/bench"]
 //! ```
 //!

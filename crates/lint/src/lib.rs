@@ -1,13 +1,13 @@
 //! # ftt-lint — workspace static-analysis gate
 //!
 //! A zero-dependency, token-level Rust source analyzer for the
-//! workspace conventions rustc and clippy cannot express: the
-//! determinism contract (§6/§9), float-equality discipline, the obs
-//! naming grammar and event schema (§9), panic freedom on the resume
-//! paths (§8), detection-cycle accounting (§4), and workspace-manifest
-//! hygiene. The panic, `unsafe` and narrowing-cast policies are clippy
-//! gates instead (DESIGN.md §10), each exception an
-//! `#[expect(lint, reason = "…")]`.
+//! workspace conventions rustc and clippy cannot express: schedule-
+//! independent `par` closures (§6), float-equality discipline, the obs
+//! naming grammar and event schema (§9), detection-cycle accounting
+//! (§4), and workspace-manifest hygiene. The panic, `unsafe`,
+//! narrowing-cast and determinism (wall clock, unordered collection,
+//! unscoped thread) policies are clippy gates instead (DESIGN.md §10),
+//! each exception an `#[expect(lint, reason = "…")]`.
 //!
 //! Run it as `cargo run -p ftt-lint` (or `just lint`). Findings are
 //! rendered as human diagnostics with `file:line` spans and — with
@@ -21,14 +21,13 @@
 //! * [`lexer`] — a string/char/comment/attribute-aware token scanner
 //!   (no full parse).
 //! * [`model`] — workspace discovery (member list from the root
-//!   manifest), per-file scans, and scope analysis (`#[cfg(test)]`
-//!   ranges, panic-lint `#[expect]` ranges).
-//! * [`model2`] — the workspace semantic model: fn boundaries, `use`
-//!   edges, `par` call sites and an approximate call graph.
+//!   manifest), per-file scans, and `#[cfg(test)]` scope analysis.
+//! * [`model2`] — the workspace semantic model: fn boundaries, `par`
+//!   call sites and an approximate call graph.
 //! * [`checks`] — the pluggable [`checks::Check`] catalog. Per-file:
-//!   D1 determinism, F1 float equality, O1 obs naming; workspace: W1
-//!   manifest consistency; semantic: C1 par-capture determinism, O2
-//!   obs schema, R1 resume-path panic freedom, E2 cycle accounting.
+//!   F1 float equality, O1 obs naming; workspace: W1 manifest
+//!   consistency; semantic: C1 par-capture determinism, O2 obs schema,
+//!   E2 cycle accounting.
 //! * [`config`] — `lint.toml` (minimal TOML subset, zero deps).
 //! * [`diag`] — sorted findings, JSON + human renderers.
 
@@ -80,8 +79,8 @@ pub fn run_with_config(root: &Path, cfg: &Config) -> Result<Report, Error> {
     let ws = Workspace::load(root, &exclude).map_err(|e| Error(e.to_string()))?;
     let catalog = checks::catalog();
 
-    // Phase 1: the workspace semantic model (items, fn boundaries, use
-    // graph, approximate call graph). Phase 2: every check, in catalog
+    // Phase 1: the workspace semantic model (items, fn boundaries,
+    // approximate call graph). Phase 2: every check, in catalog
     // order — per-file passes, then the workspace pass, then the
     // semantic pass.
     let model = model2::SemanticModel::build(&ws);
@@ -128,22 +127,12 @@ pub(crate) mod testsupport {
     /// Build an analyzed library [`SourceFile`] from inline source.
     pub fn lib_file(rel_path: &str, crate_name: &str, src: &str) -> SourceFile {
         let scan = crate::lexer::scan(src);
-        let (test_scopes, panic_allow_scopes) = analyze(&scan);
         SourceFile {
             rel_path: rel_path.to_string(),
             crate_name: Some(crate_name.to_string()),
             role: FileRole::Lib,
+            test_scopes: crate::model::test_scopes(&scan),
             scan,
-            test_scopes,
-            panic_allow_scopes,
         }
-    }
-
-    // Re-derive scopes the same way model::load does (the function is
-    // private there; duplicating three lines keeps the test seam thin).
-    fn analyze(
-        scan: &crate::lexer::Scan,
-    ) -> (Vec<crate::model::Scope>, Vec<(crate::model::Scope, usize)>) {
-        crate::model::analyze_scopes_for_tests(scan)
     }
 }

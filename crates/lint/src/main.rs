@@ -96,15 +96,14 @@ OPTIONS:
     -h, --help       this help
 
 CHECKS (per-file):
-    D1 determinism             F1 float-soundness    O1 obs-naming
-    W1 workspace-consistency
+    F1 float-soundness         O1 obs-naming         W1 workspace-consistency
 CHECKS (semantic, cross-crate):
-    C1 par-capture-determinism O2 obs-schema         R1 resume-panic-freedom
-    E2 cycle-accounting
+    C1 par-capture-determinism O2 obs-schema         E2 cycle-accounting
 
 Stale suppressions (unused allow / exclude entries) are reported as
-warnings; warnings never affect the exit code. The panic, unsafe and
-cast policies are clippy gates (`just clippy`, `just clippy-unwrap`).
+warnings; warnings never affect the exit code. The panic, unsafe, cast
+and determinism policies are clippy gates (`just clippy`,
+`just clippy-unwrap`, clippy.toml).
 
 EXIT CODES:
     0 clean    1 findings    2 usage/config/IO error

@@ -4,9 +4,9 @@
 //! `dir/*` globs), then collects every `.rs` file under the workspace in
 //! sorted order, classifying each by role (library source vs. tests /
 //! examples / benches / binaries). Each file is scanned once
-//! ([`crate::lexer`]) and annotated with *scopes*: the line ranges of
-//! `#[cfg(test)]` items and of items carrying a panic-lint
-//! `#[expect(...)]` / `#[allow(...)]`. Checks consume this shared context.
+//! ([`crate::lexer`]) and annotated with its *test scopes*: the line
+//! ranges of `#[cfg(test)]` items and `#[test]` functions. Checks consume
+//! this shared context.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -21,17 +21,6 @@ pub enum FileRole {
     /// Integration tests, benches, examples, `src/bin`, or `build.rs`.
     Support,
 }
-
-/// The panic lints the `--lib` clippy gate denies; an `#[expect(...)]`
-/// naming one of them is the panic policy's escape hatch (DESIGN.md §8.1).
-pub const PANIC_ALLOW_LINTS: [&str; 6] = [
-    "clippy::unwrap_used",
-    "clippy::expect_used",
-    "clippy::panic",
-    "clippy::unreachable",
-    "clippy::todo",
-    "clippy::unimplemented",
-];
 
 /// A line range `[start, end]` (1-based, inclusive) attached to an item.
 #[derive(Debug, Clone, Copy)]
@@ -62,23 +51,12 @@ pub struct SourceFile {
     pub scan: Scan,
     /// Line ranges under `#[cfg(test)]` (plus `#[test]` functions).
     pub test_scopes: Vec<Scope>,
-    /// Line ranges of items carrying a panic-lint `#[expect]` /
-    /// `#[allow]`, along with the attribute's own line.
-    pub panic_allow_scopes: Vec<(Scope, usize)>,
 }
 
 impl SourceFile {
     /// Whether `line` is inside test-only code.
     pub fn in_test_code(&self, line: usize) -> bool {
         self.test_scopes.iter().any(|s| s.contains(line))
-    }
-
-    /// Whether `line` is covered by a panic-lint `#[expect]` / `#[allow]`
-    /// item.
-    pub fn in_panic_allow(&self, line: usize) -> bool {
-        self.panic_allow_scopes
-            .iter()
-            .any(|(s, _)| s.contains(line))
     }
 }
 
@@ -266,10 +244,9 @@ fn item_end_line(scan: &Scan, from: usize) -> usize {
     scan.tokens.last().map(|t| t.line).unwrap_or(1)
 }
 
-/// Derive test scopes and panic-allow scopes from a scan.
-fn analyze_scopes(scan: &Scan) -> (Vec<Scope>, Vec<(Scope, usize)>) {
+/// Derive the test scopes of a scan.
+pub(crate) fn test_scopes(scan: &Scan) -> Vec<Scope> {
     let mut tests = Vec::new();
-    let mut allows = Vec::new();
     for (i, tok) in scan.tokens.iter().enumerate() {
         if tok.kind != TokenKind::Attr {
             continue;
@@ -285,31 +262,8 @@ fn analyze_scopes(scan: &Scan) -> (Vec<Scope>, Vec<(Scope, usize)>) {
                 end: item_end_line(scan, i + 1),
             });
         }
-        if (flat.contains("allow(") || flat.contains("expect("))
-            && PANIC_ALLOW_LINTS.iter().any(|l| flat.contains(l))
-        {
-            let scope = if flat.starts_with("#![") {
-                // Inner attribute: covers the rest of the file.
-                Scope {
-                    start: tok.line,
-                    end: scan.tokens.last().map(|t| t.line).unwrap_or(tok.line),
-                }
-            } else {
-                Scope {
-                    start: tok.line,
-                    end: item_end_line(scan, i + 1),
-                }
-            };
-            allows.push((scope, tok.line));
-        }
     }
-    (tests, allows)
-}
-
-/// Test seam: expose scope analysis to the check unit tests.
-#[cfg(test)]
-pub(crate) fn analyze_scopes_for_tests(scan: &Scan) -> (Vec<Scope>, Vec<(Scope, usize)>) {
-    analyze_scopes(scan)
+    tests
 }
 
 impl Workspace {
@@ -380,7 +334,7 @@ impl Workspace {
             let rel_path = rel(&root, &path);
             let text = read(&path)?;
             let scan = lexer::scan(&text);
-            let (test_scopes, panic_allow_scopes) = analyze_scopes(&scan);
+            let test_scopes = test_scopes(&scan);
             // Owning member: longest dir prefix match.
             let crate_name = member_list
                 .iter()
@@ -400,7 +354,6 @@ impl Workspace {
                 role: role_of(&rel(&root, &path)),
                 scan,
                 test_scopes,
-                panic_allow_scopes,
             });
         }
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
@@ -449,31 +402,10 @@ name = "rootpkg"
     fn cfg_test_scopes_cover_module_bodies() {
         let src = "pub fn lib() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        x.unwrap();\n    }\n}\n";
         let scan = lexer::scan(src);
-        let (tests, _) = analyze_scopes(&scan);
+        let tests = test_scopes(&scan);
         assert!(!tests.is_empty());
         assert!(tests[0].contains(6), "unwrap line inside cfg(test) mod");
         assert!(!tests.iter().any(|s| s.contains(1)), "lib fn not test code");
-    }
-
-    #[test]
-    fn allow_scopes_end_at_matching_brace_or_semicolon() {
-        let src = "#[allow(clippy::unwrap_used)]\nfn f() {\n    a.unwrap();\n}\nfn g() {\n    b.unwrap();\n}\n";
-        let scan = lexer::scan(src);
-        let (_, allows) = analyze_scopes(&scan);
-        assert_eq!(allows.len(), 1);
-        assert!(allows[0].0.contains(3));
-        assert!(!allows[0].0.contains(6));
-    }
-
-    #[test]
-    fn expect_scopes_cover_their_item_and_skip_other_lints() {
-        let src = "fn f() {\n    #[expect(clippy::expect_used, reason = \"seeded\")]\n    let v = a.expect(\"x\");\n    b.unwrap();\n}\n#[expect(dead_code, reason = \"kept\")]\nfn g() {\n    c.unwrap();\n}\n";
-        let scan = lexer::scan(src);
-        let (_, allows) = analyze_scopes(&scan);
-        assert_eq!(allows.len(), 1, "only the panic-lint expect opens a scope");
-        assert!(allows[0].0.contains(3));
-        assert!(!allows[0].0.contains(4), "a statement scope ends at `;`");
-        assert!(!allows[0].0.contains(8));
     }
 
     #[test]

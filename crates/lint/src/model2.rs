@@ -7,14 +7,12 @@
 //! * **Items & fn boundaries** — every `fn` with a body, its token
 //!   range, enclosing `impl` type (when any), return-type idents, and
 //!   whether it lives in test code.
-//! * **`use` graph** — the flattened `use` paths per file (group
-//!   imports expanded one path at a time).
 //! * **Approximate call graph** — call sites are `ident(`-shaped token
 //!   sequences (plus `ident::<…>(` turbofish); resolution is by *name*,
 //!   restricted to the caller's crate and its direct intra-workspace
 //!   dependencies (parsed from member manifests). Method calls match
 //!   any fn of that name in the candidate crates. This over-approximates
-//!   reachability — the right direction for policy checks like R1.
+//!   reachability — the right direction for policy checks like E2.
 //! * **`par` boundary crossings** — calls to the `par` fork-join
 //!   helpers with their literal closure arguments parsed out (params +
 //!   body token range) for the C1 capture check.
@@ -52,16 +50,6 @@ pub struct CallRef {
     pub line: usize,
 }
 
-/// One panic site inside a fn body (`.unwrap()` / `.expect()` calls and
-/// the panicking macros the `--lib` clippy gate denies).
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    /// Rendered site (`".unwrap()"`, `"panic!"`, …).
-    pub what: String,
-    /// 1-based source line.
-    pub line: usize,
-}
-
 /// One function definition with a body.
 #[derive(Debug)]
 pub struct FnInfo {
@@ -86,8 +74,6 @@ pub struct FnInfo {
     pub role: FileRole,
     /// Call sites in the body, in source order.
     pub calls: Vec<CallRef>,
-    /// Panic sites in the body, in source order.
-    pub panic_sites: Vec<PanicSite>,
 }
 
 /// A literal closure argument at a `par` helper call site.
@@ -128,8 +114,6 @@ pub struct SemanticModel {
     pub by_name: BTreeMap<String, Vec<usize>>,
     /// Crate → direct intra-workspace dependencies (self included).
     pub deps: BTreeMap<String, BTreeSet<String>>,
-    /// File index → flattened `use` paths.
-    pub uses: BTreeMap<usize, Vec<String>>,
     /// `par` helper call sites.
     pub par_calls: Vec<ParCall>,
 }
@@ -233,97 +217,6 @@ fn enclosing_impl(ranges: &[(String, usize, usize)], idx: usize) -> Option<Strin
         .filter(|(_, o, c)| idx > *o && idx < *c)
         .min_by_key(|(_, o, c)| c - o)
         .map(|(ty, _, _)| ty.clone())
-}
-
-/// Expand a `use` path token run (`a::b::{c, d::e}`) into flat paths.
-fn expand_use(toks: &[Token], prefix: &str, out: &mut Vec<String>) {
-    let mut i = 0;
-    let mut path = String::from(prefix);
-    while i < toks.len() {
-        let t = &toks[i];
-        match (t.kind, t.text.as_str()) {
-            (TokenKind::Ident, name) => {
-                if !path.is_empty() {
-                    path.push_str("::");
-                }
-                path.push_str(name);
-                i += 1;
-            }
-            (TokenKind::Punct, "::") => {
-                i += 1;
-            }
-            (TokenKind::Punct, "{") => {
-                // Group: split top-level commas, recurse on each.
-                let mut depth = 1usize;
-                let start = i + 1;
-                let mut seg_start = start;
-                let mut j = start;
-                while j < toks.len() && depth > 0 {
-                    match toks[j].text.as_str() {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                if seg_start < j {
-                                    expand_use(&toks[seg_start..j], &path, out);
-                                }
-                                break;
-                            }
-                        }
-                        "," if depth == 1 => {
-                            if seg_start < j {
-                                expand_use(&toks[seg_start..j], &path, out);
-                            }
-                            seg_start = j + 1;
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                return;
-            }
-            (TokenKind::Punct, "*") => {
-                if !path.is_empty() {
-                    path.push_str("::");
-                }
-                path.push('*');
-                i += 1;
-            }
-            _ => {
-                i += 1; // `as` aliases, commas, etc. — keep the base path
-            }
-        }
-    }
-    if !path.is_empty() && path != prefix {
-        out.push(path);
-    }
-}
-
-/// Collect the flattened `use` paths of a file.
-fn collect_uses(toks: &[Token]) -> Vec<String> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident || t.text != "use" {
-            continue;
-        }
-        let item_position = match i.checked_sub(1).map(|p| &toks[p]) {
-            None => true,
-            Some(prev) => {
-                prev.kind == TokenKind::Attr
-                    || matches!(prev.text.as_str(), ";" | "{" | "}" | "pub")
-            }
-        };
-        if !item_position {
-            continue;
-        }
-        let end = toks[i + 1..]
-            .iter()
-            .position(|t| t.text == ";")
-            .map(|p| i + 1 + p)
-            .unwrap_or(toks.len());
-        expand_use(&toks[i + 1..end], "", &mut out);
-    }
-    out
 }
 
 /// Parse `[dependencies]` / `[dev-dependencies]` keys from a manifest,
@@ -494,17 +387,12 @@ impl SemanticModel {
         }
 
         let mut fns: Vec<FnInfo> = Vec::new();
-        let mut uses: BTreeMap<usize, Vec<String>> = BTreeMap::new();
         let mut par_calls: Vec<ParCall> = Vec::new();
 
         for (fi, file) in ws.files.iter().enumerate() {
             let toks = &file.scan.tokens;
             let braces = brace_matches(toks);
             let impls = impl_ranges(toks, &braces);
-            let u = collect_uses(toks);
-            if !u.is_empty() {
-                uses.insert(fi, u);
-            }
 
             for (i, t) in toks.iter().enumerate() {
                 if t.kind != TokenKind::Ident || t.text != "fn" {
@@ -529,7 +417,6 @@ impl SemanticModel {
                     is_test: file.in_test_code(t.line),
                     role: file.role,
                     calls: Vec::new(),
-                    panic_sites: Vec::new(),
                 };
                 scan_body(file, toks, &braces, open, bclose, &mut info, fi, &mut par_calls);
                 fns.push(info);
@@ -545,7 +432,6 @@ impl SemanticModel {
             fns,
             by_name,
             deps,
-            uses,
             par_calls,
         }
     }
@@ -583,7 +469,7 @@ impl SemanticModel {
     }
 }
 
-/// Scan one fn body for calls, panic sites, and `par` helper crossings.
+/// Scan one fn body for calls and `par` helper crossings.
 #[expect(
     clippy::too_many_arguments,
     reason = "private step of `SemanticModel::build` that threads the caller's scan state; a \
@@ -599,7 +485,6 @@ fn scan_body(
     fi: usize,
     par_calls: &mut Vec<ParCall>,
 ) {
-    const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
     let mut i = open + 1;
     while i < close {
         let t = &toks[i];
@@ -608,25 +493,6 @@ fn scan_body(
             continue;
         }
         let name = t.text.as_str();
-
-        // Panic sites.
-        if (name == "unwrap" || name == "expect")
-            && i > 0
-            && toks[i - 1].text == "."
-            && toks.get(i + 1).map(|n| n.text == "(").unwrap_or(false)
-        {
-            info.panic_sites.push(PanicSite {
-                what: format!(".{name}()"),
-                line: t.line,
-            });
-        } else if PANIC_MACROS.contains(&name)
-            && toks.get(i + 1).map(|n| n.text == "!").unwrap_or(false)
-        {
-            info.panic_sites.push(PanicSite {
-                what: format!("{name}!"),
-                line: t.line,
-            });
-        }
 
         // Calls: `ident(` or `ident::<..>(`.
         if is_keyword(name) {
@@ -762,21 +628,5 @@ mod tests {
         assert_eq!(m.par_calls[0].closures.len(), 2);
         assert!(m.par_calls[0].closures[0].params.is_empty());
         assert_eq!(m.par_calls[0].closures[1].params, vec!["start", "chunk"]);
-    }
-
-    #[test]
-    fn use_paths_are_flattened() {
-        let (m, _) = model_of("use par::{map_indices, sanitizer::take_report};\nfn f() {}\n");
-        let u = m.uses.get(&0).cloned().unwrap_or_default();
-        assert!(u.contains(&"par::map_indices".to_string()), "{u:?}");
-        assert!(u.contains(&"par::sanitizer::take_report".to_string()), "{u:?}");
-    }
-
-    #[test]
-    fn panic_sites_are_collected_per_fn() {
-        let (m, _) = model_of("fn a(x: Option<u8>) -> u8 { x.unwrap() }\nfn b() { panic!(\"no\") }\nfn c() {}\n");
-        assert_eq!(m.fns[0].panic_sites.len(), 1);
-        assert_eq!(m.fns[1].panic_sites.len(), 1);
-        assert!(m.fns[2].panic_sites.is_empty());
     }
 }

@@ -115,13 +115,13 @@ mod tests {
 
     #[test]
     fn stale_and_live_allow_entries_are_distinguished() {
-        // The D1 check forbids wall-clock reads in configured crates;
-        // one allowed file actually contains one (live allow), the
-        // other allow entry points at a clean path (stale).
+        // The F1 check forbids float equality against a non-zero
+        // literal; one allowed file actually contains one (live allow),
+        // the other allow entry points at a clean path (stale).
         let file = crate::testsupport::lib_file(
             "crates/demo/src/lib.rs",
             "demo",
-            "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n",
+            "pub fn is_one(x: f64) -> bool { x == 1.0 }\n",
         );
         let ws = Workspace {
             root: std::path::PathBuf::from("."),
@@ -134,10 +134,9 @@ mod tests {
             files: vec![file],
             docs: Default::default(),
         };
-        let cfg = Config::parse(
-            "[checks.D1]\ncrates = [\"demo\"]\nallow = [\"crates/demo/src/lib.rs\", \"crates/ghost\"]\n",
-        )
-        .expect("cfg");
+        let cfg =
+            Config::parse("[checks.F1]\nallow = [\"crates/demo/src/lib.rs\", \"crates/ghost\"]\n")
+                .expect("cfg");
         let model = SemanticModel::build(&ws);
         let catalog = crate::checks::catalog();
         let mut out = Vec::new();

@@ -17,7 +17,7 @@ fn report() -> ftt_lint::diag::Report {
 #[test]
 fn every_check_has_a_failing_fixture() {
     let counts = report().counts();
-    for id in ["D1", "F1", "O1", "W1", "C1", "O2", "R1", "E2"] {
+    for id in ["F1", "O1", "W1", "C1", "O2", "E2"] {
         assert!(
             counts.get(id).copied().unwrap_or(0) > 0,
             "check {id} produced no findings on the violation fixture: {counts:?}"

@@ -1,9 +1,7 @@
-//! D1-allowed file: the HashMap here is suppressed by the `allow`
+//! F1-allowed file: the float compare here is suppressed by the `allow`
 //! entry in lint.toml, which keeps that entry *live* (not stale).
 
-use std::collections::HashMap;
-
-/// Needs insertion-order independence anyway; allowed by config.
-pub fn lookup(map: &HashMap<u8, u8>, k: u8) -> Option<u8> {
-    map.get(&k).copied()
+/// Compares against a literal on purpose; allowed by config.
+pub fn is_unit(x: f64) -> bool {
+    x == 1.0
 }

@@ -1,15 +1,5 @@
 //! The violation crate: one *positive* (failing) case per check.
 
-use std::collections::HashMap; // D1: unordered collection
-use std::time::Instant; // D1: wall clock
-
-/// D1: unscoped spawn; also exercises the banned imports above.
-pub fn d1_spawn(map: HashMap<u8, u8>) -> usize {
-    let t = Instant::now();
-    std::thread::spawn(move || map.len());
-    t.elapsed().as_nanos() as usize
-}
-
 /// F1: equality against a non-zero float literal, and a NaN compare.
 pub fn f1_eq(x: f64) -> bool {
     x == 1.0 || x != f64::NAN
@@ -28,16 +18,13 @@ pub trait Registrar {
     fn counter_labeled(&self, name: &str, labels: &[(&str, &str)]);
 }
 
-/// C1: the closure crossing the `par` boundary mutates a captured
-/// binding and builds an RNG with no per-index salt.
-pub fn c1_racy(n: usize, seed: u64) -> usize {
-    let mut total = 0usize;
+/// C1: the closure crossing the `par` boundary builds an RNG with no
+/// per-index salt.
+pub fn c1_racy(n: usize, seed: u64) -> Vec<usize> {
     par::map_indices(n, 1, |i| {
-        total += i;
         let _rng = sim_rng(seed);
         i
-    });
-    total
+    })
 }
 
 /// O2: `NeverEmitted` has no emitter anywhere outside this crate.
@@ -46,20 +33,6 @@ pub enum Event {
     Used(u64),
     /// Dead schema entry.
     NeverEmitted,
-}
-
-/// R1 root: reaches an unjustified panic site two hops down.
-pub fn resume() {
-    r1_helper();
-}
-
-fn r1_helper() {
-    r1_deep();
-}
-
-fn r1_deep() {
-    let v: Option<u8> = None;
-    let _ = v.unwrap();
 }
 
 /// E2: the outcome's cost never reaches a FlowStats sink.

@@ -1,19 +1,8 @@
 //! The clean crate: one *negative* (passing) case per check.
 //!
-//! D1: ordered collections, scoped threads. F1: exact-zero compares,
-//! epsilon helpers. O1: snake_case registry names. W1: inherits
-//! workspace version/license and is mentioned in README.md.
-
-use std::collections::BTreeMap;
-
-/// D1 negative: deterministic collections and scoped threads only.
-pub fn ordered(pairs: &[(usize, usize)]) -> BTreeMap<usize, usize> {
-    let map: BTreeMap<usize, usize> = pairs.iter().copied().collect();
-    std::thread::scope(|s| {
-        s.spawn(|| map.len());
-    });
-    map
-}
+//! F1: exact-zero compares, epsilon helpers. O1: snake_case registry
+//! names. W1: inherits workspace version/license and is mentioned in
+//! README.md.
 
 /// F1 negative: exact-zero compares are exempt; other comparisons go
 /// through an epsilon.
@@ -41,16 +30,6 @@ pub trait Registrar {
     fn span(&self, name: &str);
 }
 
-#[cfg(test)]
-mod tests {
-    // R1 exemption: test code may unwrap freely.
-    #[test]
-    fn unwrap_in_tests_is_fine() {
-        let v: Option<u8> = Some(1);
-        assert_eq!(v.unwrap(), 1);
-    }
-}
-
 /// C1 negative: the closure touches only its parameter and locals, and
 /// the RNG seed mixes in the per-index salt.
 pub fn deterministic_map(n: usize, seed: u64) -> Vec<u64> {
@@ -65,18 +44,6 @@ pub fn deterministic_map(n: usize, seed: u64) -> Vec<u64> {
 /// O2 negative: emits the `Used` event kind defined in `bad`.
 pub fn emit_used(sink: &mut Vec<Event>) {
     sink.push(Event::Used(1));
-}
-
-/// R1 negative root: the one panic site on the path sits inside a
-/// panic-lint `#[expect]` (the `--lib` clippy gate's escape hatch).
-pub fn resume() {
-    restore_step();
-}
-
-fn restore_step() {
-    let v: Option<u8> = Some(0);
-    #[expect(clippy::unwrap_used, reason = "seeded Some() on the line above")]
-    let _ = v.unwrap();
 }
 
 /// E2 negative: the producer's caller feeds the FlowStats ledger.

@@ -19,11 +19,8 @@ fn the_workspace_lints_clean() {
         report.to_human()
     );
     // The full catalog ran: the per-file and workspace checks plus the
-    // four semantic (cross-crate) checks.
-    assert_eq!(
-        report.checks,
-        vec!["C1", "D1", "E2", "F1", "O1", "O2", "R1", "W1"]
-    );
+    // three semantic (cross-crate) checks.
+    assert_eq!(report.checks, vec!["C1", "E2", "F1", "O1", "O2", "W1"]);
     // No stale suppressions linger in lint.toml or the source tree.
     assert!(
         report.warnings.is_empty(),

@@ -12,6 +12,13 @@
 //!
 //! [`Recorder`]: crate::recorder::Recorder
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "`WallClock` is the workspace's one sanctioned wall clock: it times spans, which \
+              stay out of the event stream and every byte-identity proof"
+)]
+
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -25,8 +25,8 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use faultdet::detector::{DetectorConfig, OnlineFaultDetector, TestMode};
-use ftt_core::flow::{FaultTolerantTrainer, TrainerState};
-use ftt_tile::{ChipConfig, DetectionScheduler, SchedulePolicy, TiledChip, TiledMapping};
+use ftt_core::flow::{transplant_params, FaultTolerantTrainer, TrainerState};
+use ftt_tile::{ChipConfig, DetectionScheduler, TiledChip, TiledMapping};
 use nn::data::Dataset;
 use obs::{Event, Recorder};
 use rand::rngs::StdRng;
@@ -84,9 +84,11 @@ fn params_fingerprint(state: &TrainerState) -> u64 {
 /// chip.
 ///
 /// The snapshot's *software* parameters are transplanted onto the spec's
-/// template network; the hardware (chip, tile seeds, fault map) is built
-/// anew from `spec.mapping_config(tile_size, salt)` and reprogrammed from
-/// those parameters. (`FaultTolerantTrainer::restore_state` is the wrong
+/// template network ([`transplant_params`], which rejects a capture whose
+/// layers, weight counts or biases do not fit it); the hardware (chip,
+/// tile seeds, fault map) is built anew from
+/// `spec.mapping_config(tile_size, salt)` and reprogrammed from those
+/// parameters. (`FaultTolerantTrainer::restore_state` is the wrong
 /// tool here: it rebuilds the *same* chip, and a migration exists
 /// precisely because that chip ran out of spares.) The iteration counter
 /// and curve restart — detection warmup re-applies on the new hardware.
@@ -104,34 +106,7 @@ pub fn rebuild_trainer_from_snapshot(
 ) -> Result<FaultTolerantTrainer, ServeError> {
     let state = ftt_snapshot::decode(bytes)?;
     let mut net = spec.network();
-    for p in &state.params {
-        let Some(params) = net.layer_params_mut(p.layer_index) else {
-            return Err(ServeError::InvalidConfig(format!(
-                "snapshot layer {} does not exist in the template network",
-                p.layer_index
-            )));
-        };
-        if params.weights.len() != p.weights.len() {
-            return Err(ServeError::InvalidConfig(format!(
-                "snapshot layer {} weight count {} != template {}",
-                p.layer_index,
-                p.weights.len(),
-                params.weights.len()
-            )));
-        }
-        params.weights.copy_from_slice(&p.weights);
-        if let (Some(dst), Some(src)) = (params.bias, p.bias.as_ref()) {
-            if dst.len() != src.len() {
-                return Err(ServeError::InvalidConfig(format!(
-                    "snapshot layer {} bias count {} != template {}",
-                    p.layer_index,
-                    src.len(),
-                    dst.len()
-                )));
-            }
-            dst.copy_from_slice(src);
-        }
-    }
+    transplant_params(&mut net, &state.params)?;
     let mapping = spec.mapping_config(tile_size, salt);
     let flow = spec.flow_config();
     Ok(FaultTolerantTrainer::with_recorder(
@@ -247,10 +222,7 @@ impl Service {
             }
             let mut chip = TiledChip::new(chip_cfg)?;
             chip.attach_recorder(&recorder);
-            let scheduler = DetectionScheduler::new(SchedulePolicy::RoundRobin {
-                tiles_per_campaign: TILES_PER_CAMPAIGN,
-            })?
-            .with_lull(config.lull);
+            let scheduler = DetectionScheduler::new(TILES_PER_CAMPAIGN, config.lull)?;
             nodes.push(ChipNode {
                 chip,
                 scheduler,
@@ -850,6 +822,7 @@ mod tests {
     use super::*;
     use crate::config::ChipNodeConfig;
     use crate::tenant::InferenceSpec;
+    use ftt_core::error::FttError;
     use ftt_tile::LullConfig;
 
     fn small_config() -> ServiceConfig {
@@ -1006,5 +979,52 @@ mod tests {
         let (fp4, prom4) = run(4);
         assert_eq!(fp1, fp4);
         assert_eq!(prom1, prom4);
+    }
+
+    #[test]
+    fn rebuild_rejects_a_snapshot_that_does_not_fit_the_template() {
+        let spec = TrainingSpec {
+            name: "t".into(),
+            inputs: 16,
+            hidden: 8,
+            classes: 4,
+            train_n: 16,
+            test_n: 8,
+            seed: 3,
+            tile_quota: 1,
+            fault_fraction: 0.0,
+            spare_tiles: 1,
+            retire_fault_density: 1.0,
+            detection_interval: 5,
+            detection_warmup: 5,
+        };
+        let recorder = Recorder::deterministic();
+        let mut trainer = FaultTolerantTrainer::with_recorder(
+            spec.network(),
+            spec.mapping_config(8, 1),
+            spec.flow_config(),
+            recorder.clone(),
+        )
+        .expect("trainer");
+        let state = trainer.export_state();
+        let rebuild = |state: &TrainerState| {
+            rebuild_trainer_from_snapshot(&ftt_snapshot::encode(state), &spec, 8, 2, &recorder)
+        };
+        assert!(rebuild(&state).is_ok());
+
+        // A capture missing the output layer would keep the template's
+        // initial weights there; one missing a bias would keep the
+        // template's bias. Both must be refused, as restore refuses them.
+        let mut dropped_layer = state.clone();
+        dropped_layer.params.pop();
+        let mut dropped_bias = state.clone();
+        assert!(dropped_bias.params[0].bias.is_some());
+        dropped_bias.params[0].bias = None;
+        for bad in [&dropped_layer, &dropped_bias] {
+            assert!(matches!(
+                rebuild(bad),
+                Err(ServeError::Flow(FttError::InvalidConfig(_)))
+            ));
+        }
     }
 }

@@ -18,8 +18,9 @@
 //!   [`rram::Crossbar::mvm`] at any `RRAM_FTT_THREADS` (see the module
 //!   docs for the accumulation-order argument).
 //! - [`schedule::DetectionScheduler`] decides which tiles get this
-//!   interval's §4 campaigns; the chip runs them tile-locally, so
-//!   comparison groups never span tile edges.
+//!   interval's §4 campaigns (a rotating window, deferred outside traffic
+//!   lulls); the chip runs them tile-locally, so comparison groups never
+//!   span tile edges.
 //! - [`health::TileHealth`] scores tiles from predicted fault density and
 //!   accumulated wear; the chip's retirement policy consumes the density.
 //!
@@ -43,4 +44,4 @@ pub use error::TileError;
 pub use geometry::{CellCursor, Shard, ShardGrid};
 pub use health::TileHealth;
 pub use mapping::TiledMapping;
-pub use schedule::{DetectionScheduler, LullConfig, SchedulePolicy};
+pub use schedule::{DetectionScheduler, LullConfig};

@@ -21,8 +21,9 @@ bench *ARGS:
     cargo run --release --quiet --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- {{ARGS}}
 
 # Lints at the workspace's warning bar, with `unsafe` forbidden in every
-# target (vendored shims included). `-D warnings` also fails any
-# `#[expect(lint, reason = ...)]` whose site has gone away
+# target (vendored shims included). The root clippy.toml bans wall
+# clocks, hash maps and unscoped threads (DESIGN.md §10). `-D warnings`
+# also fails any `#[expect(lint, reason = ...)]` whose site has gone away
 # (`unfulfilled_lint_expectations`).
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings -F unsafe-code
@@ -37,10 +38,12 @@ chaos:
 # or call a panicking macro on caller-reachable paths, and every lint
 # escape hatch is an `#[expect(lint, reason = "...")]` (no bare #[allow]).
 # Test code is exempt (--lib builds without cfg(test)), and so are bins,
-# benches and integration tests. Includes ftt-lint so the linter obeys
-# its own panic policy.
+# benches and integration tests. Every workspace library is gated, a new
+# crate included, except the figure harness ftt-bench and the vendored
+# rand/proptest shims; the resume paths (snapshot restore, the service
+# tick) are library code, so no panic can hide under them.
 clippy-unwrap:
-    cargo clippy -p obs -p par -p rram -p nn -p faultdet -p ftt-tile -p ftt-core -p ftt-snapshot -p ftt-strategy -p ftt-arena -p ftt-serve -p chaos -p ftt-lint -p rram-ftt --lib -- \
+    cargo clippy --workspace --exclude ftt-bench --exclude rand --exclude proptest --lib -- \
         -D warnings -D clippy::unwrap_used -D clippy::expect_used \
         -D clippy::panic -D clippy::unreachable -D clippy::todo -D clippy::unimplemented \
         -D clippy::allow_attributes -D clippy::allow_attributes_without_reason
@@ -53,12 +56,13 @@ snapshot-check:
     cargo run --release -p ftt-snapshot --bin snapshot_check
 
 # Static-analysis gate (DESIGN.md §10): the full ftt-lint catalog —
-# per-file checks (D1 determinism, F1 float equality, O1 obs naming,
-# W1 workspace consistency) plus the cross-crate semantic checks (C1
-# par-capture determinism, O2 obs schema, R1 resume panic freedom, E2
-# cycle accounting) — over the whole workspace. Exits non-zero on any
-# unallowlisted finding. The panic, unsafe and cast policies are the
-# two clippy recipes above.
+# per-file checks (F1 float equality, O1 obs naming, W1 workspace
+# consistency) plus the cross-crate semantic checks (C1 par-capture
+# determinism, O2 obs schema, E2 cycle accounting) — over the whole
+# workspace. Exits non-zero on any unallowlisted finding. The panic,
+# unsafe and cast policies are the two clippy recipes above; the
+# determinism bans (wall clocks, hash maps, unscoped threads) live in
+# clippy.toml and run with `just clippy`.
 lint:
     cargo run --release -p ftt-lint
 
