@@ -70,6 +70,13 @@ impl Timeline {
             None => self.pulses_by_phase.push((phase.to_string(), pulses)),
         }
     }
+
+    fn phase_pulses(&self, phase: &str) -> u64 {
+        self.pulses_by_phase
+            .iter()
+            .find(|(p, _)| p == phase)
+            .map_or(0, |&(_, total)| total)
+    }
 }
 
 /// Replays one JSONL trace into metric timelines. Lines that are not
@@ -132,7 +139,7 @@ fn replay(trace: &str) -> Timeline {
             }
             "write_pulse_batch" => {
                 let phase = extract_str(line, "phase").unwrap_or_else(|| "unknown".into());
-                t.phase_add(&phase, extract_u64(line, "pulses").unwrap_or(0));
+                t.phase_add(&phase, extract_u64(line, "batch_pulses").unwrap_or(0));
             }
             "tile_retired" => t.retired_tiles.push((iter, extract_u64(line, "tile").unwrap_or(0))),
             "spare_attached" => {
@@ -259,35 +266,21 @@ fn main() {
     if let Some(stats) = check {
         let issued: u64 = timeline.iters.iter().map(|p| p.writes_issued).sum();
         let skipped: u64 = timeline.iters.iter().map(|p| p.writes_skipped).sum();
+        let checks = [
+            ("writes_issued", issued, stats.writes_issued),
+            ("writes_skipped", skipped, stats.writes_skipped),
+            // One training write is one pulse.
+            ("training pulses", timeline.phase_pulses("training"), stats.writes_issued),
+            ("detection pulses", timeline.phase_pulses("detection"), stats.detection_writes),
+            ("wear_faults", timeline.total_wear_faults, stats.wear_faults_during_training),
+            ("campaigns", timeline.campaigns.len() as u64, stats.detection_campaigns),
+        ];
         let mut ok = true;
-        if issued != stats.writes_issued {
-            eprintln!(
-                "MISMATCH writes_issued: trace {issued} vs trainer {}",
-                stats.writes_issued
-            );
-            ok = false;
-        }
-        if skipped != stats.writes_skipped {
-            eprintln!(
-                "MISMATCH writes_skipped: trace {skipped} vs trainer {}",
-                stats.writes_skipped
-            );
-            ok = false;
-        }
-        if timeline.total_wear_faults != stats.wear_faults_during_training {
-            eprintln!(
-                "MISMATCH wear_faults: trace {} vs trainer {}",
-                timeline.total_wear_faults, stats.wear_faults_during_training
-            );
-            ok = false;
-        }
-        if timeline.campaigns.len() as u64 != stats.detection_campaigns {
-            eprintln!(
-                "MISMATCH campaigns: trace {} vs trainer {}",
-                timeline.campaigns.len(),
-                stats.detection_campaigns
-            );
-            ok = false;
+        for (name, trace, trainer) in checks {
+            if trace != trainer {
+                eprintln!("MISMATCH {name}: trace {trace} vs trainer {trainer}");
+                ok = false;
+            }
         }
         if !ok {
             std::process::exit(1);

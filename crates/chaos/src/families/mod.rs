@@ -11,7 +11,6 @@ mod kernels;
 mod observability;
 mod restore;
 mod robustness;
-mod sanitize;
 mod serve;
 mod tiling;
 mod training;
@@ -23,7 +22,6 @@ pub use kernels::kernels;
 pub use observability::obs_stream;
 pub use restore::restore;
 pub use robustness::{config_rejection, thread_budget};
-pub use sanitize::sanitize;
 pub use serve::serve;
 pub use tiling::tiling;
 pub use training::{degenerate_gradients, prune_rate_extremes};

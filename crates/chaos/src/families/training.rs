@@ -314,12 +314,15 @@ fn check_against_oracle(
 /// Per policy × coding: the JSONL-trace FNV-1a-64, writes issued, writes
 /// skipped and training wear faults of [`policy_flow`], recorded from the
 /// scalar four-pass update loop before the block-skipped one replaced it.
+/// The hashes were re-recorded once, when `write_pulse_batch` events
+/// renamed their batch-size key to `batch_pulses`; with that key renamed
+/// back, each trace hashes to its original recording.
 const POLICY_GOLDENS: [(&str, ThresholdPolicy, WeightCoding, u64, u64, u64, u64); 6] = [
     (
         "none_unipolar",
         ThresholdPolicy::None,
         WeightCoding::Unipolar,
-        0xd14c_ef86_6dba_2212,
+        0x034b_8f1d_4a54_76de,
         47_539,
         0,
         9_421,
@@ -328,7 +331,7 @@ const POLICY_GOLDENS: [(&str, ThresholdPolicy, WeightCoding, u64, u64, u64, u64)
         "none_differential",
         ThresholdPolicy::None,
         WeightCoding::Differential,
-        0xe159_c828_fc71_87bf,
+        0x8709_18fb_df84_cd3f,
         49_228,
         0,
         18_934,
@@ -337,7 +340,7 @@ const POLICY_GOLDENS: [(&str, ThresholdPolicy, WeightCoding, u64, u64, u64, u64)
         "fixed_unipolar",
         ThresholdPolicy::Fixed { fraction: 0.05 },
         WeightCoding::Unipolar,
-        0x3aa0_eb98_3216_f149,
+        0xa530_03a8_7df4_2b11,
         5_214,
         109_019,
         214,
@@ -346,7 +349,7 @@ const POLICY_GOLDENS: [(&str, ThresholdPolicy, WeightCoding, u64, u64, u64, u64)
         "fixed_differential",
         ThresholdPolicy::Fixed { fraction: 0.05 },
         WeightCoding::Differential,
-        0x831d_5dc9_fcd4_79fa,
+        0xbcc4_0b27_da2c_781e,
         5_389,
         108_803,
         339,
@@ -358,7 +361,7 @@ const POLICY_GOLDENS: [(&str, ThresholdPolicy, WeightCoding, u64, u64, u64, u64)
             growth: 0.5,
         },
         WeightCoding::Unipolar,
-        0x2026_45e9_4e5f_63d2,
+        0x3478_4d26_312f_41a6,
         7_105,
         107_032,
         331,
@@ -370,7 +373,7 @@ const POLICY_GOLDENS: [(&str, ThresholdPolicy, WeightCoding, u64, u64, u64, u64)
             growth: 0.5,
         },
         WeightCoding::Differential,
-        0x9027_125c_5808_87f2,
+        0x056a_5354_141a_bb3f,
         6_744,
         107_391,
         443,

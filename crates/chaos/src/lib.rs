@@ -167,7 +167,7 @@ pub fn run_all(seed: u64) -> ChaosReport {
     // the default hook from spraying backtraces over the report.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let mut families = vec![
+    let families = vec![
         families::detector_group_remainders(seed ^ 0x01),
         families::mod16_aliasing(seed ^ 0x02),
         families::all_faulty_extremes(seed ^ 0x03),
@@ -184,28 +184,6 @@ pub fn run_all(seed: u64) -> ChaosReport {
         families::serve(seed ^ 0x0e),
         families::arena(seed ^ 0x10),
     ];
-    // With `RRAM_FTT_SANITIZE=1` the families above double as sanitizer
-    // workload: every `par` fan-out they drove had its schedule
-    // cross-checked. Surface that accumulated verdict as its own case
-    // *before* the dedicated family, whose cases drain and re-arm the
-    // global sanitizer state.
-    if par::sanitizer::enabled() {
-        let mut fam = FamilyReport::new("sanitize_env");
-        fam.case("all_families_ran_schedule_clean", || {
-            let rep = par::sanitizer::take_report();
-            ensure(
-                rep.is_clean(),
-                format!(
-                    "{} of {} checked schedules diverged: {:?}",
-                    rep.violations.len(),
-                    rep.calls_checked,
-                    rep.violations
-                ),
-            )
-        });
-        families.push(fam);
-    }
-    families.push(families::sanitize(seed ^ 0x0f));
     std::panic::set_hook(prev_hook);
     ChaosReport { seed, families }
 }

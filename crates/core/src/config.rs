@@ -51,9 +51,6 @@ pub struct MappingConfig {
     /// Programmable levels per cell (test-phase view; training writes are
     /// analog).
     pub levels: u16,
-    /// Full-scale weight magnitude as a multiple of each layer's initial
-    /// max |w| (headroom for weight growth during training).
-    pub w_max_factor: f64,
     /// Per-cell endurance model.
     pub endurance: EnduranceModel,
     /// Write-variation (soft fault) model.
@@ -83,7 +80,6 @@ impl MappingConfig {
             coding: WeightCoding::Unipolar,
             tile_size: 256,
             levels: 8,
-            w_max_factor: 2.0,
             endurance: EnduranceModel::unlimited(),
             variation: WriteVariation::none(),
             initial_fault_fraction: 0.0,
@@ -238,7 +234,6 @@ impl FlowConfig {
             // non-zero, so no validation can fail.
             detector: DetectorConfig {
                 test_size: 8,
-                delta_levels: 1,
                 modulo_divisor: 16,
                 mode: faultdet::detector::TestMode::default_selected(),
             },

@@ -34,6 +34,11 @@ use rram::spatial::FaultInjection;
 use crate::config::{MappingConfig, MappingScope, WeightCoding};
 use crate::error::FttError;
 
+/// Full-scale weight magnitude as a multiple of each layer's initial max
+/// |w|: headroom for weight growth during training. Larger factors make
+/// every SA1 cell an extreme outlier (DESIGN.md §2).
+const W_MAX_FACTOR: f64 = 2.0;
+
 /// The cell of a weight's coding that one shard grid holds.
 #[derive(Debug, Clone, Copy)]
 enum Polarity {
@@ -421,7 +426,7 @@ impl MappedNetwork {
                 .expect("weight layer has parameters");
             let (rows, cols) = params.weight_shape;
             let absmax = params.weights.iter().fold(0.0f32, |m, &w| m.max(w.abs()));
-            let w_max = (f64::from(absmax) * config.w_max_factor).max(1e-3);
+            let w_max = (f64::from(absmax) * W_MAX_FACTOR).max(1e-3);
             let signs: Vec<i8> = params
                 .weights
                 .iter()

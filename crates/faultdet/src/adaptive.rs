@@ -24,7 +24,7 @@ use rram::crossbar::Crossbar;
 use rram::error::RramError;
 use rram::fault::{FaultKind, FaultMap};
 
-use crate::detector::DetectorConfig;
+use crate::detector::{DetectorConfig, DELTA_LEVELS};
 use crate::localize::FlagSet;
 use crate::reference::OffChipStore;
 use crate::selected::CandidateMask;
@@ -67,12 +67,11 @@ impl AdaptiveDetector {
         let store = OffChipStore::read_from(xbar);
         let candidates = CandidateMask::all(xbar.rows(), xbar.cols());
         let pulses_before = xbar.write_pulses();
-        let delta = i32::from(self.config.delta_levels);
 
         let (sa0_map, sa0_cycles) =
-            self.kind_pass(xbar, &store, &adc, &candidates, FaultKind::StuckAt0, delta)?;
+            self.kind_pass(xbar, &store, &adc, &candidates, FaultKind::StuckAt0, DELTA_LEVELS)?;
         let (sa1_map, sa1_cycles) =
-            self.kind_pass(xbar, &store, &adc, &candidates, FaultKind::StuckAt1, -delta)?;
+            self.kind_pass(xbar, &store, &adc, &candidates, FaultKind::StuckAt1, -DELTA_LEVELS)?;
 
         let mut predicted = sa0_map;
         predicted.merge(&sa1_map);

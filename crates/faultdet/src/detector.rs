@@ -52,14 +52,15 @@ impl TestMode {
     }
 }
 
+/// Test increment in levels (the paper's `δw`; must exceed the write
+/// variation, §4.2): the SA0 pass writes `+δ`, the SA1 pass `−δ`.
+pub(crate) const DELTA_LEVELS: i32 = 1;
+
 /// Configuration of one detection campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectorConfig {
     /// Rows (and columns — the paper sets `Tr = Tc`) driven per test cycle.
     pub test_size: usize,
-    /// Test increment in levels (the paper's `δw`; must exceed the write
-    /// variation, §4.2).
-    pub delta_levels: u16,
     /// Modulo divisor of the ADC comparison (16 in the paper).
     pub modulo_divisor: u32,
     /// All-cells or selected-cells testing.
@@ -81,7 +82,6 @@ impl DetectorConfig {
         }
         Ok(Self {
             test_size,
-            delta_levels: 1,
             modulo_divisor: 16,
             mode: TestMode::AllCells,
         })
@@ -103,12 +103,6 @@ impl DetectorConfig {
     /// the campaign builds its ADC).
     pub fn with_modulo_divisor(mut self, divisor: u32) -> Self {
         self.modulo_divisor = divisor;
-        self
-    }
-
-    /// Sets the test increment in levels.
-    pub fn with_delta_levels(mut self, delta: u16) -> Self {
-        self.delta_levels = delta;
         self
     }
 }
@@ -296,14 +290,13 @@ impl OnlineFaultDetector {
         };
         let pulses_before = xbar.write_pulses();
 
-        let delta = i32::from(self.config.delta_levels);
         let (sa0_map, sa0_cycles, sa0_untested) = self.kind_pass(
             xbar,
             store,
             &adc,
             &sa0_candidates,
             FaultKind::StuckAt0,
-            delta,
+            DELTA_LEVELS,
         )?;
         let (sa1_map, sa1_cycles, sa1_untested) = self.kind_pass(
             xbar,
@@ -311,7 +304,7 @@ impl OnlineFaultDetector {
             &adc,
             &sa1_candidates,
             FaultKind::StuckAt1,
-            -delta,
+            -DELTA_LEVELS,
         )?;
 
         // Retested cells get fresh verdicts; everything else carries over.
@@ -751,7 +744,6 @@ mod tests {
         let mut xbar = faulty_xbar(8, 0.0, 10);
         let cfg = DetectorConfig {
             test_size: 0,
-            delta_levels: 1,
             modulo_divisor: 16,
             mode: TestMode::AllCells,
         };

@@ -424,8 +424,10 @@ impl TimedEvent {
             } => obj
                 .field_u64("new_faults", *new_faults)
                 .field_u64("total_faults", *total_faults),
+            // `pulses` is the logical-clock stamp above, so the batch
+            // size takes its own key.
             Event::WritePulseBatch { pulses, phase } => obj
-                .field_u64("pulses", *pulses)
+                .field_u64("batch_pulses", *pulses)
                 .field_str("phase", phase.as_str()),
             Event::TileRetired {
                 tile,
@@ -516,9 +518,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_kind_serializes_with_its_tag() {
-        let events = vec![
+    /// One event of every kind, in [`EventKind::ALL`] order.
+    fn one_of_each_kind() -> Vec<Event> {
+        vec![
             Event::TrainingIteration {
                 writes_issued: 1,
                 writes_skipped: 2,
@@ -603,8 +605,31 @@ mod tests {
                 accuracy_ppm: 912_000,
                 write_pulses: 40_000,
             },
-        ];
-        for (i, event) in events.into_iter().enumerate() {
+        ]
+    }
+
+    #[test]
+    fn every_kind_serializes_with_unique_keys() {
+        let events = one_of_each_kind();
+        let kinds: Vec<EventKind> = events.iter().map(Event::kind).collect();
+        assert_eq!(kinds, EventKind::ALL, "one event per kind, in order");
+        for event in events {
+            let line = TimedEvent { at: at(0), event }.to_json();
+            // No string value above contains `,"`, so it splits fields.
+            let keys: Vec<&str> = line[2..line.len() - 1]
+                .split(",\"")
+                .map(|field| field.split_once("\":").map_or(field, |(key, _)| key))
+                .collect();
+            assert_eq!(keys[..4], ["iter", "pulses", "seq", "kind"], "{line}");
+            for (i, key) in keys.iter().enumerate() {
+                assert!(!keys[..i].contains(key), "key {key:?} repeats in {line}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_kind_serializes_with_its_tag() {
+        for (i, event) in one_of_each_kind().into_iter().enumerate() {
             let kind = event.kind();
             let line = TimedEvent {
                 at: at(i as u64),

@@ -38,14 +38,11 @@
 //! assert!(view.contents().contains("\"kind\":\"detection_campaign_start\""));
 //! ```
 //!
-//! ## The global recorder
+//! ## No global recorder
 //!
-//! Code that has no natural place to thread a [`Recorder`] through (the
-//! `par` helpers) uses the process-wide [`global()`] recorder, gated by
-//! [`enabled()`] — a single relaxed atomic load that defaults to `false`
-//! so un-instrumented hot loops pay (nearly) nothing. Flows that *do*
-//! have a recorder parameter should take one explicitly; the global is
-//! the fallback, not the front door.
+//! There is no process-wide recorder and no global on/off switch. Every
+//! [`Recorder`] is created by its owner and passed explicitly to the code
+//! it instruments; code with no recorder parameter records nothing.
 
 #![warn(missing_docs)]
 
@@ -64,56 +61,3 @@ pub use metrics::{Counter, Gauge, Histogram, Registry, DURATION_BOUNDS_NS};
 pub use recorder::{ClockState, Recorder};
 pub use sink::{EventSink, JsonlSink, JsonlView, RingSink, RingView};
 pub use span::SpanGuard;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-/// Whether *global* (implicitly-wired) instrumentation is on.
-static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns global instrumentation on or off. Off by default so hot loops
-/// that consult [`enabled()`] pay only a relaxed load.
-pub fn set_enabled(on: bool) {
-    GLOBAL_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether global instrumentation is on (one relaxed atomic load).
-#[inline]
-pub fn enabled() -> bool {
-    GLOBAL_ENABLED.load(Ordering::Relaxed)
-}
-
-/// The process-wide recorder, created on first use (wall-clock spans).
-///
-/// Used by code with no recorder parameter of its own (e.g. the `par`
-/// worker-span instrumentation). Explicitly-wired recorders are
-/// preferred wherever a parameter can be threaded.
-pub fn global() -> &'static Recorder {
-    static GLOBAL: OnceLock<Recorder> = OnceLock::new();
-    GLOBAL.get_or_init(Recorder::new)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn global_toggle_defaults_off() {
-        // Note: other tests must not rely on the flag staying off; this
-        // test restores the default it observes.
-        let was = enabled();
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(was);
-    }
-
-    #[test]
-    fn global_recorder_is_a_singleton() {
-        let a = global();
-        a.counter("obs_selftest_total").inc();
-        let b = global();
-        assert_eq!(b.registry().counter_value("obs_selftest_total"), Some(1));
-    }
-}

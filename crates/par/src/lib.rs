@@ -23,41 +23,19 @@
 //!
 //! Determinism note: every helper assigns work by index and writes results
 //! into pre-sliced disjoint regions, so outputs are bit-identical to the
-//! sequential order regardless of the thread count.
+//! sequential order regardless of the thread count. The proof is the
+//! byte-comparison of seeded traces and statistics at budgets
+//! {1, 4, [`MAX_THREADS`]} that the chaos harness, `serve_demo`, `arena`
+//! and the benchmark's tests run.
+//!
+//! The crate holds only the worker budget and the fork-join core: it
+//! records no metrics and keeps no other process-global state. A caller
+//! that wants a fan-out timed opens a span on its own `obs::Recorder`
+//! around the call.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-pub mod sanitizer;
-
-/// Observes one parallel fan-out on the global [`obs`] recorder, returning
-/// a span guard timing the whole fork-join scope. Gated on
-/// [`obs::enabled`] (one relaxed atomic load, default off) so
-/// un-instrumented hot loops pay effectively nothing — the workspace's
-/// kernel benches measure the gate at well under the 5 % overhead budget.
-///
-/// `par` has no recorder parameter to thread through (it sits below every
-/// instrumented crate), so this is the one sanctioned use of the global
-/// recorder. Only commutative metrics are touched; no events.
-fn record_fanout(helper: &'static str, spawned: usize) -> Option<obs::SpanGuard> {
-    if !obs::enabled() {
-        return None;
-    }
-    let rec = obs::global();
-    rec.counter("par_fanouts_total").inc();
-    rec.counter("par_workers_spawned_total").add(spawned as u64);
-    Some(rec.span(helper))
-}
-
-/// Times one worker's slice of a fan-out (histogram
-/// `span_par_worker_ns`); `None` when global instrumentation is off.
-fn worker_span() -> Option<obs::SpanGuard> {
-    if !obs::enabled() {
-        return None;
-    }
-    Some(obs::global().span("par_worker"))
-}
 
 /// The work gate: the fewest estimated scalar operations a worker may be
 /// given. Calibrated from the measured fan-out cost — one scoped fan-out
@@ -101,7 +79,7 @@ pub const MAX_THREADS: usize = 1024;
 
 /// The worker budget used by all helpers.
 ///
-/// Resolution order: [`set_thread_count`] override (tests / benches), the
+/// Resolution order: [`set_thread_count`] override (tests, benchmark), the
 /// `RRAM_FTT_THREADS` environment variable (resolved once through
 /// [`resolve_thread_budget`]), then
 /// [`std::thread::available_parallelism`]. Always in `1..=MAX_THREADS`.
@@ -172,7 +150,8 @@ fn debug_log(msg: &str) {
 }
 
 /// Forces [`thread_count`] to `n` for this process (0 restores the
-/// env/auto behaviour). Used by benches to sweep thread counts.
+/// env/auto behaviour). Used by the benchmark and the thread-budget
+/// byte-comparisons to sweep thread counts.
 pub fn set_thread_count(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
@@ -186,7 +165,7 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    fan_out("par_chunk", data, 1, ops_per_item, f);
+    fan_out(data, 1, ops_per_item, f);
 }
 
 /// Splits a row-major matrix buffer (`data.len() == rows * row_len`) into
@@ -209,7 +188,7 @@ where
         "buffer length {} is not a multiple of row_len {row_len}",
         data.len()
     );
-    fan_out("par_row_block", data, row_len, ops_per_row, f);
+    fan_out(data, row_len, ops_per_row, f);
 }
 
 /// Evaluates `f(i)` for every `i in 0..n` and returns the results in index
@@ -227,7 +206,7 @@ where
     }
     let mut out: Vec<Option<T>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    fan_out("par_map", &mut out, 1, ops_per_item, |start, slots| {
+    fan_out(&mut out, 1, ops_per_item, |start, slots| {
         for (k, slot) in slots.iter_mut().enumerate() {
             *slot = Some(f(start + k));
         }
@@ -262,7 +241,6 @@ impl Drop for ChunkGuard {
 
 /// Runs one chunk of a fan-out with nested fan-outs disabled.
 fn run_chunk(job: impl FnOnce()) {
-    let _w = worker_span();
     let _guard = ChunkGuard(IN_FANOUT.with(|c| c.replace(true)));
     job();
 }
@@ -282,7 +260,7 @@ fn workers_for(units: usize, ops_per_unit: usize) -> usize {
 /// contiguous blocks of whole `unit`-element units, one block per worker,
 /// and runs `f(first_unit, block)` for each. The calling thread runs the
 /// first block itself and spawns one scoped thread per remaining block.
-fn fan_out<T, F>(helper: &'static str, data: &mut [T], unit: usize, ops_per_unit: usize, f: F)
+fn fan_out<T, F>(data: &mut [T], unit: usize, ops_per_unit: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -294,10 +272,7 @@ where
         return;
     }
     let per_block = units.div_ceil(workers);
-    let block_len = per_block * unit;
-    let n = data.len();
-    let mut blocks = data.chunks_mut(block_len);
-    let _obs = record_fanout(helper, blocks.len() - 1);
+    let mut blocks = data.chunks_mut(per_block * unit);
     let f = &f;
     std::thread::scope(|scope| {
         let first = blocks.next();
@@ -309,14 +284,6 @@ where
             run_chunk(|| f(0, block));
         }
     });
-    if sanitizer::enabled() {
-        let spans: Vec<(usize, usize)> = (0..n)
-            .step_by(block_len)
-            .map(|start| (start, block_len.min(n - start)))
-            .collect();
-        let order: Vec<usize> = (0..spans.len()).collect();
-        sanitizer::record_schedule(helper, n, &spans, &order);
-    }
 }
 
 #[cfg(test)]
@@ -325,9 +292,12 @@ mod tests {
     use std::sync::Mutex;
     use std::thread::{self, ThreadId};
 
-    /// Serializes the tests that change the process-wide thread budget or
-    /// global instrumentation.
+    /// Serializes the tests that change the process-wide thread budget.
     static GLOBAL: Mutex<()> = Mutex::new(());
+
+    /// Sequential, a small fan-out, and the cap: the budgets the
+    /// byte-comparisons across the workspace run at.
+    const BUDGETS: [usize; 3] = [1, 4, MAX_THREADS];
 
     fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
         let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -387,16 +357,18 @@ mod tests {
 
     #[test]
     fn chunks_cover_every_index_once() {
-        let mut data = vec![0u32; 1000];
-        with_budget(4, || {
-            for_each_chunk_mut(&mut data, PAR_MIN_WORK, |start, chunk| {
-                for (k, v) in chunk.iter_mut().enumerate() {
-                    *v += (start + k) as u32 + 1;
-                }
+        for budget in BUDGETS {
+            let mut data = vec![0u32; 1000];
+            with_budget(budget, || {
+                for_each_chunk_mut(&mut data, PAR_MIN_WORK, |start, chunk| {
+                    for (k, v) in chunk.iter_mut().enumerate() {
+                        *v += (start + k) as u32 + 1;
+                    }
+                });
             });
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i as u32 + 1, "index {i} visited exactly once");
+            for (i, v) in data.iter().enumerate() {
+                assert_eq!(*v, i as u32 + 1, "budget {budget}: index {i} visited once");
+            }
         }
     }
 
@@ -460,61 +432,31 @@ mod tests {
     fn row_blocks_never_split_rows() {
         let row_len = 7;
         let rows = 131;
-        let mut data = vec![0usize; rows * row_len];
-        with_budget(4, || {
-            for_each_row_block_mut(&mut data, row_len, PAR_MIN_WORK, |first_row, block| {
-                assert_eq!(block.len() % row_len, 0, "block must hold whole rows");
-                for (k, v) in block.iter_mut().enumerate() {
-                    *v = (first_row * row_len + k) + 1;
-                }
+        for budget in BUDGETS {
+            let mut data = vec![0usize; rows * row_len];
+            with_budget(budget, || {
+                for_each_row_block_mut(&mut data, row_len, PAR_MIN_WORK, |first_row, block| {
+                    assert_eq!(block.len() % row_len, 0, "block must hold whole rows");
+                    for (k, v) in block.iter_mut().enumerate() {
+                        *v += (first_row * row_len + k) + 1;
+                    }
+                });
             });
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i + 1);
+            for (i, v) in data.iter().enumerate() {
+                assert_eq!(*v, i + 1, "budget {budget}: index {i} visited once");
+            }
         }
     }
 
     #[test]
     fn map_indices_preserves_order() {
-        let squares = with_budget(4, || map_indices(500, PAR_MIN_WORK, |i| i * i));
-        assert_eq!(squares.len(), 500);
-        for (i, s) in squares.iter().enumerate() {
-            assert_eq!(*s, i * i);
+        for budget in BUDGETS {
+            let squares = with_budget(budget, || map_indices(500, PAR_MIN_WORK, |i| i * i));
+            assert_eq!(squares.len(), 500);
+            for (i, s) in squares.iter().enumerate() {
+                assert_eq!(*s, i * i, "budget {budget}");
+            }
         }
         assert!(map_indices(0, PAR_MIN_WORK, |i| i).is_empty());
-    }
-
-    #[test]
-    fn fanout_instrumentation_is_gated_and_counts_spawned_workers() {
-        let counter = |name: &str| obs::global().registry().counter_value(name).unwrap_or(0);
-        with_budget(4, || {
-            let mut data = vec![0u32; 4096];
-            let bump = |_: usize, chunk: &mut [u32]| chunk.iter_mut().for_each(|v| *v += 1);
-            // Default off: no fan-out metrics appear.
-            let before = (
-                counter("par_fanouts_total"),
-                counter("par_workers_spawned_total"),
-            );
-            for_each_chunk_mut(&mut data, PAR_MIN_WORK, bump);
-            let mid = (
-                counter("par_fanouts_total"),
-                counter("par_workers_spawned_total"),
-            );
-            assert_eq!(mid, before, "instrumentation must stay off by default");
-            // Enabled: a fan-out of w workers is counted once and spawns
-            // w − 1 threads (the caller runs the first chunk).
-            obs::set_enabled(true);
-            for_each_chunk_mut(&mut data, PAR_MIN_WORK, bump);
-            // 3 items clear the gate for 3 workers only.
-            let _ = map_indices(3, PAR_MIN_WORK, |i| i);
-            obs::set_enabled(false);
-            let after = (
-                counter("par_fanouts_total"),
-                counter("par_workers_spawned_total"),
-            );
-            assert_eq!(after.0, mid.0 + 2, "each enabled fan-out is counted once");
-            assert_eq!(after.1, mid.1 + 3 + 2, "w workers spawn w − 1 threads");
-            assert!(data.iter().all(|&v| v == 2));
-        });
     }
 }

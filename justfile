@@ -71,12 +71,12 @@ lint:
 lint-json:
     cargo run --release -p ftt-lint -- --json
 
-# Determinism-sanitizer sweep (DESIGN.md §10.5): the full chaos harness
-# with the par schedule sanitizer armed, at thread budgets {1, 4, MAX}.
-sanitize-chaos:
-    RRAM_FTT_SANITIZE=1 RRAM_FTT_THREADS=1 cargo test -q --test chaos_harness
-    RRAM_FTT_SANITIZE=1 RRAM_FTT_THREADS=4 cargo test -q --test chaos_harness
-    RRAM_FTT_SANITIZE=1 RRAM_FTT_THREADS=1024 cargo test -q --test chaos_harness
+# Chaos harness at ambient thread budgets 1 and MAX (CI's `chaos` job
+# covers 4, its workflow-wide RRAM_FTT_THREADS). Every family's
+# byte-comparisons must hold whatever budget the process starts with.
+chaos-budgets:
+    RRAM_FTT_THREADS=1 cargo test -q --test chaos_harness
+    RRAM_FTT_THREADS=1024 cargo test -q --test chaos_harness
 
 # Replay golden: reruns the seeded fault-tolerant run behind
 # results/replay.csv (detection campaigns, each followed by the sparing
