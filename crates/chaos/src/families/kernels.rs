@@ -1,16 +1,9 @@
-//! Kernel-speed chaos: the vectorized lane kernels, the persistent
-//! reference store, and the genetic search all promise *bit-identity* with
-//! their scalar/one-shot/sequential oracles. This family attacks those
-//! promises with lane-tail remainder shapes, interleaved detection traffic,
-//! and hostile thread budgets.
+//! Kernel-speed chaos: the vectorized lane kernels and the persistent
+//! reference store promise *bit-identity* with their scalar and one-shot
+//! oracles. This family attacks those promises with lane-tail remainder
+//! shapes and interleaved detection traffic.
 
 use faultdet::detector::{DetectorConfig, OnlineFaultDetector};
-use ftt_core::config::{MappingConfig, MappingScope, RemapConfig};
-use ftt_core::mapping::MappedNetwork;
-use ftt_core::remap::{CostModel, RemapAlgorithm, RemapProblem};
-use nn::init::init_rng;
-use nn::network::Network;
-use nn::pruning::magnitude_prune;
 use rand::Rng;
 use rram::crossbar::{Crossbar, CrossbarBuilder};
 use rram::rng::sim_rng;
@@ -40,13 +33,9 @@ fn programmed(n: usize, fraction: f64, seed: u64) -> Result<Crossbar, String> {
     Ok(xbar)
 }
 
-/// The thread budgets every determinism case sweeps: sequential, a small
-/// fan-out, and the hard cap.
-const BUDGETS: [usize; 3] = [1, 4, par::MAX_THREADS];
-
 /// Lane-tail remainders: every size ±1 around the f32/f64 lane widths (and
 /// one multi-chunk size) must keep `mvm` and the batched group sums
-/// bit-identical to the scalar references, under every thread budget.
+/// bit-identical to the scalar references.
 pub fn kernels(seed: u64) -> FamilyReport {
     let mut fam = FamilyReport::new("kernels");
 
@@ -63,75 +52,11 @@ pub fn kernels(seed: u64) -> FamilyReport {
             2 * f32_l + 1,
         ];
         sizes.dedup();
-        for &budget in &BUDGETS {
-            par::set_thread_count(budget);
-            let result = lane_tail_case(&sizes, seed);
-            par::set_thread_count(0);
-            result.map_err(|e| format!("threads {budget}: {e}"))?;
-        }
-        Ok(())
+        lane_tail_case(&sizes, seed)
     });
 
     fam.case("fresh_then_warm_detection_byte_identity", || {
-        let mut reference: Option<Fingerprint> = None;
-        for &budget in &BUDGETS {
-            par::set_thread_count(budget);
-            let result = fresh_then_warm_case(seed);
-            par::set_thread_count(0);
-            let fp = result.map_err(|e| format!("threads {budget}: {e}"))?;
-            match &reference {
-                None => reference = Some(fp),
-                Some(want) => ensure(
-                    &fp == want,
-                    format!("fresh/warm campaign trace diverged at {budget} threads"),
-                )?,
-            }
-        }
-        Ok(())
-    });
-
-    fam.case("genetic_plan_identity_across_thread_budgets", || {
-        let mut rng = init_rng(seed);
-        let mut net = Network::new();
-        net.push(nn::layers::Dense::new(6, 10, &mut rng));
-        net.push(nn::layers::Relu::new());
-        net.push(nn::layers::Dense::new(10, 4, &mut rng));
-        let mapped = MappedNetwork::from_network(
-            &mut net,
-            MappingConfig::new(MappingScope::EntireNetwork)
-                .with_initial_fault_fraction(0.2)
-                .with_seed(seed),
-        )
-        .map_err(|e| format!("map: {e}"))?;
-        let mask = magnitude_prune(&mut net, 0.5);
-        let problem = RemapProblem::with_ground_truth(&mapped, &mask, CostModel::PaperDist)
-            .map_err(|e| format!("problem: {e}"))?;
-        let config = RemapConfig {
-            algorithm: RemapAlgorithm::Genetic { population: 6 },
-            iterations: 1200,
-            seed,
-            ..RemapConfig::default()
-        };
-        let mut reference: Option<(u64, u64, Vec<_>)> = None;
-        for &budget in &BUDGETS {
-            par::set_thread_count(budget);
-            let plan = problem.solve(&mapped, &config);
-            par::set_thread_count(0);
-            let got = (plan.initial_cost, plan.final_cost, plan.perms().to_vec());
-            match &reference {
-                None => reference = Some(got),
-                Some(want) => {
-                    ensure(
-                        &got == want,
-                        format!(
-                            "genetic plan diverged at {budget} threads: cost {} vs {}",
-                            got.1, want.1
-                        ),
-                    )?;
-                }
-            }
-        }
-        Ok(())
+        fresh_then_warm_case(seed)
     });
 
     fam
@@ -187,22 +112,12 @@ fn lane_tail_case(sizes: &[usize], seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Everything a detection round observed, for exact cross-thread-budget
-/// comparison: both campaigns' outcomes and the restored array bytes.
-type Fingerprint = (
-    faultdet::detector::DetectionOutcome,
-    faultdet::detector::DetectionOutcome,
-    Vec<u16>,
-);
-
 /// Drives a store-attaching campaign and a one-shot `run` over twin
 /// crossbars, then a second round after sparse traffic. The fresh round
 /// must equal the one-shot campaign byte-for-byte, snapshot read included;
 /// the warm round must restore the array exactly as a one-shot campaign
 /// on the twin does while re-reading no more than the written cells.
-/// Returns a trace fingerprint so the caller can assert the whole thing is
-/// thread-budget invariant.
-fn fresh_then_warm_case(seed: u64) -> Result<Fingerprint, String> {
+fn fresh_then_warm_case(seed: u64) -> Result<(), String> {
     let detector =
         OnlineFaultDetector::new(DetectorConfig::new(4).map_err(|e| format!("config: {e}"))?);
     let mut twin = programmed(17, 0.08, seed)?;
@@ -265,6 +180,5 @@ fn fresh_then_warm_case(seed: u64) -> Result<Fingerprint, String> {
             warm.cycles(),
             one_shot2.cycles()
         ),
-    )?;
-    Ok((fresh, warm, xbar.read_all_levels()))
+    )
 }

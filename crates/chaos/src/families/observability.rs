@@ -8,6 +8,7 @@
 //! hostile ones. This family also cross-checks the registry-derived
 //! [`FlowStats`] view against the event stream itself.
 
+use faultdet::detector::DetectorConfig;
 use ftt_core::config::{FlowConfig, MappingConfig, MappingScope};
 use ftt_core::flow::FaultTolerantTrainer;
 use ftt_core::report::FlowStats;
@@ -46,6 +47,41 @@ fn traced_flow(seed: u64, iterations: u64) -> Result<(String, FlowStats), String
         .map_err(|e| format!("new: {e}"))?;
     trainer
         .train(&data, iterations)
+        .map_err(|e| format!("train: {e}"))?;
+    Ok((view.contents(), trainer.stats()))
+}
+
+/// The closed loop of the telemetry walkthrough: 120 iterations of a
+/// 784×24×10 MLP at fault fraction 0.15 and endurance N(60, 15²), with a
+/// Tr = 2 campaign and an evaluation every 30 iterations. The fine test
+/// size keeps predictions near cell level, so the re-mapping search finds
+/// permutations that win. Returns the trace and the stats view.
+fn remapping_flow() -> Result<(String, FlowStats), String> {
+    const SEED: u64 = 7;
+    let data = SyntheticDataset::mnist_like(240, 60, SEED);
+    let mut rng = init_rng(SEED);
+    let mut net = Network::new();
+    net.push(nn::layers::Dense::new(784, 24, &mut rng));
+    net.push(nn::layers::Relu::new());
+    net.push(nn::layers::Dense::new(24, 10, &mut rng));
+    let mapping = MappingConfig::new(MappingScope::EntireNetwork)
+        .with_initial_fault_fraction(0.15)
+        .with_endurance(EnduranceModel::new(60.0, 15.0))
+        .with_seed(SEED);
+    let mut flow = FlowConfig::fault_tolerant()
+        .with_lr(LrSchedule::constant(0.1))
+        .with_detection_interval(30)
+        .with_detection_warmup(0)
+        .with_eval_interval(30);
+    flow.detector = DetectorConfig::new(2).map_err(|e| format!("detector: {e}"))?;
+    let recorder = Recorder::deterministic();
+    let sink = JsonlSink::new();
+    let view = sink.view();
+    recorder.add_sink(Box::new(sink));
+    let mut trainer = FaultTolerantTrainer::with_recorder(net, mapping, flow, recorder)
+        .map_err(|e| format!("new: {e}"))?;
+    trainer
+        .train(&data, 120)
         .map_err(|e| format!("train: {e}"))?;
     Ok((view.contents(), trainer.stats()))
 }
@@ -153,6 +189,38 @@ pub fn obs_stream(seed: u64) -> FamilyReport {
             format!(
                 "event stream says {campaigns} campaigns, stats view says {}",
                 stats.detection_campaigns
+            ),
+        )
+    });
+
+    // The closed loop must apply remaps, not only search for them: one
+    // `remap_applied` line per applied plan, each lowering Dist(P, F).
+    fam.case("remap_applied_lowers_dist", || {
+        let (trace, stats) = remapping_flow()?;
+        ensure(
+            stats.remaps_applied > 0,
+            "the flow must apply at least one remap",
+        )?;
+        let mut applied = 0u64;
+        for line in trace.lines() {
+            if obs::json::extract_str(line, "kind").as_deref() != Some("remap_applied") {
+                continue;
+            }
+            applied += 1;
+            let initial = obs::json::extract_u64(line, "initial_cost")
+                .ok_or("remap_applied without initial_cost")?;
+            let final_cost = obs::json::extract_u64(line, "final_cost")
+                .ok_or("remap_applied without final_cost")?;
+            ensure(
+                final_cost < initial,
+                format!("applied remap must lower Dist(P, F): {initial} -> {final_cost}"),
+            )?;
+        }
+        ensure(
+            applied == stats.remaps_applied,
+            format!(
+                "event stream says {applied} applied remaps, stats view says {}",
+                stats.remaps_applied
             ),
         )
     });

@@ -1,12 +1,11 @@
 //! Tiled-chip chaos (DESIGN.md §11): remainder geometry, spare-pool
-//! exhaustion, tile-count-1 equivalence, and trace determinism with
-//! sparing in the loop.
+//! exhaustion, tile-count-1 equivalence, and the closed loop with sparing
+//! in it.
 //!
 //! The tiled MVM executor's contract is the strongest invariant in the
 //! crate: its output must be **bit-identical** to the monolithic
 //! [`Crossbar::mvm`] kernel — same accumulation order, same sparsity
-//! gate — at any worker budget, including remainder shard grids where
-//! edge tiles are clipped.
+//! gate — including remainder shard grids where edge tiles are clipped.
 
 use ftt_tile::{ChipConfig, SpareOutcome, TiledChip, TiledMapping};
 use rram::crossbar::Crossbar;
@@ -77,42 +76,42 @@ fn twin_arrays(
 pub fn tiling(seed: u64) -> FamilyReport {
     let mut fam = FamilyReport::new("tiling");
 
-    // The acceptance geometry: 1024×2064 on 128² tiles — 8 full row bands,
-    // 17 column shards with a clipped 16-wide remainder column. At ~2.1 M
-    // cells it clears par's work gate, so budgets above 1 run the parallel
-    // column split of `mvm` and the parallel sample split of `mvm_batch`.
-    fam.case("remainder_grid_mvm_bit_identical_across_budgets", || {
-        let (rows, cols) = (1024, 2064);
-        ensure(
-            rows * cols >= 2 * par::PAR_MIN_WORK,
-            "the case must clear par's work gate",
-        )?;
-        let (mono, chip, tiled) = twin_arrays(rows, cols, 128, seed)?;
+    // A remainder grid: 136×264 on 32² tiles is four full row bands and
+    // an 8-row one, eight full column shards and an 8-wide one. The tiled
+    // MVM must equal the monolithic kernel, and every row of the batched
+    // MVM the single-sample one.
+    fam.case("remainder_grid_mvm_bit_identical", || {
+        let (rows, cols) = (136, 264);
+        let (mono, chip, tiled) = twin_arrays(rows, cols, 32, seed)?;
         let dense: Vec<f32> = (0..rows).map(|i| ((i as f32) * 0.37).sin()).collect();
         let sparse: Vec<f32> = (0..rows)
             .map(|i| if i % 5 == 0 { (i as f32) * 0.01 } else { 0.0 })
             .collect();
-        let batch: Vec<f32> = dense.iter().chain(&sparse).copied().collect();
-        let mut reference = mono.mvm(&dense).map_err(|e| format!("mono mvm: {e}"))?;
-        reference.extend(mono.mvm(&sparse).map_err(|e| format!("mono mvm: {e}"))?);
-        // 1 worker, a plausible budget, and a hostile one (the cap).
-        for budget in [1usize, 4, par::MAX_THREADS] {
-            par::set_thread_count(budget);
-            let singles = (tiled.mvm(&chip, &dense), tiled.mvm(&chip, &sparse));
-            let batched = tiled.mvm_batch(&chip, &batch, 2);
-            par::set_thread_count(0);
-            let mut got = singles.0.map_err(|e| format!("tiled mvm @{budget}: {e}"))?;
-            got.extend(singles.1.map_err(|e| format!("tiled mvm @{budget}: {e}"))?);
-            let batched = batched.map_err(|e| format!("tiled mvm_batch @{budget}: {e}"))?;
-            for (kind, got) in [("mvm", &got), ("mvm_batch", &batched)] {
-                ensure(got.len() == reference.len(), "output length")?;
-                for (c, (a, b)) in reference.iter().zip(got).enumerate() {
-                    ensure(
-                        a.to_bits() == b.to_bits(),
-                        format!("{kind} col {c} diverged at {budget} threads: {a} vs {b}"),
-                    )?;
-                }
+        let mut singles = Vec::new();
+        for input in [&dense, &sparse] {
+            let want = mono.mvm(input).map_err(|e| format!("mono mvm: {e}"))?;
+            let got = tiled
+                .mvm(&chip, input)
+                .map_err(|e| format!("tiled mvm: {e}"))?;
+            ensure(got.len() == want.len(), "mvm output length")?;
+            for (c, (a, b)) in want.iter().zip(&got).enumerate() {
+                ensure(
+                    a.to_bits() == b.to_bits(),
+                    format!("mvm col {c} diverged from the monolithic kernel: {a} vs {b}"),
+                )?;
             }
+            singles.extend(got);
+        }
+        let batch: Vec<f32> = dense.iter().chain(&sparse).copied().collect();
+        let batched = tiled
+            .mvm_batch(&chip, &batch, 2)
+            .map_err(|e| format!("tiled mvm_batch: {e}"))?;
+        ensure(batched.len() == singles.len(), "mvm_batch output length")?;
+        for (c, (a, b)) in singles.iter().zip(&batched).enumerate() {
+            ensure(
+                a.to_bits() == b.to_bits(),
+                format!("mvm_batch col {c} diverged from single mvm: {a} vs {b}"),
+            )?;
         }
         Ok(())
     });
@@ -185,9 +184,9 @@ pub fn tiling(seed: u64) -> FamilyReport {
         ensure(chip.substitute(a).is_err(), "double retirement errors")
     });
 
-    // The closed loop with sparing active must keep the JSONL trace and
-    // the stats view byte-/bit-identical across worker budgets.
-    fam.case("sparing_flow_trace_identical_across_budgets", || {
+    // The closed loop with sparing active: detection must retire tiles
+    // and attach spares, and the stats view must count the retirements.
+    fam.case("sparing_flow_retires_and_attaches_spares", || {
         use ftt_core::config::{FlowConfig, MappingConfig, MappingScope};
         use ftt_core::flow::FaultTolerantTrainer;
         use nn::init::init_rng;
@@ -196,59 +195,42 @@ pub fn tiling(seed: u64) -> FamilyReport {
         use nn::synth::SyntheticDataset;
         use obs::{JsonlSink, Recorder};
 
-        let run = |budget: usize| -> Result<(String, _), String> {
-            par::set_thread_count(budget);
-            let result = (|| {
-                let data = SyntheticDataset::mnist_like(40, 10, seed);
-                let mut rng = init_rng(seed);
-                let mut net = Network::new();
-                net.push(nn::layers::Dense::new(784, 12, &mut rng));
-                net.push(nn::layers::Relu::new());
-                net.push(nn::layers::Dense::new(12, 10, &mut rng));
-                let mut mapping = MappingConfig::new(MappingScope::EntireNetwork)
-                    .with_initial_fault_fraction(0.2)
-                    .with_seed(seed)
-                    .with_spare_tiles(4)
-                    .with_retire_fault_density(0.1);
-                mapping.tile_size = 64;
-                let flow = FlowConfig::fault_tolerant()
-                    .with_lr(LrSchedule::constant(0.1))
-                    .with_detection_interval(5)
-                    .with_detection_warmup(0)
-                    .with_eval_interval(5);
-                let recorder = Recorder::deterministic();
-                let sink = JsonlSink::new();
-                let view = sink.view();
-                recorder.add_sink(Box::new(sink));
-                let mut trainer = FaultTolerantTrainer::with_recorder(net, mapping, flow, recorder)
-                    .map_err(|e| format!("new: {e}"))?;
-                trainer
-                    .train(&data, 12)
-                    .map_err(|e| format!("train: {e}"))?;
-                Ok((view.contents(), trainer.stats()))
-            })();
-            par::set_thread_count(0);
-            result
-        };
-        let (ref_trace, ref_stats) = run(1)?;
+        let data = SyntheticDataset::mnist_like(40, 10, seed);
+        let mut rng = init_rng(seed);
+        let mut net = Network::new();
+        net.push(nn::layers::Dense::new(784, 12, &mut rng));
+        net.push(nn::layers::Relu::new());
+        net.push(nn::layers::Dense::new(12, 10, &mut rng));
+        let mut mapping = MappingConfig::new(MappingScope::EntireNetwork)
+            .with_initial_fault_fraction(0.2)
+            .with_seed(seed)
+            .with_spare_tiles(4)
+            .with_retire_fault_density(0.1);
+        mapping.tile_size = 64;
+        let flow = FlowConfig::fault_tolerant()
+            .with_lr(LrSchedule::constant(0.1))
+            .with_detection_interval(5)
+            .with_detection_warmup(0)
+            .with_eval_interval(5);
+        let recorder = Recorder::deterministic();
+        let sink = JsonlSink::new();
+        let view = sink.view();
+        recorder.add_sink(Box::new(sink));
+        let mut trainer = FaultTolerantTrainer::with_recorder(net, mapping, flow, recorder)
+            .map_err(|e| format!("new: {e}"))?;
+        trainer
+            .train(&data, 12)
+            .map_err(|e| format!("train: {e}"))?;
+        let trace = view.contents();
         ensure(
-            ref_trace.contains("\"kind\":\"tile_retired\"")
-                && ref_trace.contains("\"kind\":\"spare_attached\""),
-            "sparing must actually fire in the reference run",
+            trace.contains("\"kind\":\"tile_retired\"")
+                && trace.contains("\"kind\":\"spare_attached\""),
+            "sparing must actually fire",
         )?;
-        ensure(ref_stats.tiles_retired > 0, "stats must count retirements")?;
-        for budget in [4usize, par::MAX_THREADS] {
-            let (trace, stats) = run(budget)?;
-            ensure(
-                trace == ref_trace,
-                format!("trace diverged between 1 and {budget} threads"),
-            )?;
-            ensure(
-                stats == ref_stats,
-                format!("stats diverged between 1 and {budget} threads"),
-            )?;
-        }
-        Ok(())
+        ensure(
+            trainer.stats().tiles_retired > 0,
+            "stats must count retirements",
+        )
     });
 
     fam

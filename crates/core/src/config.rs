@@ -181,8 +181,6 @@ impl Default for RemapConfig {
 pub struct FlowConfig {
     /// Learning-rate schedule ("first large, gradually decreased").
     pub lr: LrSchedule,
-    /// Mini-batch size.
-    pub batch: usize,
     /// Threshold-training policy (§5.1).
     pub threshold: ThresholdPolicy,
     /// Iterations between detection + re-mapping phases; `None` disables
@@ -217,15 +215,9 @@ pub struct FlowConfig {
 impl FlowConfig {
     /// The *original* on-line training method: no threshold, no detection,
     /// no re-mapping — the paper's degraded baseline.
-    ///
-    /// The batch size defaults to 1: on-line RRAM training updates the
-    /// array per sample (as in Prezioso et al., the paper's ref \[7\]), and
-    /// the per-sample outer-product gradients are what make ~90 % of the
-    /// `δw` fall below the §5.1 threshold.
     pub fn original() -> Self {
         Self {
             lr: LrSchedule::step_decay(0.1, 0.7, 400),
-            batch: 1,
             threshold: ThresholdPolicy::None,
             detection_interval: None,
             detection_warmup: 0,
@@ -268,12 +260,6 @@ impl FlowConfig {
     /// Sets the learning-rate schedule.
     pub fn with_lr(mut self, lr: LrSchedule) -> Self {
         self.lr = lr;
-        self
-    }
-
-    /// Sets the mini-batch size.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
         self
     }
 

@@ -1131,14 +1131,23 @@ mod tests {
     #[test]
     fn detect_is_thread_count_invariant() {
         // Tile campaigns fan out across workers; each tile owns its RNG, so
-        // the merged predictions must not depend on the thread count.
+        // the merged predictions must not depend on the thread count. A
+        // 784×12×10 MLP takes five 256² tiles (four row bands, then one),
+        // and `par`'s work gate gives each worker two tiles' campaigns at
+        // least, so budget 4 runs them on two workers.
         let build = || {
-            let mut net = mlp();
-            let mut config = MappingConfig::new(MappingScope::EntireNetwork)
+            let mut rng = init_rng(5);
+            let mut net = Network::new();
+            net.push(Dense::new(784, 12, &mut rng));
+            net.push(Relu::new());
+            net.push(Dense::new(12, 10, &mut rng));
+            let config = MappingConfig::new(MappingScope::EntireNetwork)
                 .with_initial_fault_fraction(0.1)
                 .with_seed(3);
-            config.tile_size = 4;
-            MappedNetwork::from_network(&mut net, config).unwrap()
+            let mapped = MappedNetwork::from_network(&mut net, config).unwrap();
+            assert_eq!(mapped.chip().config().tile_size, 256);
+            assert_eq!(mapped.chip().slot_count(), 5);
+            mapped
         };
         let detector = OnlineFaultDetector::new(DetectorConfig::new(2).unwrap());
         let run_with = |threads: usize| {

@@ -15,12 +15,6 @@
 //! knapsack instances and is NP-hard, so the paper uses a stochastic
 //! neuron-swap search, optimizing layer by layer; a genetic algorithm and
 //! two baselines are also provided for the ablation benches.
-//!
-//! # Parallel cost evaluation
-//!
-//! `Dist(P, F)` decomposes per layer, so [`RemapProblem::cost`] fans the
-//! per-layer recounts across the [`par`] worker budget and sums the
-//! partials in layer order (identical to the sequential count).
 
 use nn::network::Network;
 use nn::permute::{permute_columns, permute_hidden_neurons, permute_row_blocks, Permutation};
@@ -304,25 +298,16 @@ impl RemapProblem {
         self.cost(&perms)
     }
 
-    /// Evaluates `Dist(P, F)` for a full assignment of group permutations.
-    ///
-    /// The count decomposes per layer, so the per-layer recounts run on the
-    /// [`par`] worker budget (gated on total cell count) and the partials
-    /// are summed in layer order — identical to the sequential count.
+    /// Evaluates `Dist(P, F)` for a full assignment of group permutations:
+    /// the sum of the per-layer counts.
     ///
     /// # Panics
     ///
     /// Panics if the permutation count or sizes mismatch the groups.
     pub fn cost(&self, perms: &[Permutation]) -> u64 {
         assert_eq!(perms.len(), self.groups.len(), "one permutation per group");
-        let est = self
-            .layers
-            .iter()
-            .map(|l| l.rows * l.cols)
-            .max()
-            .unwrap_or(0);
-        par::map_indices(self.layers.len(), est, |li| self.layer_cost(perms, li))
-            .into_iter()
+        (0..self.layers.len())
+            .map(|li| self.layer_cost(perms, li))
             .sum()
     }
 
@@ -697,33 +682,6 @@ mod tests {
         };
         let plan = problem.solve(&mapped, &config);
         assert!(plan.final_cost < plan.initial_cost);
-    }
-
-    #[test]
-    fn genetic_plan_is_thread_count_invariant() {
-        // The GA is sequential; only `cost` may fan out (per layer, summed
-        // in layer order), so the winning permutations must not depend on
-        // the worker budget.
-        let mut net = mlp(11);
-        let mapped = mapped_with_faults(&mut net, 0.2, 11);
-        let mask = magnitude_prune(&mut net, 0.5);
-        let problem =
-            RemapProblem::with_ground_truth(&mapped, &mask, CostModel::PaperDist).unwrap();
-        let config = RemapConfig {
-            algorithm: RemapAlgorithm::Genetic { population: 6 },
-            iterations: 2000,
-            ..RemapConfig::default()
-        };
-        let run_with = |threads: usize| {
-            par::set_thread_count(threads);
-            let plan = problem.solve(&mapped, &config);
-            par::set_thread_count(0);
-            plan
-        };
-        let seq = run_with(1);
-        let par4 = run_with(4);
-        assert_eq!(seq.final_cost, par4.final_cost);
-        assert_eq!(seq.perms(), par4.perms(), "identical trajectory required");
     }
 
     #[test]

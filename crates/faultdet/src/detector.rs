@@ -1,18 +1,14 @@
 //! The complete quiescent-voltage-comparison detection campaign (Fig. 3).
 //!
-//! # Parallel comparison sweeps
+//! # Comparison sweeps
 //!
 //! Each test cycle drives one group of `Tr` rows (or `Tc` columns) and reads
 //! every output line — a purely read-only pass over a `t × cols` slice of
-//! the crossbar's cached conductance plane. Candidate-bearing groups are
-//! therefore independent work items, and [`OnlineFaultDetector::kind_pass`]
-//! fans them out across the [`par`] worker budget via [`par::map_indices`]
-//! (groups are few but heavy; `par` gates the fan-out on total estimated
-//! work, not item count). The mutating steps — the
-//! `±δ` test writes before the sweep and the restore writes after — stay
-//! sequential. Per-group flags are merged back in group order, so the
-//! predicted fault map is bit-identical to the sequential sweep at any
-//! thread count.
+//! the crossbar's cached conductance plane, between the `±δ` test writes
+//! and the restore writes. [`OnlineFaultDetector::kind_pass`] sweeps the
+//! candidate-bearing groups in group order on the calling thread; the
+//! parallelism lives one level up, where a tiled chip runs whole tile
+//! campaigns on the [`par`] budget.
 
 #![deny(clippy::needless_range_loop)]
 
@@ -382,26 +378,13 @@ impl OnlineFaultDetector {
             let _ = xbar.nudge(r, c, delta)?;
         }
 
-        // Steps 2-4: drive row groups, compare all candidate columns. The
-        // comparison sweep is read-only, so the candidate-bearing groups fan
-        // out across worker threads; each returns the columns it flagged and
-        // the flags merge sequentially in group order (bit-identical to the
-        // sequential sweep). The dense batched kernels compute every output
+        // Steps 2-4: drive each candidate-bearing row group, compare all
+        // candidate columns. The dense batched kernels compute every output
         // line's sum — exactly what the hardware's quiescent read produces —
         // but only candidate lines are compared, matching the old per-line
         // loop's predictions.
         let mut flags = FlagSet::new();
-        let row_groups: Vec<(usize, std::ops::Range<usize>)> = groups(rows, t)
-            .into_iter()
-            .enumerate()
-            .filter(|(_, group)| candidates.any_in_rows(group.clone()))
-            .collect();
-        let col_groups: Vec<(usize, std::ops::Range<usize>)> = groups(cols, t)
-            .into_iter()
-            .enumerate()
-            .filter(|(_, group)| candidates.any_in_cols(group.clone()))
-            .collect();
-        let cycles = (row_groups.len() + col_groups.len()) as u64;
+        let mut cycles = 0u64;
         let mut untested = 0u64;
         {
             // Per-pass sweep timing (histogram only; never the event
@@ -412,60 +395,47 @@ impl OnlineFaultDetector {
                     FaultKind::StuckAt1 => "faultdet_sweep_sa1",
                 })
             });
-            let xbar: &Crossbar = xbar;
-            let per_group = par::map_indices(row_groups.len(), t * cols, |gi| {
-                let group = row_groups[gi].1.clone();
-                let actual = xbar.column_group_sums(group.clone())?;
+            for (g, group) in groups(rows, t).into_iter().enumerate() {
+                if !candidates.any_in_rows(group.clone()) {
+                    continue;
+                }
+                cycles += 1;
+                // Graceful degradation: a failed sweep marks the group
+                // untested and the campaign continues (§4's controller
+                // re-schedules the group on the next periodic test).
+                let Ok(actual) = xbar.column_group_sums(group.clone()) else {
+                    untested += 1;
+                    continue;
+                };
                 let expected =
                     store.expected_column_group_sums_cached(group.clone(), candidates, delta);
-                let mut hits = Vec::new();
                 for (col, (&sum, &exp)) in actual.iter().zip(&expected).enumerate() {
                     if candidates.column_has_candidate(group.clone(), col)
                         && adc.digitize_mod(sum) != adc.reduce(exp)
                     {
-                        hits.push(col);
+                        flags.flag_row_test(g, col);
                     }
-                }
-                Ok::<_, RramError>(hits)
-            });
-            for ((g, _), hits) in row_groups.iter().zip(per_group) {
-                match hits {
-                    Ok(hit_cols) => {
-                        for col in hit_cols {
-                            flags.flag_row_test(*g, col);
-                        }
-                    }
-                    // Graceful degradation: a failed sweep marks the group
-                    // untested and the campaign continues (§4's controller
-                    // re-schedules the group on the next periodic test).
-                    Err(_) => untested += 1,
                 }
             }
 
             // Repeat in the column direction to derive row information.
-            let per_group = par::map_indices(col_groups.len(), t * rows, |gi| {
-                let group = col_groups[gi].1.clone();
-                let actual = xbar.row_group_sums(group.clone())?;
+            for (g, group) in groups(cols, t).into_iter().enumerate() {
+                if !candidates.any_in_cols(group.clone()) {
+                    continue;
+                }
+                cycles += 1;
+                let Ok(actual) = xbar.row_group_sums(group.clone()) else {
+                    untested += 1;
+                    continue;
+                };
                 let expected =
                     store.expected_row_group_sums_cached(group.clone(), candidates, delta);
-                let mut hits = Vec::new();
                 for (row, (&sum, &exp)) in actual.iter().zip(&expected).enumerate() {
                     if candidates.row_has_candidate(row, group.clone())
                         && adc.digitize_mod(sum) != adc.reduce(exp)
                     {
-                        hits.push(row);
+                        flags.flag_col_test(g, row);
                     }
-                }
-                Ok::<_, RramError>(hits)
-            });
-            for ((g, _), hits) in col_groups.iter().zip(per_group) {
-                match hits {
-                    Ok(hit_rows) => {
-                        for row in hit_rows {
-                            flags.flag_col_test(*g, row);
-                        }
-                    }
-                    Err(_) => untested += 1,
                 }
             }
         }
@@ -709,27 +679,6 @@ mod tests {
             second.cycles(),
             first.cycles()
         );
-    }
-
-    #[test]
-    fn predictions_are_thread_count_invariant() {
-        // The fan-out only changes which worker computes a group, never the
-        // comparison values or merge order — any thread count must yield
-        // the sequential prediction bit-for-bit.
-        let detector = OnlineFaultDetector::new(DetectorConfig::new(16).unwrap());
-        let run_with = |threads: usize| {
-            par::set_thread_count(threads);
-            let mut xbar = faulty_xbar(64, 0.1, 11);
-            let out = detector.run(&mut xbar).unwrap();
-            par::set_thread_count(0);
-            out
-        };
-        let seq = run_with(1);
-        let par4 = run_with(4);
-        assert_eq!(seq.predicted, par4.predicted, "fault maps must match");
-        assert_eq!(seq.sa0_cycles, par4.sa0_cycles);
-        assert_eq!(seq.sa1_cycles, par4.sa1_cycles);
-        assert_eq!(seq.write_pulses, par4.write_pulses);
     }
 
     #[test]

@@ -54,16 +54,6 @@ impl FlagSet {
         self.col_test.len()
     }
 
-    /// Whether the row-direction pass flagged `(group, col)`.
-    pub fn has_row_flag(&self, group: usize, col: usize) -> bool {
-        self.row_test.contains(&(group, col))
-    }
-
-    /// Whether the column-direction pass flagged `(group, row)`.
-    pub fn has_col_flag(&self, group: usize, row: usize) -> bool {
-        self.col_test.contains(&(group, row))
-    }
-
     /// Predicts the fault map: a candidate cell `(r, c)` is predicted to
     /// carry `kind` iff its row group flagged column `c` **and** its column
     /// group flagged row `r`.

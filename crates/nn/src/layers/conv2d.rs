@@ -66,16 +66,6 @@ impl Conv2d {
         Self::new(in_ch, out_ch, 3, 1, 1, rng)
     }
 
-    /// Input channel count.
-    pub fn in_channels(&self) -> usize {
-        self.in_ch
-    }
-
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_ch
-    }
-
     /// Kernel size.
     pub fn kernel(&self) -> usize {
         self.k
@@ -307,11 +297,8 @@ mod tests {
                 .map(|i| ((i as f32) * 0.173).sin())
                 .collect(),
         );
-        par::set_thread_count(1);
-        let seq = conv.forward(&x, false);
-        par::set_thread_count(4);
-        let parl = conv.forward(&x, false);
-        par::set_thread_count(0);
+        let seq = crate::tensor::tests::at_budget(1, || conv.forward(&x, false));
+        let parl = crate::tensor::tests::at_budget(4, || conv.forward(&x, false));
         assert_eq!(
             seq.data(),
             parl.data(),

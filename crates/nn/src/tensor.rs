@@ -108,11 +108,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its data.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a tensor with the same data and a new shape.
     ///
     /// # Panics
@@ -441,8 +436,21 @@ pub fn conv_output_size(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Runs `f` at a forced `par` thread budget. The budget is
+    /// process-wide and libtest runs tests concurrently, so the crate's
+    /// tests that compare budgets serialize on one lock; otherwise one
+    /// could reset another's budget mid-comparison.
+    pub(crate) fn at_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        static BUDGET: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _g = BUDGET.lock().unwrap_or_else(|e| e.into_inner());
+        par::set_thread_count(threads);
+        let r = f();
+        par::set_thread_count(0);
+        r
+    }
 
     #[test]
     fn zeros_and_from_vec() {
@@ -502,11 +510,9 @@ mod tests {
         let b = Tensor::from_vec(vec![k, n], fill(k * n, 0.53));
         let a_t = Tensor::from_vec(vec![k, m], fill(k * m, 0.37));
         let b_t = Tensor::from_vec(vec![n, k], fill(n * k, 0.53));
-        par::set_thread_count(1);
-        let seq = (a.matmul(&b), a_t.matmul_tn(&b), a.matmul_nt(&b_t));
-        par::set_thread_count(4);
-        let parl = (a.matmul(&b), a_t.matmul_tn(&b), a.matmul_nt(&b_t));
-        par::set_thread_count(0);
+        let products = || (a.matmul(&b), a_t.matmul_tn(&b), a.matmul_nt(&b_t));
+        let seq = at_budget(1, products);
+        let parl = at_budget(4, products);
         assert_eq!(seq.0.data(), parl.0.data(), "matmul must be bit-identical");
         assert_eq!(
             seq.1.data(),
@@ -543,12 +549,13 @@ mod tests {
                 at[i * k + p] = v;
             }
         }
-        par::set_thread_count(1);
-        let reference = Tensor::from_vec(vec![m, k], at).matmul(&b_t);
-        let seq = a_t.matmul_tn(&b_t);
-        par::set_thread_count(4);
-        let parl = a_t.matmul_tn(&b_t);
-        par::set_thread_count(0);
+        let (reference, seq) = at_budget(1, || {
+            (
+                Tensor::from_vec(vec![m, k], at).matmul(&b_t),
+                a_t.matmul_tn(&b_t),
+            )
+        });
+        let parl = at_budget(4, || a_t.matmul_tn(&b_t));
         assert_eq!(seq.data(), reference.data());
         assert_eq!(parl.data(), reference.data());
     }

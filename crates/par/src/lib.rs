@@ -7,12 +7,17 @@
 //! * [`thread_count`] — the worker budget: `RRAM_FTT_THREADS` env override,
 //!   else [`std::thread::available_parallelism`].
 //! * [`for_each_chunk_mut`] — split a `&mut [T]` into contiguous chunks and
-//!   process them on worker threads (MVM output columns, chip tile slots).
+//!   process them on worker threads (chip tile slots).
 //! * [`for_each_row_block_mut`] — the same over whole rows of a row-major
-//!   buffer (GEMM output rows, batched MVM and convolution samples).
+//!   buffer (GEMM output rows, convolution samples).
 //! * [`map_indices`] — evaluate an independent `Fn(usize) -> T` for
-//!   `0..n` and collect results in index order (detection-group sweeps,
-//!   remap candidate scoring, arena contenders).
+//!   `0..n` and collect results in index order (arena contenders).
+//!
+//! Six call sites use them, and a workload forks each one: the three
+//! tensor products, `Conv2d::forward`, `TiledChip::run_campaigns` and
+//! `ftt_arena::run` (DESIGN.md §6.2). Per-sample kernels — one crossbar's
+//! MVM, one campaign's group sweeps, one remap cost — run on the calling
+//! thread.
 //!
 //! **One work gate.** Every helper takes an estimate of the scalar
 //! operations per item and never gives a worker less than
@@ -24,9 +29,9 @@
 //! Determinism note: every helper assigns work by index and writes results
 //! into pre-sliced disjoint regions, so outputs are bit-identical to the
 //! sequential order regardless of the thread count. The proof is the
-//! byte-comparison of seeded traces and statistics at budgets
-//! {1, 4, [`MAX_THREADS`]} that the chaos harness, `serve_demo`, `arena`
-//! and the benchmark's tests run.
+//! byte-comparison of seeded traces and statistics at several budgets that
+//! the chaos harness, `arena`, the unit tests of each call site and the
+//! benchmark's tests run, each sized so the compared budgets fork.
 //!
 //! The crate holds only the worker budget and the fork-join core: it
 //! records no metrics and keeps no other process-global state. A caller
@@ -199,11 +204,6 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    // Below the gate, skip the slot vector: per-item kernels (remap swap
-    // scoring, detection groups) call this often on small `n`.
-    if workers_for(n, ops_per_item) <= 1 {
-        return (0..n).map(f).collect();
-    }
     let mut out: Vec<Option<T>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     fan_out(&mut out, 1, ops_per_item, |start, slots| {

@@ -25,6 +25,10 @@
 //! planes for the touched cell. Invariant, checked by the property tests:
 //! `plane32[r*cols+c] == cells[r*cols+c].conductance() as f32` (and the
 //! `f64` plane equals `conductance()` exactly) at every observable moment.
+//!
+//! The read kernels run on the calling thread. One array's product is a
+//! per-sample kernel far below `par`'s work gate; callers fan out at a
+//! coarser level (whole tile campaigns, batched tensor products).
 
 // Kernel module: keep the hot loops in iterator/slice style so the
 // optimizer sees contiguous accesses (regressions to index loops are
@@ -449,11 +453,6 @@ impl Crossbar {
         self.cells.iter().map(|c| c.level()).collect()
     }
 
-    /// Reads all analog conductances row-major.
-    pub fn read_all_conductances(&self) -> Vec<f64> {
-        self.cells.iter().map(|c| c.conductance()).collect()
-    }
-
     /// Programs the cell at `(row, col)` to `target` level.
     ///
     /// Consumes endurance when a pulse is issued; a cell whose budget is
@@ -775,17 +774,12 @@ impl Crossbar {
         // `g ∈ [0, 1]`, which cannot move an IEEE-754 accumulator off the
         // value it would otherwise hold.
         let skip_zeros = sparse_enough(input);
-        let plane = &self.plane32;
-        let cols = self.cols;
-        par::for_each_chunk_mut(&mut out, self.rows, |c0, chunk| {
-            for (r, &v) in input.iter().enumerate() {
-                if skip_zeros && v == 0.0 {
-                    continue;
-                }
-                let row = &plane[r * cols + c0..r * cols + c0 + chunk.len()];
-                saxpy_f32(chunk, row, v);
+        for (row, &v) in self.plane32.chunks_exact(self.cols).zip(input) {
+            if skip_zeros && v == 0.0 {
+                continue;
             }
-        });
+            saxpy_f32(&mut out, row, v);
+        }
         Ok(out)
     }
 
@@ -836,16 +830,11 @@ impl Crossbar {
                 actual: input.len(),
             });
         }
-        let mut out = vec![0.0f32; self.rows];
-        let plane = &self.plane32;
-        let cols = self.cols;
-        par::for_each_chunk_mut(&mut out, cols, |r0, chunk| {
-            for (k, o) in chunk.iter_mut().enumerate() {
-                let r = r0 + k;
-                *o = lane_dot_f32(&plane[r * cols..(r + 1) * cols], input);
-            }
-        });
-        Ok(out)
+        Ok(self
+            .plane32
+            .chunks_exact(self.cols)
+            .map(|row| lane_dot_f32(row, input))
+            .collect())
     }
 
     /// Quiescent column read for the test method: the analog sum of the

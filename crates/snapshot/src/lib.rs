@@ -836,31 +836,6 @@ pub fn resume(
     )?)
 }
 
-/// Like [`resume`], but rebuilds the trainer around an explicit
-/// [`FaultStrategy`](ftt_core::strategy::FaultStrategy) implementation —
-/// required for the `ftt-strategy` contenders, which `ftt-core` cannot
-/// construct from the config alone. The snapshot's recorded strategy id
-/// must match both the config selection and the given implementation.
-///
-/// # Errors
-///
-/// Structural errors from [`decode`], or [`SnapshotError::Invalid`] when
-/// the decoded state fails the domain layers' coherence checks (including
-/// a strategy-id mismatch).
-pub fn resume_with(
-    bytes: &[u8],
-    net: Network,
-    mapping: MappingConfig,
-    flow: FlowConfig,
-    recorder: Recorder,
-    strategy: Box<dyn ftt_core::strategy::FaultStrategy>,
-) -> Result<FaultTolerantTrainer, SnapshotError> {
-    let state = decode(bytes)?;
-    Ok(FaultTolerantTrainer::restore_state_with(
-        net, mapping, flow, recorder, &state, strategy,
-    )?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -368,15 +368,6 @@ impl TiledChip {
         Ok(self.slot(id)?.last_detection.as_ref())
     }
 
-    /// Takes (and clears) the last campaign error of a tile.
-    pub fn take_campaign_error(&mut self, id: usize) -> Result<Option<RramError>, TileError> {
-        let slot = self
-            .slots
-            .get_mut(id)
-            .ok_or(TileError::UnknownTile { id })?;
-        Ok(slot.last_campaign_error.take())
-    }
-
     /// Runs the §4 quiescent-voltage campaign on each listed tile,
     /// tile-locally: every tile gets its own campaign, so comparison
     /// groups (Tr/Tc) never span tile edges. Each tile keeps a persistent

@@ -15,8 +15,8 @@
 //!   logical matrix on the tile grid.
 //! - [`mapping::TiledMapping`] shards a matrix onto chip tiles and runs
 //!   the batched tiled MVM executor — bit-identical to the monolithic
-//!   [`rram::Crossbar::mvm`] at any `RRAM_FTT_THREADS` (see the module
-//!   docs for the accumulation-order argument).
+//!   [`rram::Crossbar::mvm`] (see the module docs for the
+//!   accumulation-order argument).
 //! - [`schedule::DetectionScheduler`] decides which tiles get this
 //!   interval's §4 campaigns (a rotating window, deferred outside traffic
 //!   lulls); the chip runs them tile-locally, so comparison groups never

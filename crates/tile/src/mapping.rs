@@ -11,17 +11,15 @@
 //! row-shard bands in ascending order, rows within a band in ascending
 //! order — the exact global row order — touching each band's conductance
 //! plane in place. Column shards merely partition which plane a segment
-//! comes from, which cannot reorder any single column's accumulation, and
-//! the parallel fan-out partitions *columns* (disjoint accumulators), so
-//! the result is bit-identical to the monolithic kernel at any
-//! `RRAM_FTT_THREADS` — asserted by in-crate tests and the chaos `tiling`
-//! family.
+//! comes from, which cannot reorder any single column's accumulation, so
+//! the result is bit-identical to the monolithic kernel — asserted by
+//! in-crate tests and the chaos `tiling` family.
 //!
-//! The zero-skip gate and the parallel gate replicate the monolithic
-//! kernel's: skipping a zero input row adds `±0.0 · g` (finite `g`), which
-//! cannot move an IEEE-754 accumulator, and both kernels call the same
-//! predicate ([`rram::crossbar::sparse_enough`]) so they take the same
-//! branch.
+//! The zero-skip gate replicates the monolithic kernel's: skipping a zero
+//! input row adds `±0.0 · g` (finite `g`), which cannot move an IEEE-754
+//! accumulator, and both kernels call the same predicate
+//! ([`rram::crossbar::sparse_enough`]) so they take the same branch. Like
+//! the monolithic kernel, the executor runs on the calling thread.
 
 use rram::crossbar::{sparse_enough, Crossbar};
 use rram::fault::FaultMap;
@@ -294,7 +292,7 @@ impl TiledMapping {
     /// Tiled analog matrix–vector product: `out[k] = Σ_r g[r][k]·input[r]`
     /// with the accumulation order of the monolithic kernel (see module
     /// docs) — bit-identical to [`rram::Crossbar::mvm`] on an array
-    /// holding the same conductances, at any thread budget.
+    /// holding the same conductances.
     ///
     /// # Errors
     ///
@@ -309,19 +307,14 @@ impl TiledMapping {
         }
         let planes = self.planes(chip)?;
         let mut out = vec![0.0f32; self.grid.cols];
-        let skip_zeros = sparse_enough(input);
-        par::for_each_chunk_mut(&mut out, self.grid.rows, |c0, chunk| {
-            self.mvm_into(&planes, input, skip_zeros, c0, chunk);
-        });
+        self.mvm_into(&planes, input, &mut out);
         Ok(out)
     }
 
     /// Batched tiled MVM: `inputs` is `batch × rows` row-major, the result
-    /// is `batch × cols` row-major. Samples fan out across the thread
-    /// budget (each sample's product runs the sequential kernel
-    /// full-width), so every output row is bit-identical to
-    /// [`TiledMapping::mvm`] on that sample — and hence to the monolithic
-    /// kernel — at any thread budget.
+    /// is `batch × cols` row-major. Each sample runs the kernel of
+    /// [`TiledMapping::mvm`], so every output row is bit-identical to it —
+    /// and hence to the monolithic kernel.
     ///
     /// # Errors
     ///
@@ -339,37 +332,21 @@ impl TiledMapping {
             }));
         }
         let planes = self.planes(chip)?;
-        let rows = self.grid.rows;
         let mut out = vec![0.0f32; batch * self.grid.cols];
-        let cells = rows * self.grid.cols;
-        par::for_each_row_block_mut(&mut out, self.grid.cols, cells, |b0, block| {
-            for (i, out_row) in block.chunks_mut(self.grid.cols).enumerate() {
-                let sample = &inputs[(b0 + i) * rows..(b0 + i + 1) * rows];
-                let skip_zeros = sparse_enough(sample);
-                self.mvm_into(&planes, sample, skip_zeros, 0, out_row);
-            }
-        });
+        for (sample, out_row) in inputs
+            .chunks_exact(self.grid.rows)
+            .zip(out.chunks_exact_mut(self.grid.cols))
+        {
+            self.mvm_into(&planes, sample, out_row);
+        }
         Ok(out)
     }
 
-    /// The shared inner kernel: accumulates the output columns
-    /// `[c0, c0 + chunk.len())` over all rows in ascending global row
-    /// order, reading each row segment from the covering shard's plane.
-    fn mvm_into(
-        &self,
-        planes: &[&[f32]],
-        input: &[f32],
-        skip_zeros: bool,
-        c0: usize,
-        chunk: &mut [f32],
-    ) {
-        if chunk.is_empty() {
-            return;
-        }
-        let col_shards = self.grid.col_shards();
-        // Column shards overlapping [c0, c0 + len).
-        let sc0 = c0 / self.grid.tile_cols;
-        let sc1 = ((c0 + chunk.len() - 1) / self.grid.tile_cols + 1).min(col_shards);
+    /// The shared inner kernel: accumulates every output column over all
+    /// rows in ascending global row order, reading each row segment from
+    /// the covering shard's plane.
+    fn mvm_into(&self, planes: &[&[f32]], input: &[f32], out: &mut [f32]) {
+        let skip_zeros = sparse_enough(input);
         for sr in 0..self.grid.row_shards() {
             let row0 = sr * self.grid.tile_rows;
             let band_rows = self.grid.tile_rows.min(self.grid.rows - row0);
@@ -378,18 +355,12 @@ impl TiledMapping {
                 if skip_zeros && v == 0.0 {
                     continue;
                 }
-                for sc in sc0..sc1 {
+                for sc in 0..self.grid.col_shards() {
                     let scol0 = sc * self.grid.tile_cols;
                     let scols = self.grid.tile_cols.min(self.grid.cols - scol0);
-                    let lo = c0.max(scol0);
-                    let hi = (c0 + chunk.len()).min(scol0 + scols);
-                    if lo >= hi {
-                        continue;
-                    }
                     let plane = planes[self.grid.shard_index(sr, sc)];
-                    let seg = &plane[lr * scols + (lo - scol0)..lr * scols + (hi - scol0)];
-                    let out_seg = &mut chunk[lo - c0..hi - c0];
-                    for (o, &g) in out_seg.iter_mut().zip(seg) {
+                    let seg = &plane[lr * scols..(lr + 1) * scols];
+                    for (o, &g) in out[scol0..scol0 + scols].iter_mut().zip(seg) {
                         *o += g * v;
                     }
                 }
@@ -455,9 +426,7 @@ mod tests {
 
     #[test]
     fn tiled_mvm_matches_monolithic_with_remainders() {
-        // 300×200 on 128² tiles: remainder bands on both axes. At 60k
-        // cells this stays below par's work gate (sequential path); the
-        // chaos `tiling` family sizes its MVM case past the gate.
+        // 300×200 on 128² tiles: remainder bands on both axes.
         let (chip, mapping, mono) = build_pair(300, 200, 128);
         for salt in [1u64, 2, 3] {
             let dense = dense_input(300, salt);
@@ -540,32 +509,6 @@ mod tests {
         for b in 0..batch {
             let single = mapping.mvm(&chip, &inputs[b * 130..(b + 1) * 130]).unwrap();
             assert_bit_identical(&out[b * 70..(b + 1) * 70], &single);
-        }
-    }
-
-    #[test]
-    fn batched_mvm_past_the_work_gate_is_thread_count_invariant() {
-        // 72 samples × 60k cells clear par's gate for four workers, so
-        // budget 4 runs the parallel sample blocks.
-        let (rows, cols, batch) = (300, 200, 72);
-        assert!(batch * rows * cols >= 4 * par::PAR_MIN_WORK);
-        let (chip, mapping, mono) = build_pair(rows, cols, 128);
-        let mut inputs = Vec::new();
-        for b in 0..batch as u64 {
-            inputs.extend(if b % 2 == 0 {
-                dense_input(rows, b)
-            } else {
-                sparse_input(rows, b)
-            });
-        }
-        par::set_thread_count(1);
-        let seq = mapping.mvm_batch(&chip, &inputs, batch).unwrap();
-        par::set_thread_count(4);
-        let parl = mapping.mvm_batch(&chip, &inputs, batch).unwrap();
-        par::set_thread_count(0);
-        assert_bit_identical(&seq, &parl);
-        for (sample, out) in inputs.chunks(rows).zip(parl.chunks(cols)) {
-            assert_bit_identical(out, &mono.mvm(sample).unwrap());
         }
     }
 

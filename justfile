@@ -48,13 +48,6 @@ clippy-unwrap:
         -D clippy::panic -D clippy::unreachable -D clippy::todo -D clippy::unimplemented \
         -D clippy::allow_attributes -D clippy::allow_attributes_without_reason
 
-# Snapshot/restore gate (DESIGN.md §12): kill a seeded run at an iteration
-# boundary, serialize, resume in a fresh recorder, and require the stitched
-# JSONL trace and final stats to match the uninterrupted run exactly —
-# warm off-chip stores included.
-snapshot-check:
-    cargo run --release -p ftt-snapshot --bin snapshot_check
-
 # Static-analysis gate (DESIGN.md §10): the full ftt-lint catalog —
 # per-file checks (F1 float equality, O1 obs naming, W1 workspace
 # consistency) plus the cross-crate semantic checks (C1 par-capture
@@ -71,9 +64,9 @@ lint:
 lint-json:
     cargo run --release -p ftt-lint -- --json
 
-# Chaos harness at ambient thread budgets 1 and MAX (CI's `chaos` job
-# covers 4, its workflow-wide RRAM_FTT_THREADS). Every family's
-# byte-comparisons must hold whatever budget the process starts with.
+# Chaos harness at ambient thread budgets 1 and MAX (CI's tier1 and
+# test-all jobs cover 4, the workflow-wide RRAM_FTT_THREADS). Every
+# family's checks must hold whatever budget the process starts with.
 chaos-budgets:
     RRAM_FTT_THREADS=1 cargo test -q --test chaos_harness
     RRAM_FTT_THREADS=1024 cargo test -q --test chaos_harness
@@ -111,10 +104,9 @@ arena-demo:
 
 # Multi-tenant service walkthrough (DESIGN.md §13): runs the seeded
 # reference scenario (2 training tenants + 1 inference tenant over a
-# 2-chip fleet, with a burst, a lull, and a spare-pool exhaustion) at
-# thread budgets {1, 4, MAX}, requires the JSONL trace / Prometheus
-# rendering / fingerprints byte-identical and the scripted shed, lull
-# campaign and migration all present, then writes
-# results/serve_trace.jsonl and results/serve_metrics.prom.
+# 2-chip fleet, with a burst, a lull, and a spare-pool exhaustion),
+# requires the scripted shed, lull campaign and migration all present,
+# then writes results/serve_trace.jsonl and results/serve_metrics.prom
+# and prints the fingerprints.
 serve-demo:
     cargo run --release -p ftt-serve --bin serve_demo
