@@ -48,9 +48,6 @@ pub struct MappingConfig {
     pub coding: WeightCoding,
     /// Maximum crossbar dimension; larger matrices are tiled.
     pub tile_size: usize,
-    /// Programmable levels per cell (test-phase view; training writes are
-    /// analog).
-    pub levels: u16,
     /// Per-cell endurance model.
     pub endurance: EnduranceModel,
     /// Write-variation (soft fault) model.
@@ -79,7 +76,6 @@ impl MappingConfig {
             scope,
             coding: WeightCoding::Unipolar,
             tile_size: 256,
-            levels: 8,
             endurance: EnduranceModel::unlimited(),
             variation: WriteVariation::none(),
             initial_fault_fraction: 0.0,

@@ -39,6 +39,11 @@ use crate::error::FttError;
 /// every SA1 cell an extreme outlier (DESIGN.md §2).
 const W_MAX_FACTOR: f64 = 2.0;
 
+/// Programmable levels per cell (test-phase view; training writes are
+/// analog): the simulator's multi-level cells have 8 levels (DESIGN.md
+/// §2).
+const LEVELS: u16 = 8;
+
 /// The cell of a weight's coding that one shard grid holds.
 #[derive(Debug, Clone, Copy)]
 enum Polarity {
@@ -288,7 +293,7 @@ fn verify_write(
 /// the chip under the exact same policies (endurance, variation, spare
 /// screening, retirement threshold).
 fn chip_config(config: &MappingConfig) -> Result<ChipConfig, FttError> {
-    let mut chip_cfg = ChipConfig::new(config.tile_size, config.levels, config.seed)
+    let mut chip_cfg = ChipConfig::new(config.tile_size, LEVELS, config.seed)
         .with_endurance(config.endurance)
         .with_variation(config.variation)
         .with_spare_tiles(config.spare_tiles);

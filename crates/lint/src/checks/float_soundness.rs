@@ -14,44 +14,29 @@
 //! The narrowing casts on the f64-master / f32-plane boundary are a
 //! clippy deny in `rram::crossbar` itself.
 
-use crate::config::Config;
 use crate::diag::Finding;
 use crate::lexer::{Token, TokenKind};
 use crate::model::SourceFile;
 
-use super::{path_allowed, Check};
+pub(super) const ID: &str = "F1";
 
-/// Float-soundness check (see module docs).
-pub struct FloatSoundness;
-
-impl Check for FloatSoundness {
-    fn id(&self) -> &'static str {
-        "F1"
-    }
-
-    fn description(&self) -> &'static str {
-        "no float ==/!= against a literal or constant, except exact zero"
-    }
-
-    fn check_file(&self, file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
-        if path_allowed(cfg, self.id(), &file.rel_path) {
-            return;
-        }
-        let toks = &file.scan.tokens;
-        for (i, tok) in toks.iter().enumerate() {
-            if tok.kind == TokenKind::Punct && (tok.text == "==" || tok.text == "!=") {
-                if let Some(desc) = float_operand(toks, i) {
-                    out.push(Finding {
-                        check: self.id(),
-                        file: file.rel_path.clone(),
-                        line: tok.line,
-                        message: format!(
-                            "float `{}` against {desc}; use an epsilon/ULP helper \
-                             (exact-zero compares are exempt by policy)",
-                            tok.text
-                        ),
-                    });
-                }
+/// F1 over one file: every float `==` / `!=` against a non-zero literal
+/// or an `f32::` / `f64::` constant.
+pub fn float_soundness(file: &SourceFile, out: &mut Vec<Finding>) {
+    let toks = &file.scan.tokens;
+    for (i, tok) in toks.iter().enumerate() {
+        if tok.kind == TokenKind::Punct && (tok.text == "==" || tok.text == "!=") {
+            if let Some(desc) = float_operand(toks, i) {
+                out.push(Finding {
+                    check: ID,
+                    file: file.rel_path.clone(),
+                    line: tok.line,
+                    message: format!(
+                        "float `{}` against {desc}; use an epsilon/ULP helper \
+                         (exact-zero compares are exempt by policy)",
+                        tok.text
+                    ),
+                });
             }
         }
     }
@@ -109,10 +94,8 @@ mod tests {
     use crate::testsupport::lib_file;
 
     fn run(src: &str) -> Vec<Finding> {
-        let cfg = Config::parse("[checks.F1]\n").expect("cfg");
-        let file = lib_file("crates/demo/src/lib.rs", "demo", src);
         let mut out = Vec::new();
-        FloatSoundness.check_file(&file, &cfg, &mut out);
+        float_soundness(&lib_file("crates/demo/src/lib.rs", "demo", src), &mut out);
         out
     }
 

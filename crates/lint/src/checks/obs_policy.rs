@@ -16,17 +16,16 @@
 //! `("key", value)` pair inside the call's `&[...]` label slice is
 //! validated. Label *values* are free-form and skipped.
 
-use crate::config::Config;
 use crate::diag::Finding;
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::model::SourceFile;
 
-use super::{path_allowed, Check};
+pub(super) const ID: &str = "O1";
 
-/// Obs naming-policy check (see module docs).
-pub struct ObsPolicy;
-
-const REGISTRY_FNS: [&str; 12] = [
+/// Registry and recorder constructors whose first argument is a metric
+/// or span name. O2 groups the metric ones into families by their
+/// `counter` / `gauge` / `histogram` prefix.
+pub(super) const REGISTRY_FNS: [&str; 12] = [
     "counter",
     "counter_labeled",
     "gauge",
@@ -41,8 +40,16 @@ const REGISTRY_FNS: [&str; 12] = [
     "span",
 ];
 
+/// The inner text of a string-literal token. Raw strings as metric
+/// names would themselves be a smell, but still validate by their inner
+/// text.
+pub(super) fn strip_quotes(raw: &str) -> &str {
+    raw.trim_start_matches(['r', 'b', '#'])
+        .trim_matches(['"', '#'])
+}
+
 /// Validate the registry grammar `^[a-z][a-z0-9]*(_[a-z0-9]+)*$`.
-pub fn valid_name(name: &str) -> bool {
+fn valid_name(name: &str) -> bool {
     if name.is_empty() || !name.starts_with(|c: char| c.is_ascii_lowercase()) {
         return false;
     }
@@ -53,53 +60,37 @@ pub fn valid_name(name: &str) -> bool {
         .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
 }
 
-impl Check for ObsPolicy {
-    fn id(&self) -> &'static str {
-        "O1"
-    }
-
-    fn description(&self) -> &'static str {
-        "metric/span names passed to obs constructors follow the snake_case registry grammar"
-    }
-
-    fn check_file(&self, file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
-        if path_allowed(cfg, self.id(), &file.rel_path) {
-            return;
+/// O1 over one file: every string literal passed straight to a registry
+/// constructor, and every label key of a labeled one, follows the
+/// registry grammar.
+pub fn obs_policy(file: &SourceFile, out: &mut Vec<Finding>) {
+    let toks = &file.scan.tokens;
+    for (i, tok) in toks.iter().enumerate() {
+        if tok.kind != TokenKind::Ident || !REGISTRY_FNS.contains(&tok.text.as_str()) {
+            continue;
         }
-        let toks = &file.scan.tokens;
-        for (i, tok) in toks.iter().enumerate() {
-            if tok.kind != TokenKind::Ident || !REGISTRY_FNS.contains(&tok.text.as_str()) {
-                continue;
-            }
-            let Some(open) = toks.get(i + 1) else {
-                continue;
-            };
-            let Some(arg) = toks.get(i + 2) else { continue };
-            if open.text != "(" || arg.kind != TokenKind::Str {
-                continue;
-            }
-            // Strip the surrounding quotes (plain strings only; raw
-            // strings as metric names would themselves be a smell but
-            // still validate by their inner text).
-            let name = arg
-                .text
-                .trim_start_matches(['r', 'b', '#'])
-                .trim_matches(['"', '#']);
-            if !valid_name(name) {
-                out.push(Finding {
-                    check: self.id(),
-                    file: file.rel_path.clone(),
-                    line: arg.line,
-                    message: format!(
-                        "metric/span name {:?} violates the snake_case registry grammar \
-                         `^[a-z][a-z0-9]*(_[a-z0-9]+)*$`",
-                        name
-                    ),
-                });
-            }
-            if tok.text.ends_with("_labeled") {
-                check_label_keys(self.id(), file, toks, i + 1, out);
-            }
+        let Some(open) = toks.get(i + 1) else {
+            continue;
+        };
+        let Some(arg) = toks.get(i + 2) else { continue };
+        if open.text != "(" || arg.kind != TokenKind::Str {
+            continue;
+        }
+        let name = strip_quotes(&arg.text);
+        if !valid_name(name) {
+            out.push(Finding {
+                check: ID,
+                file: file.rel_path.clone(),
+                line: arg.line,
+                message: format!(
+                    "metric/span name {:?} violates the snake_case registry grammar \
+                     `^[a-z][a-z0-9]*(_[a-z0-9]+)*$`",
+                    name
+                ),
+            });
+        }
+        if tok.text.ends_with("_labeled") {
+            check_label_keys(file, toks, i + 1, out);
         }
     }
 }
@@ -109,13 +100,7 @@ impl Check for ObsPolicy {
 /// `(` group is a key and must satisfy the registry grammar. Restricting
 /// to bracket spans keeps `format!`-style parenthesised strings in other
 /// argument positions out of scope.
-fn check_label_keys(
-    id: &'static str,
-    file: &SourceFile,
-    toks: &[crate::lexer::Token],
-    open: usize,
-    out: &mut Vec<Finding>,
-) {
+fn check_label_keys(file: &SourceFile, toks: &[Token], open: usize, out: &mut Vec<Finding>) {
     let mut paren = 0i64;
     let mut bracket = 0i64;
     for k in open..toks.len() {
@@ -130,13 +115,10 @@ fn check_label_keys(
                     // `("key", ...)` pair: key = immediate Str operand.
                     if let (Some(key), Some(comma)) = (toks.get(k + 1), toks.get(k + 2)) {
                         if key.kind == TokenKind::Str && comma.text == "," {
-                            let name = key
-                                .text
-                                .trim_start_matches(['r', 'b', '#'])
-                                .trim_matches(['"', '#']);
+                            let name = strip_quotes(&key.text);
                             if !valid_name(name) {
                                 out.push(Finding {
-                                    check: id,
+                                    check: ID,
                                     file: file.rel_path.clone(),
                                     line: key.line,
                                     message: format!(
@@ -168,10 +150,8 @@ mod tests {
     use crate::testsupport::lib_file;
 
     fn run(src: &str) -> Vec<Finding> {
-        let cfg = Config::parse("[checks.O1]\n").expect("cfg");
-        let file = lib_file("crates/demo/src/lib.rs", "demo", src);
         let mut out = Vec::new();
-        ObsPolicy.check_file(&file, &cfg, &mut out);
+        obs_policy(&lib_file("crates/demo/src/lib.rs", "demo", src), &mut out);
         out
     }
 

@@ -2,9 +2,8 @@
 //!
 //! Cross-crate companion to the per-site O1 grammar check:
 //!
-//! * **Event coverage** — every variant of the `obs` event enum
-//!   (`event_crate` / `event_enum`, defaults `obs::Event`) must have at
-//!   least one emitter outside the defining crate: a `Event::Variant`
+//! * **Event coverage** — every variant of `obs::Event` must have at
+//!   least one emitter outside the `obs` crate: a `Event::Variant`
 //!   token sequence on a non-test line. A variant nobody emits is a
 //!   schema entry consumers will wait on forever.
 //! * **Metric-family consistency** — a metric *name* (string literal
@@ -21,247 +20,191 @@
 
 use std::collections::BTreeMap;
 
-use crate::config::Config;
 use crate::diag::Finding;
 use crate::lexer::TokenKind;
 use crate::model::Workspace;
-use crate::model2::SemanticModel;
 
-use super::{path_allowed, Check};
+use super::obs_policy::{strip_quotes, REGISTRY_FNS};
 
-/// Obs schema-consistency check (see module docs).
-pub struct ObsSchema;
+pub(super) const ID: &str = "O2";
 
-/// Registry constructors grouped by metric family. Spans are excluded:
-/// their names are a separate namespace.
-const FAMILIES: [(&str, &[&str]); 3] = [
-    (
-        "counter",
-        &[
-            "counter",
-            "counter_labeled",
-            "counter_value",
-            "counter_value_labeled",
-        ],
-    ),
-    (
-        "gauge",
-        &["gauge", "gauge_labeled", "gauge_value", "gauge_value_labeled"],
-    ),
-    (
-        "histogram",
-        &["histogram", "histogram_with_bounds", "histogram_handle"],
-    ),
-];
+/// The crate that defines the event schema: `obs` owns the structured
+/// event stream that `replay` and the chaos goldens read (DESIGN.md §9).
+const EVENT_CRATE: &str = "obs";
 
+/// The schema enum inside [`EVENT_CRATE`], `obs::Event`.
+const EVENT_ENUM: &str = "Event";
+
+/// The metric family of a registry constructor, named by its prefix.
+/// Spans are excluded: their names are a separate namespace.
 fn family_of(fn_name: &str) -> Option<&'static str> {
-    FAMILIES
-        .iter()
-        .find(|(_, fns)| fns.contains(&fn_name))
-        .map(|(fam, _)| *fam)
+    if !REGISTRY_FNS.contains(&fn_name) {
+        return None;
+    }
+    ["counter", "gauge", "histogram"]
+        .into_iter()
+        .find(|fam| fn_name.starts_with(fam))
 }
 
-fn strip_quotes(raw: &str) -> &str {
-    raw.trim_start_matches(['r', 'b', '#']).trim_matches(['"', '#'])
-}
-
-impl Check for ObsSchema {
-    fn id(&self) -> &'static str {
-        "O2"
-    }
-
-    fn description(&self) -> &'static str {
-        "every event kind has an emitter; metric names keep a single family across crates"
-    }
-
-    fn check_semantic(
-        &self,
-        ws: &Workspace,
-        _model: &SemanticModel,
-        cfg: &Config,
-        out: &mut Vec<Finding>,
-    ) {
-        let event_crate = cfg
-            .str("checks.O2", "event_crate")
-            .unwrap_or_else(|| "obs".to_string());
-        let event_enum = cfg
-            .str("checks.O2", "event_enum")
-            .unwrap_or_else(|| "Event".to_string());
-
-        // --- Event coverage -------------------------------------------
-        // Variants: idents at brace-depth 1 of `enum <event_enum> {`,
-        // skipping payload parens/braces, in files of the event crate.
-        let mut variants: Vec<(String, String, usize)> = Vec::new(); // (name, file, line)
-        for file in &ws.files {
-            if file.crate_name.as_deref() != Some(event_crate.as_str()) {
+/// O2 over the workspace: dead event kinds and metric names registered
+/// under more than one family.
+pub fn obs_schema(ws: &Workspace, out: &mut Vec<Finding>) {
+    // --- Event coverage -------------------------------------------
+    // Variants: idents at brace-depth 1 of `enum Event {`,
+    // skipping payload parens/braces, in files of the event crate.
+    let mut variants: Vec<(String, String, usize)> = Vec::new(); // (name, file, line)
+    for file in &ws.files {
+        if file.crate_name.as_deref() != Some(EVENT_CRATE) {
+            continue;
+        }
+        let toks = &file.scan.tokens;
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != TokenKind::Ident || t.text != "enum" {
                 continue;
             }
-            let toks = &file.scan.tokens;
-            for (i, t) in toks.iter().enumerate() {
-                if t.kind != TokenKind::Ident || t.text != "enum" {
-                    continue;
-                }
-                let named = toks
-                    .get(i + 1)
-                    .map(|n| n.kind == TokenKind::Ident && n.text == event_enum)
-                    .unwrap_or(false);
-                let opened = toks.get(i + 2).map(|o| o.text == "{").unwrap_or(false);
-                if !named || !opened {
-                    continue;
-                }
-                let mut depth = 1i64; // brace depth relative to the enum body
-                let mut paren = 0i64;
-                let mut j = i + 3;
-                let mut expect_variant = true;
-                while j < toks.len() && depth > 0 {
-                    let v = &toks[j];
-                    match (v.kind, v.text.as_str()) {
-                        (TokenKind::Punct, "{") => depth += 1,
-                        (TokenKind::Punct, "}") => depth -= 1,
-                        (TokenKind::Punct, "(") => paren += 1,
-                        (TokenKind::Punct, ")") => paren -= 1,
-                        (TokenKind::Punct, ",") if depth == 1 && paren == 0 => {
-                            expect_variant = true;
-                        }
-                        (TokenKind::Ident, name) if depth == 1 && paren == 0 && expect_variant => {
-                            variants.push((name.to_string(), file.rel_path.clone(), v.line));
-                            expect_variant = false;
-                        }
-                        _ => {}
+            let named = toks
+                .get(i + 1)
+                .map(|n| n.kind == TokenKind::Ident && n.text == EVENT_ENUM)
+                .unwrap_or(false);
+            let opened = toks.get(i + 2).map(|o| o.text == "{").unwrap_or(false);
+            if !named || !opened {
+                continue;
+            }
+            let mut depth = 1i64; // brace depth relative to the enum body
+            let mut paren = 0i64;
+            let mut j = i + 3;
+            let mut expect_variant = true;
+            while j < toks.len() && depth > 0 {
+                let v = &toks[j];
+                match (v.kind, v.text.as_str()) {
+                    (TokenKind::Punct, "{") => depth += 1,
+                    (TokenKind::Punct, "}") => depth -= 1,
+                    (TokenKind::Punct, "(") => paren += 1,
+                    (TokenKind::Punct, ")") => paren -= 1,
+                    (TokenKind::Punct, ",") if depth == 1 && paren == 0 => {
+                        expect_variant = true;
                     }
-                    j += 1;
+                    (TokenKind::Ident, name) if depth == 1 && paren == 0 && expect_variant => {
+                        variants.push((name.to_string(), file.rel_path.clone(), v.line));
+                        expect_variant = false;
+                    }
+                    _ => {}
                 }
+                j += 1;
             }
         }
+    }
 
-        // Emitters: `<event_enum> :: Variant` outside the event crate,
-        // on non-test lines.
-        let mut emitted: BTreeMap<&str, bool> = BTreeMap::new();
-        for (name, _, _) in &variants {
-            emitted.insert(name.as_str(), false);
+    // Emitters: `Event :: Variant` outside the event crate,
+    // on non-test lines.
+    let mut emitted: BTreeMap<&str, bool> = BTreeMap::new();
+    for (name, _, _) in &variants {
+        emitted.insert(name.as_str(), false);
+    }
+    for file in &ws.files {
+        if file.crate_name.as_deref() == Some(EVENT_CRATE) {
+            continue;
         }
-        for file in &ws.files {
-            if file.crate_name.as_deref() == Some(event_crate.as_str()) {
+        let toks = &file.scan.tokens;
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != TokenKind::Ident || t.text != EVENT_ENUM {
                 continue;
             }
-            let toks = &file.scan.tokens;
-            for (i, t) in toks.iter().enumerate() {
-                if t.kind != TokenKind::Ident || t.text != event_enum {
-                    continue;
-                }
-                let sep = toks.get(i + 1).map(|s| s.text == "::").unwrap_or(false);
-                let Some(var) = toks.get(i + 2) else { continue };
-                if !sep || var.kind != TokenKind::Ident || file.in_test_code(var.line) {
-                    continue;
-                }
-                if let Some(e) = emitted.get_mut(var.text.as_str()) {
-                    *e = true;
-                }
-            }
-        }
-        for (name, rel_path, line) in &variants {
-            if emitted.get(name.as_str()).copied().unwrap_or(true) {
+            let sep = toks.get(i + 1).map(|s| s.text == "::").unwrap_or(false);
+            let Some(var) = toks.get(i + 2) else { continue };
+            if !sep || var.kind != TokenKind::Ident || file.in_test_code(var.line) {
                 continue;
             }
-            if path_allowed(cfg, self.id(), rel_path) {
-                continue;
+            if let Some(e) = emitted.get_mut(var.text.as_str()) {
+                *e = true;
             }
-            out.push(Finding {
-                check: self.id(),
-                file: rel_path.clone(),
-                line: *line,
-                message: format!(
-                    "event kind `{event_enum}::{name}` has no emitter outside `{event_crate}` \
-                     (schema entry is dead)"
-                ),
-            });
         }
+    }
+    for (name, rel_path, line) in &variants {
+        if emitted.get(name.as_str()).copied().unwrap_or(true) {
+            continue;
+        }
+        out.push(Finding {
+            check: ID,
+            file: rel_path.clone(),
+            line: *line,
+            message: format!(
+                "event kind `{EVENT_ENUM}::{name}` has no emitter outside `{EVENT_CRATE}` \
+                 (schema entry is dead)"
+            ),
+        });
+    }
 
-        // --- Metric-family consistency --------------------------------
-        // name -> family -> first (file, line) registration site.
-        let mut sites: BTreeMap<String, BTreeMap<&'static str, (String, usize)>> = BTreeMap::new();
-        for file in &ws.files {
-            if path_allowed(cfg, self.id(), &file.rel_path) {
+    // --- Metric-family consistency --------------------------------
+    // name -> family -> first (file, line) registration site.
+    let mut sites: BTreeMap<String, BTreeMap<&'static str, (String, usize)>> = BTreeMap::new();
+    for file in &ws.files {
+        let toks = &file.scan.tokens;
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != TokenKind::Ident {
                 continue;
             }
-            let toks = &file.scan.tokens;
-            for (i, t) in toks.iter().enumerate() {
-                if t.kind != TokenKind::Ident {
-                    continue;
-                }
-                let Some(fam) = family_of(&t.text) else { continue };
-                // Skip the definitions themselves (`fn counter(..)`).
-                if i > 0 && toks[i - 1].text == "fn" {
-                    continue;
-                }
-                let Some(open) = toks.get(i + 1) else { continue };
-                let Some(arg) = toks.get(i + 2) else { continue };
-                if open.text != "(" || arg.kind != TokenKind::Str || file.in_test_code(arg.line) {
-                    continue;
-                }
-                let name = strip_quotes(&arg.text).to_string();
-                sites
-                    .entry(name)
-                    .or_default()
-                    .entry(fam)
-                    .or_insert_with(|| (file.rel_path.clone(), arg.line));
-            }
-        }
-        for (name, fams) in &sites {
-            if fams.len() <= 1 {
+            let Some(fam) = family_of(&t.text) else {
+                continue;
+            };
+            // Skip the definitions themselves (`fn counter(..)`).
+            if i > 0 && toks[i - 1].text == "fn" {
                 continue;
             }
-            let mut parts: Vec<String> = fams
-                .iter()
-                .map(|(fam, (f, l))| format!("{fam} at {f}:{l}"))
-                .collect();
-            parts.sort();
-            out.push(Finding {
-                check: self.id(),
-                file: String::new(),
-                line: 0,
-                message: format!(
-                    "metric name {name:?} is registered under {} families: {}",
-                    fams.len(),
-                    parts.join(", ")
-                ),
-            });
+            let Some(open) = toks.get(i + 1) else {
+                continue;
+            };
+            let Some(arg) = toks.get(i + 2) else { continue };
+            if open.text != "(" || arg.kind != TokenKind::Str || file.in_test_code(arg.line) {
+                continue;
+            }
+            let name = strip_quotes(&arg.text).to_string();
+            sites
+                .entry(name)
+                .or_default()
+                .entry(fam)
+                .or_insert_with(|| (file.rel_path.clone(), arg.line));
         }
+    }
+    for (name, fams) in &sites {
+        if fams.len() <= 1 {
+            continue;
+        }
+        let mut parts: Vec<String> = fams
+            .iter()
+            .map(|(fam, (f, l))| format!("{fam} at {f}:{l}"))
+            .collect();
+        parts.sort();
+        out.push(Finding {
+            check: ID,
+            file: String::new(),
+            line: 0,
+            message: format!(
+                "metric name {name:?} is registered under {} families: {}",
+                fams.len(),
+                parts.join(", ")
+            ),
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Member, Workspace};
+    use crate::testsupport::{lib_file, workspace};
 
     fn ws_of(files: Vec<(&str, &str, &str)>) -> Workspace {
-        let members = files
-            .iter()
-            .map(|(_, krate, _)| Member {
-                name: krate.to_string(),
-                dir: format!("crates/{krate}"),
-                manifest: String::new(),
-            })
-            .collect();
-        let files = files
-            .into_iter()
-            .map(|(path, krate, src)| crate::testsupport::lib_file(path, krate, src))
-            .collect();
-        Workspace {
-            root: std::path::PathBuf::from("."),
-            root_manifest: String::new(),
-            members,
-            files,
-            docs: Default::default(),
-        }
+        workspace(
+            files
+                .into_iter()
+                .map(|(path, krate, src)| lib_file(path, krate, src))
+                .collect(),
+        )
     }
 
     fn run(ws: &Workspace) -> Vec<Finding> {
-        let cfg = Config::parse("[checks.O2]\n").expect("cfg");
-        let model = SemanticModel::build(ws);
         let mut out = Vec::new();
-        ObsSchema.check_semantic(ws, &model, &cfg, &mut out);
+        obs_schema(ws, &mut out);
         out
     }
 

@@ -5,13 +5,13 @@
 //! across the worker budget, so the determinism contract (DESIGN.md §6)
 //! forbids them from:
 //!
-//! * **calling shared-mutation methods** (`fetch_add`, `store`, `lock`,
-//!   … — configurable via `mutation_methods`) — atomics and locks make
+//! * **calling shared-mutation methods** ([`MUTATION_METHODS`]:
+//!   `fetch_add`, `store`, `lock`, …) — atomics and locks make
 //!   the data race disappear but keep the ordering nondeterminism;
 //! * **constructing RNGs without a per-index salt** — an RNG seeded
 //!   identically in every worker (or from a captured value only) either
 //!   duplicates streams or, if shared, interleaves nondeterministically.
-//!   A constructor call (`rng_ctors`) is accepted when its arguments
+//!   A constructor call ([`RNG_CTORS`]) is accepted when its arguments
 //!   mention a closure parameter or a closure-local binding (the
 //!   established `sim_rng(seed.wrapping_add(salt))` idiom).
 //!
@@ -20,22 +20,21 @@
 //! E0594 and a `Cell` capture is E0277.
 //!
 //! Test-scoped call sites are exempt (tests deliberately exercise racy
-//! shapes); `allow` path prefixes exempt whole files.
+//! shapes).
 
 use std::collections::BTreeSet;
 
-use crate::config::Config;
 use crate::diag::Finding;
 use crate::lexer::{Token, TokenKind};
 use crate::model::Workspace;
 use crate::model2::{ClosureArg, SemanticModel};
 
-use super::{path_allowed, Check};
+pub(super) const ID: &str = "C1";
 
-/// Par-capture determinism check (see module docs).
-pub struct ParCapture;
-
-const DEFAULT_MUTATION_METHODS: [&str; 10] = [
+/// Shared-mutation methods: the atomic read-modify-write and store
+/// family plus `lock`. They cover the interior-mutability APIs the
+/// workspace has; extend the list when a new one appears.
+const MUTATION_METHODS: [&str; 10] = [
     "fetch_add",
     "fetch_sub",
     "fetch_or",
@@ -48,16 +47,10 @@ const DEFAULT_MUTATION_METHODS: [&str; 10] = [
     "lock",
 ];
 
-const DEFAULT_RNG_CTORS: [&str; 4] = ["sim_rng", "seed_from_u64", "from_seed", "from_entropy"];
-
-fn cfg_list_or(cfg: &Config, key: &str, default: &[&str]) -> Vec<String> {
-    let v = cfg.list("checks.C1", key);
-    if v.is_empty() {
-        default.iter().map(|s| s.to_string()).collect()
-    } else {
-        v
-    }
-}
+/// RNG constructors: the workspace's `rram::rng::sim_rng(seed + salt)`
+/// idiom and the `rand` seeding entry points. Extend the list when a
+/// new constructor appears.
+const RNG_CTORS: [&str; 4] = ["sim_rng", "seed_from_u64", "from_seed", "from_entropy"];
 
 /// Idents *declared inside* the closure: parameters, `let` bindings,
 /// `for` patterns, and inner-closure parameters. Over-collection (type
@@ -100,79 +93,57 @@ fn declared_idents(toks: &[Token], cl: &ClosureArg) -> BTreeSet<String> {
     declared
 }
 
-impl Check for ParCapture {
-    fn id(&self) -> &'static str {
-        "C1"
-    }
-
-    fn description(&self) -> &'static str {
-        "closures crossing par boundaries must not call shared-mutation methods or build unsalted RNGs"
-    }
-
-    fn check_semantic(
-        &self,
-        ws: &Workspace,
-        model: &SemanticModel,
-        cfg: &Config,
-        out: &mut Vec<Finding>,
-    ) {
-        let mutation_methods = cfg_list_or(cfg, "mutation_methods", &DEFAULT_MUTATION_METHODS);
-        let rng_ctors = cfg_list_or(cfg, "rng_ctors", &DEFAULT_RNG_CTORS);
-
-        for pc in &model.par_calls {
-            if pc.is_test {
-                continue;
-            }
-            let file = &ws.files[pc.file];
-            if path_allowed(cfg, self.id(), &file.rel_path) {
-                continue;
-            }
-            let toks = &file.scan.tokens;
-            for cl in &pc.closures {
-                let declared = declared_idents(toks, cl);
-                let (b0, b1) = cl.body;
-                for i in b0..b1 {
-                    let t = &toks[i];
-                    if t.kind != TokenKind::Ident {
-                        continue;
-                    }
-                    let called = toks.get(i + 1).map(|n| n.text == "(").unwrap_or(false);
-                    if !called {
-                        continue;
-                    }
-                    // Shared-mutation method on any receiver.
-                    if i > b0
-                        && toks[i - 1].text == "."
-                        && mutation_methods.iter().any(|m| m == &t.text)
-                    {
+/// C1 over every non-test `par` call site: its closures call no
+/// shared-mutation method and build no unsalted RNG.
+pub fn par_capture(ws: &Workspace, model: &SemanticModel, out: &mut Vec<Finding>) {
+    for pc in &model.par_calls {
+        if pc.is_test {
+            continue;
+        }
+        let file = &ws.files[pc.file];
+        let toks = &file.scan.tokens;
+        for cl in &pc.closures {
+            let declared = declared_idents(toks, cl);
+            let (b0, b1) = cl.body;
+            for i in b0..b1 {
+                let t = &toks[i];
+                if t.kind != TokenKind::Ident {
+                    continue;
+                }
+                let called = toks.get(i + 1).map(|n| n.text == "(").unwrap_or(false);
+                if !called {
+                    continue;
+                }
+                // Shared-mutation method on any receiver.
+                if i > b0 && toks[i - 1].text == "." && MUTATION_METHODS.contains(&t.text.as_str())
+                {
+                    out.push(Finding {
+                        check: ID,
+                        file: file.rel_path.clone(),
+                        line: t.line,
+                        message: format!(
+                            "closure passed to `par::{}` calls shared-mutation method \
+                             `.{}()` (ordering is nondeterministic across workers)",
+                            pc.helper, t.text
+                        ),
+                    });
+                    continue;
+                }
+                // RNG construction without a per-index salt.
+                if RNG_CTORS.contains(&t.text.as_str()) {
+                    let salted = salt_mentions_local(toks, i + 1, b1, &declared);
+                    if !salted {
                         out.push(Finding {
-                            check: self.id(),
+                            check: ID,
                             file: file.rel_path.clone(),
                             line: t.line,
                             message: format!(
-                                "closure passed to `par::{}` calls shared-mutation method \
-                                 `.{}()` (ordering is nondeterministic across workers)",
+                                "closure passed to `par::{}` constructs an RNG via `{}(..)` \
+                                 without a per-index salt (seed must mention a closure \
+                                 parameter or local)",
                                 pc.helper, t.text
                             ),
                         });
-                        continue;
-                    }
-                    // RNG construction without a per-index salt.
-                    if rng_ctors.iter().any(|c| c == &t.text) {
-                        let salted = salt_mentions_local(toks, i + 1, b1, &declared);
-                        if !salted {
-                            out.push(Finding {
-                                check: self.id(),
-                                file: file.rel_path.clone(),
-                                line: t.line,
-                                message: format!(
-                                    "closure passed to `par::{}` constructs an RNG via `{}(..)` \
-                                     without a per-index salt (seed must mention a closure \
-                                     parameter or local)",
-                                    pc.helper, t.text
-                                ),
-                            });
-                        }
                     }
                 }
             }
@@ -211,25 +182,12 @@ fn salt_mentions_local(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Member, Workspace};
+    use crate::testsupport::{lib_file, workspace};
 
     fn run(src: &str) -> Vec<Finding> {
-        let cfg = Config::parse("[checks.C1]\n").expect("cfg");
-        let file = crate::testsupport::lib_file("crates/demo/src/lib.rs", "demo", src);
-        let ws = Workspace {
-            root: std::path::PathBuf::from("."),
-            root_manifest: String::new(),
-            members: vec![Member {
-                name: "demo".into(),
-                dir: "crates/demo".into(),
-                manifest: String::new(),
-            }],
-            files: vec![file],
-            docs: Default::default(),
-        };
-        let model = SemanticModel::build(&ws);
+        let ws = workspace(vec![lib_file("crates/demo/src/lib.rs", "demo", src)]);
         let mut out = Vec::new();
-        ParCapture.check_semantic(&ws, &model, &cfg, &mut out);
+        par_capture(&ws, &SemanticModel::build(&ws), &mut out);
         out
     }
 

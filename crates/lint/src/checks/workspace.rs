@@ -1,21 +1,21 @@
 //! **W1 — workspace consistency.**
 //!
-//! Every member listed in the root `Cargo.toml` must (a) actually have
-//! a manifest, (b) inherit the workspace version (`version.workspace =
-//! true`) or pin the exact workspace version, (c) inherit or match the
-//! workspace license, and (d) be mentioned in the prose docs
-//! (`README.md` or `DESIGN.md`) so the crate inventory cannot drift
-//! from the documentation. Vendored shims carry upstream versions and
-//! live on the `allow` list.
+//! Every member listed in the root `Cargo.toml` must (a) inherit the
+//! workspace version (`version.workspace = true`) or pin the exact
+//! workspace version, (b) inherit or match the workspace license, and
+//! (c) be mentioned in the prose docs (`README.md` or `DESIGN.md`) so
+//! the crate inventory cannot drift from the documentation. A member
+//! without a manifest needs no rule: cargo refuses to load such a
+//! workspace.
 
-use crate::config::Config;
 use crate::diag::Finding;
-use crate::model::Workspace;
+use crate::model::{under_prefix, Workspace};
 
-use super::{path_allowed, Check};
+pub(super) const ID: &str = "W1";
 
-/// Workspace-consistency check (see module docs).
-pub struct WorkspaceConsistency;
+/// Members under this directory are exempt: vendored shims keep their
+/// upstream versions and licenses.
+const EXEMPT: &str = "crates/shims";
 
 /// Extract `key = "value"` or `key.workspace = true` facts from a
 /// manifest's `[package]` section; returns (explicit value, inherits).
@@ -63,89 +63,70 @@ fn workspace_field(root_manifest: &str, key: &str) -> Option<String> {
     None
 }
 
-impl Check for WorkspaceConsistency {
-    fn id(&self) -> &'static str {
-        "W1"
-    }
+/// W1 over the workspace members, shims excepted.
+pub fn workspace_consistency(ws: &Workspace, out: &mut Vec<Finding>) {
+    let ws_version = workspace_field(&ws.root_manifest, "version");
+    let ws_license = workspace_field(&ws.root_manifest, "license");
 
-    fn description(&self) -> &'static str {
-        "workspace members share version/license and are documented in README/DESIGN"
-    }
+    for member in &ws.members {
+        if under_prefix(&member.dir, EXEMPT) {
+            continue;
+        }
+        let manifest_path = if member.dir.is_empty() {
+            "Cargo.toml".to_string()
+        } else {
+            format!("{}/Cargo.toml", member.dir)
+        };
 
-    fn check_workspace(&self, ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
-        let ws_version = workspace_field(&ws.root_manifest, "version");
-        let ws_license = workspace_field(&ws.root_manifest, "license");
-
-        for member in &ws.members {
-            if path_allowed(cfg, self.id(), &member.dir) {
-                continue;
-            }
-            let manifest_path = if member.dir.is_empty() {
-                "Cargo.toml".to_string()
-            } else {
-                format!("{}/Cargo.toml", member.dir)
-            };
-            if member.manifest.is_empty() {
-                out.push(Finding {
-                    check: self.id(),
-                    file: manifest_path,
-                    line: 0,
-                    message: format!("workspace member `{}` has no Cargo.toml", member.dir),
-                });
-                continue;
-            }
-
-            let (ver, ver_inherits) = package_field(&member.manifest, "version");
-            let version_ok = ver_inherits || (ver.is_some() && ver == ws_version);
-            if !version_ok {
-                out.push(Finding {
-                    check: self.id(),
-                    file: manifest_path.clone(),
-                    line: 0,
-                    message: format!(
-                        "crate `{}` does not inherit the workspace version \
-                         (want `version.workspace = true` or version {:?}, found {:?})",
-                        member.name,
-                        ws_version.as_deref().unwrap_or("<unset>"),
-                        ver.as_deref().unwrap_or("<missing>"),
-                    ),
-                });
-            }
-
-            let (lic, lic_inherits) = package_field(&member.manifest, "license");
-            let license_ok = lic_inherits || (lic.is_some() && lic == ws_license);
-            if !license_ok {
-                out.push(Finding {
-                    check: self.id(),
-                    file: manifest_path.clone(),
-                    line: 0,
-                    message: format!(
-                        "crate `{}` does not inherit the workspace license \
-                         (want `license.workspace = true` or license {:?}, found {:?})",
-                        member.name,
-                        ws_license.as_deref().unwrap_or("<unset>"),
-                        lic.as_deref().unwrap_or("<missing>"),
-                    ),
-                });
-            }
-
-            // Documentation mention: crate name or directory in README
-            // or DESIGN.
-            let mentioned = ws.docs.values().any(|text| {
-                text.contains(&member.name)
-                    || (!member.dir.is_empty() && text.contains(&member.dir))
+        let (ver, ver_inherits) = package_field(&member.manifest, "version");
+        let version_ok = ver_inherits || (ver.is_some() && ver == ws_version);
+        if !version_ok {
+            out.push(Finding {
+                check: ID,
+                file: manifest_path.clone(),
+                line: 0,
+                message: format!(
+                    "crate `{}` does not inherit the workspace version \
+                     (want `version.workspace = true` or version {:?}, found {:?})",
+                    member.name,
+                    ws_version.as_deref().unwrap_or("<unset>"),
+                    ver.as_deref().unwrap_or("<missing>"),
+                ),
             });
-            if !mentioned {
-                out.push(Finding {
-                    check: self.id(),
-                    file: manifest_path,
-                    line: 0,
-                    message: format!(
-                        "crate `{}` is not mentioned in README.md or DESIGN.md",
-                        member.name
-                    ),
-                });
-            }
+        }
+
+        let (lic, lic_inherits) = package_field(&member.manifest, "license");
+        let license_ok = lic_inherits || (lic.is_some() && lic == ws_license);
+        if !license_ok {
+            out.push(Finding {
+                check: ID,
+                file: manifest_path.clone(),
+                line: 0,
+                message: format!(
+                    "crate `{}` does not inherit the workspace license \
+                     (want `license.workspace = true` or license {:?}, found {:?})",
+                    member.name,
+                    ws_license.as_deref().unwrap_or("<unset>"),
+                    lic.as_deref().unwrap_or("<missing>"),
+                ),
+            });
+        }
+
+        // Documentation mention: crate name or directory in README
+        // or DESIGN.
+        let mentioned = ws.docs.values().any(|text| {
+            text.contains(&member.name) || (!member.dir.is_empty() && text.contains(&member.dir))
+        });
+        if !mentioned {
+            out.push(Finding {
+                check: ID,
+                file: manifest_path,
+                line: 0,
+                message: format!(
+                    "crate `{}` is not mentioned in README.md or DESIGN.md",
+                    member.name
+                ),
+            });
         }
     }
 }

@@ -9,12 +9,13 @@
 //! unscoped thread) policies are clippy gates instead (DESIGN.md §10),
 //! each exception an `#[expect(lint, reason = "…")]`.
 //!
-//! Run it as `cargo run -p ftt-lint` (or `just lint`). Findings are
-//! rendered as human diagnostics with `file:line` spans and — with
-//! `--json` — as a deterministic, sorted, machine-readable report that
-//! is byte-identical across repeated runs regardless of environment
-//! (the linter never reads the clock, the thread budget, or anything
-//! else nondeterministic).
+//! [`run`] lints a workspace and returns its sorted findings. The gate
+//! is this crate's own test suite (`cargo test -p ftt-lint`, or
+//! `just lint`): `tests/workspace_clean.rs` requires the real workspace
+//! to report nothing, and `tests/fixtures.rs` pins what every check
+//! finds in a miniature fixture workspace. Nothing is configurable:
+//! each setting is a constant next to the check that reads it, with
+//! its reason.
 //!
 //! ## Architecture
 //!
@@ -24,105 +25,47 @@
 //!   manifest), per-file scans, and `#[cfg(test)]` scope analysis.
 //! * [`model2`] — the workspace semantic model: fn boundaries, `par`
 //!   call sites and an approximate call graph.
-//! * [`checks`] — the pluggable [`checks::Check`] catalog. Per-file:
-//!   F1 float equality, O1 obs naming; workspace: W1 manifest
-//!   consistency; semantic: C1 par-capture determinism, O2 obs schema,
-//!   E2 cycle accounting.
-//! * [`config`] — `lint.toml` (minimal TOML subset, zero deps).
-//! * [`diag`] — sorted findings, JSON + human renderers.
+//! * [`checks`] — the six check functions. Per-file: F1 float
+//!   equality, O1 obs naming; workspace: W1 manifest consistency;
+//!   semantic: C1 par-capture determinism, O2 obs schema, E2 cycle
+//!   accounting.
+//! * [`diag`] — sorted findings and their human rendering.
 
 #![warn(missing_docs)]
 
 pub mod checks;
-pub mod config;
 pub mod diag;
 pub mod lexer;
 pub mod model;
 pub mod model2;
-mod stale;
 
 use std::path::Path;
 
-use config::Config;
-use diag::{Finding, Report};
-use model::Workspace;
+use diag::Report;
+use model::{LoadError, Workspace};
+use model2::SemanticModel;
 
-/// A fatal error (I/O or config syntax) — distinct from findings.
-#[derive(Debug)]
-pub struct Error(pub String);
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ftt-lint: {}", self.0)
+/// Run the six checks over the workspace rooted at `root`: build the
+/// semantic model once, then call each check in id order.
+pub fn run(root: &Path) -> Result<Report, LoadError> {
+    let ws = Workspace::load(root)?;
+    let model = SemanticModel::build(&ws);
+    let mut findings = Vec::new();
+    checks::par_capture(&ws, &model, &mut findings);
+    checks::cycle_audit(&ws, &model, &mut findings);
+    for file in &ws.files {
+        checks::float_soundness(file, &mut findings);
+        checks::obs_policy(file, &mut findings);
     }
-}
-
-/// Run the full check catalog over the workspace rooted at `root`,
-/// configured by the `lint.toml` at `config_path` (defaults to
-/// `<root>/lint.toml`). A missing config file is a hard error: the gate
-/// must not silently run unconfigured.
-pub fn run(root: &Path, config_path: Option<&Path>) -> Result<Report, Error> {
-    let cfg_file = config_path
-        .map(|p| p.to_path_buf())
-        .unwrap_or_else(|| root.join("lint.toml"));
-    let cfg_text = std::fs::read_to_string(&cfg_file)
-        .map_err(|e| Error(format!("cannot read config {}: {e}", cfg_file.display())))?;
-    let cfg = Config::parse(&cfg_text).map_err(|e| Error(e.to_string()))?;
-    run_with_config(root, &cfg)
-}
-
-/// [`run`] with an already-parsed configuration.
-pub fn run_with_config(root: &Path, cfg: &Config) -> Result<Report, Error> {
-    let mut exclude = cfg.list("lint", "exclude");
-    exclude.push("target".to_string());
-
-    let ws = Workspace::load(root, &exclude).map_err(|e| Error(e.to_string()))?;
-    let catalog = checks::catalog();
-
-    // Phase 1: the workspace semantic model (items, fn boundaries,
-    // approximate call graph). Phase 2: every check, in catalog
-    // order — per-file passes, then the workspace pass, then the
-    // semantic pass.
-    let model = model2::SemanticModel::build(&ws);
-
-    let mut findings: Vec<Finding> = Vec::new();
-    for check in &catalog {
-        for file in &ws.files {
-            check.check_file(file, cfg, &mut findings);
-        }
-        check.check_workspace(&ws, cfg, &mut findings);
-        check.check_semantic(&ws, &model, cfg, &mut findings);
-    }
-    let warnings = stale::stale_suppressions(root, &ws, &model, cfg, &catalog);
-    let ids: Vec<&'static str> = catalog.iter().map(|c| c.id()).collect();
-    Ok(Report::with_warnings(
-        findings,
-        warnings,
-        ws.files.len(),
-        ids,
-    ))
-}
-
-/// Locate the workspace root by walking up from `start` until a
-/// `Cargo.toml` containing a `[workspace]` table is found.
-pub fn find_workspace_root(start: &Path) -> Option<std::path::PathBuf> {
-    let mut dir = Some(start.to_path_buf());
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.lines().any(|l| l.trim() == "[workspace]") {
-                return Some(d);
-            }
-        }
-        dir = d.parent().map(|p| p.to_path_buf());
-    }
-    None
+    checks::obs_schema(&ws, &mut findings);
+    checks::workspace_consistency(&ws, &mut findings);
+    Ok(Report::new(findings, ws.files.len()))
 }
 
 /// Test-only helpers shared by the check unit tests.
 #[cfg(test)]
 pub(crate) mod testsupport {
-    use crate::model::{FileRole, SourceFile};
+    use crate::model::{FileRole, Member, SourceFile, Workspace};
 
     /// Build an analyzed library [`SourceFile`] from inline source.
     pub fn lib_file(rel_path: &str, crate_name: &str, src: &str) -> SourceFile {
@@ -133,6 +76,26 @@ pub(crate) mod testsupport {
             role: FileRole::Lib,
             test_scopes: crate::model::test_scopes(&scan),
             scan,
+        }
+    }
+
+    /// A workspace of `files`, one manifest-less member per crate at
+    /// `crates/<name>`.
+    pub fn workspace(files: Vec<SourceFile>) -> Workspace {
+        let mut names: Vec<String> = files.iter().filter_map(|f| f.crate_name.clone()).collect();
+        names.dedup();
+        Workspace {
+            root_manifest: String::new(),
+            members: names
+                .into_iter()
+                .map(|name| Member {
+                    dir: format!("crates/{name}"),
+                    name,
+                    manifest: String::new(),
+                })
+                .collect(),
+            files,
+            docs: Default::default(),
         }
     }
 }

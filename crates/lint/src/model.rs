@@ -1,17 +1,32 @@
 //! Workspace discovery and per-file analysis context.
 //!
 //! The walker reads the root `Cargo.toml` for the member list (expanding
-//! `dir/*` globs), then collects every `.rs` file under the workspace in
-//! sorted order, classifying each by role (library source vs. tests /
-//! examples / benches / binaries). Each file is scanned once
-//! ([`crate::lexer`]) and annotated with its *test scopes*: the line
-//! ranges of `#[cfg(test)]` items and `#[test]` functions. Checks consume
-//! this shared context.
+//! `dir/*` globs), then collects every `.rs` file under the workspace
+//! outside [`EXCLUDE`] in sorted order, classifying each by role
+//! (library source vs. tests / examples / benches / binaries). Each
+//! file is scanned once ([`crate::lexer`]) and annotated with its *test
+//! scopes*: the line ranges of `#[cfg(test)]` items and `#[test]`
+//! functions. Checks consume this shared context.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::lexer::{self, Scan, TokenKind};
+
+/// Path prefixes never scanned (workspace-relative, `/`-separated):
+/// - `crates/shims`: vendored registry shims mirror upstream crates and
+///   are exempt from local policy (they keep upstream versions, panics,
+///   etc.);
+/// - `crates/lint/tests/fixtures`: deliberate violations used as test
+///   input.
+///
+/// `target` and `.git` directories are skipped at any depth.
+pub const EXCLUDE: [&str; 2] = ["crates/shims", "crates/lint/tests/fixtures"];
+
+/// Whether the `/`-separated `path` is `prefix` or lies under it.
+pub fn under_prefix(path: &str, prefix: &str) -> bool {
+    path == prefix || path.starts_with(&format!("{prefix}/"))
+}
 
 /// Role of a source file within its crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +89,6 @@ pub struct Member {
 /// The analyzed workspace.
 #[derive(Debug)]
 pub struct Workspace {
-    /// Absolute root directory.
-    pub root: PathBuf,
     /// Raw root manifest text.
     pub root_manifest: String,
     /// Member packages, sorted by directory.
@@ -167,13 +180,8 @@ fn manifest_package_name(manifest: &str) -> Option<String> {
 }
 
 /// Recursively collect `.rs` files under `dir`, sorted, skipping
-/// excluded prefixes and `target`/`.git`.
-fn collect_rs(
-    root: &Path,
-    dir: &Path,
-    exclude: &[String],
-    out: &mut Vec<PathBuf>,
-) -> Result<(), LoadError> {
+/// [`EXCLUDE`] and `target`/`.git`.
+fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LoadError> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| LoadError(format!("cannot list {}: {e}", dir.display())))?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -188,14 +196,11 @@ fn collect_rs(
         if name == "target" || name == ".git" {
             continue;
         }
-        if exclude
-            .iter()
-            .any(|p| r == *p || r.starts_with(&format!("{p}/")))
-        {
+        if EXCLUDE.iter().any(|p| under_prefix(&r, p)) {
             continue;
         }
         if path.is_dir() {
-            collect_rs(root, &path, exclude, out)?;
+            collect_rs(root, &path, out)?;
         } else if name.ends_with(".rs") {
             out.push(path);
         }
@@ -267,9 +272,8 @@ pub(crate) fn test_scopes(scan: &Scan) -> Vec<Scope> {
 }
 
 impl Workspace {
-    /// Load and analyze the workspace rooted at `root`. `exclude` holds
-    /// workspace-relative path prefixes that are never scanned.
-    pub fn load(root: &Path, exclude: &[String]) -> Result<Self, LoadError> {
+    /// Load and analyze the workspace rooted at `root`.
+    pub fn load(root: &Path) -> Result<Self, LoadError> {
         let root = root
             .canonicalize()
             .map_err(|e| LoadError(format!("bad root {}: {e}", root.display())))?;
@@ -308,15 +312,6 @@ impl Workspace {
             } else {
                 root.join(&dir).join("Cargo.toml")
             };
-            if !manifest_path.is_file() {
-                // W1 reports this; record a placeholder member.
-                member_list.push(Member {
-                    name: dir.clone(),
-                    dir,
-                    manifest: String::new(),
-                });
-                continue;
-            }
             let manifest = read(&manifest_path)?;
             let name = manifest_package_name(&manifest).unwrap_or_else(|| dir.clone());
             member_list.push(Member {
@@ -328,7 +323,7 @@ impl Workspace {
 
         // Collect and scan sources.
         let mut paths = Vec::new();
-        collect_rs(&root, &root, exclude, &mut paths)?;
+        collect_rs(&root, &root, &mut paths)?;
         let mut files = Vec::new();
         for path in paths {
             let rel_path = rel(&root, &path);
@@ -366,7 +361,6 @@ impl Workspace {
         }
 
         Ok(Workspace {
-            root,
             root_manifest,
             members: member_list,
             files,

@@ -44,8 +44,6 @@ pub struct CallRef {
     /// Path qualifier directly before the name (`par` in `par::f(..)`,
     /// `Self`, a type name, …), if any.
     pub qualifier: Option<String>,
-    /// Whether the call is `.callee(..)` (method syntax).
-    pub is_method: bool,
     /// 1-based source line.
     pub line: usize,
 }
@@ -528,7 +526,6 @@ fn scan_body(
             i += 1;
             continue;
         };
-        let is_method = i > 0 && toks[i - 1].text == ".";
         let qualifier = if i >= 2 && toks[i - 1].text == "::" && toks[i - 2].kind == TokenKind::Ident
         {
             Some(toks[i - 2].text.clone())
@@ -538,7 +535,6 @@ fn scan_body(
         info.calls.push(CallRef {
             callee: name.to_string(),
             qualifier,
-            is_method,
             line: t.line,
         });
 
@@ -561,21 +557,10 @@ fn scan_body(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Workspace;
+    use crate::testsupport::{lib_file, workspace};
 
     fn model_of(src: &str) -> (SemanticModel, Vec<String>) {
-        let file = crate::testsupport::lib_file("crates/demo/src/lib.rs", "demo", src);
-        let ws = Workspace {
-            root: std::path::PathBuf::from("."),
-            root_manifest: String::new(),
-            members: vec![crate::model::Member {
-                name: "demo".into(),
-                dir: "crates/demo".into(),
-                manifest: String::new(),
-            }],
-            files: vec![file],
-            docs: Default::default(),
-        };
+        let ws = workspace(vec![lib_file("crates/demo/src/lib.rs", "demo", src)]);
         let m = SemanticModel::build(&ws);
         let names = m.fns.iter().map(|f| f.name.clone()).collect();
         (m, names)
@@ -590,7 +575,7 @@ mod tests {
         assert_eq!(m.fns[0].impl_type.as_deref(), Some("T"));
         assert_eq!(m.fns[2].impl_type, None);
         assert_eq!(m.fns[0].ret_idents, vec!["usize"]);
-        assert!(m.fns[0].calls.iter().any(|c| c.callee == "b" && c.is_method));
+        assert!(m.fns[0].calls.iter().any(|c| c.callee == "b"));
     }
 
     #[test]

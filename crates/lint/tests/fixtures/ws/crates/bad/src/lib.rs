@@ -27,14 +27,6 @@ pub fn c1_racy(n: usize, seed: u64) -> Vec<usize> {
     })
 }
 
-/// O2: `NeverEmitted` has no emitter anywhere outside this crate.
-pub enum Event {
-    /// Emitted by the good crate.
-    Used(u64),
-    /// Dead schema entry.
-    NeverEmitted,
-}
-
 /// E2: the outcome's cost never reaches a FlowStats sink.
 pub struct DetectionOutcome;
 

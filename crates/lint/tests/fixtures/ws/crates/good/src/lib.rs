@@ -41,7 +41,7 @@ pub fn deterministic_map(n: usize, seed: u64) -> Vec<u64> {
     })
 }
 
-/// O2 negative: emits the `Used` event kind defined in `bad`.
+/// O2 negative: emits the `Used` event kind defined in `obs`.
 pub fn emit_used(sink: &mut Vec<Event>) {
     sink.push(Event::Used(1));
 }

@@ -48,21 +48,16 @@ clippy-unwrap:
         -D clippy::panic -D clippy::unreachable -D clippy::todo -D clippy::unimplemented \
         -D clippy::allow_attributes -D clippy::allow_attributes_without_reason
 
-# Static-analysis gate (DESIGN.md §10): the full ftt-lint catalog —
-# per-file checks (F1 float equality, O1 obs naming, W1 workspace
-# consistency) plus the cross-crate semantic checks (C1 par-capture
-# determinism, O2 obs schema, E2 cycle accounting) — over the whole
-# workspace. Exits non-zero on any unallowlisted finding. The panic,
-# unsafe and cast policies are the two clippy recipes above; the
-# determinism bans (wall clocks, hash maps, unscoped threads) live in
-# clippy.toml and run with `just clippy`.
+# Static-analysis gate (DESIGN.md §10): ftt-lint's six checks — F1
+# float equality, O1 obs naming, W1 workspace consistency, C1
+# par-capture determinism, O2 obs schema, E2 cycle accounting — must
+# report nothing on the workspace (tests/workspace_clean.rs), and the
+# fixture suite pins what each one finds. `just test-all` runs the same
+# tests. The panic, unsafe and cast policies are the two clippy recipes
+# above; the determinism bans (wall clocks, hash maps, unscoped threads)
+# live in clippy.toml and run with `just clippy`.
 lint:
-    cargo run --release -p ftt-lint
-
-# Same gate, machine-readable: deterministic sorted JSON on stdout
-# (byte-identical across runs and RRAM_FTT_THREADS settings).
-lint-json:
-    cargo run --release -p ftt-lint -- --json
+    cargo test -q -p ftt-lint
 
 # Chaos harness at ambient thread budgets 1 and MAX (CI's tier1 and
 # test-all jobs cover 4, the workflow-wide RRAM_FTT_THREADS). Every

@@ -1,6 +1,10 @@
 //! Tier-1 wiring of the adversarial harness: the seeded chaos run must
-//! pass, and must be deterministic — two runs from the same seed produce
-//! the same report.
+//! pass. Determinism is checked inside the harness, by cases that
+//! compare a run byte for byte with a second run or with a recorded
+//! golden (`thread_budget/closed_loop_bit_identical_across_thread_counts`,
+//! `restore/kill_restore_identical_on_a_second_seed`, the
+//! `degenerate_gradients/golden_flow_*` cases, …), so every passing run
+//! has also reproduced them.
 //!
 //! `just chaos` runs the same harness with verbose per-family output.
 
@@ -18,11 +22,4 @@ fn chaos_harness_passes() {
         report.case_count() >= 20,
         "the families should fan out into many cases"
     );
-}
-
-#[test]
-fn chaos_harness_is_deterministic() {
-    let a = chaos::run_all(SEED).to_string();
-    let b = chaos::run_all(SEED).to_string();
-    assert_eq!(a, b, "the same seed must reproduce the same report");
 }
