@@ -14,7 +14,9 @@ use ftt_arena::{run, ArenaConfig, ArenaReport};
 const BUDGETS: [usize; 3] = [1, 4, 1024];
 
 fn main() -> ExitCode {
-    let quick = std::env::var("ARENA_QUICK").map(|v| v == "1").unwrap_or(false);
+    let quick = std::env::var("ARENA_QUICK")
+        .map(|v| v == "1")
+        .unwrap_or(false);
     let config = if quick {
         ArenaConfig::quick()
     } else {
@@ -66,13 +68,16 @@ fn main() -> ExitCode {
         eprintln!("arena: no runs executed");
         return ExitCode::FAILURE;
     };
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write("results/arena_league.json", &jsonl))
+    if let Err(e) = std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write("results/arena_league.json", &jsonl))
     {
         eprintln!("arena: could not write results/arena_league.json: {e}");
         return ExitCode::FAILURE;
     }
     println!("\n{}", report.table());
-    println!("league table: results/arena_league.json ({} rows)", report.rows.len());
+    println!(
+        "league table: results/arena_league.json ({} rows)",
+        report.rows.len()
+    );
     ExitCode::SUCCESS
 }

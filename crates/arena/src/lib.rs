@@ -320,8 +320,7 @@ pub fn run(config: &ArenaConfig) -> Result<ArenaReport, FttError> {
 /// so no public config fails only some of them).
 fn race<C>(config: &ArenaConfig, contend: C) -> Result<ArenaReport, FttError>
 where
-    C: Fn(&ArenaConfig, &Dataset, f64, &[u8], StrategySelect) -> Result<LeagueRow, FttError>
-        + Sync,
+    C: Fn(&ArenaConfig, &Dataset, f64, &[u8], StrategySelect) -> Result<LeagueRow, FttError> + Sync,
 {
     let data: Dataset =
         SyntheticDataset::mnist_like(config.train_samples, config.test_samples, config.seed);
@@ -473,13 +472,15 @@ mod tests {
             densities: vec![0.1, 0.2],
             ..tiny()
         };
-        let planted = |c: &ArenaConfig, d: &Dataset, density: f64, r: &[u8], s: StrategySelect| {
-            match (density < 0.15, s.id()) {
+        let planted =
+            |c: &ArenaConfig, d: &Dataset, density: f64, r: &[u8], s: StrategySelect| match (
+                density < 0.15,
+                s.id(),
+            ) {
                 (true, "redundant_column") => Err(FttError::InvalidConfig("heat 0".into())),
                 (false, "detect_remap") => Err(FttError::InvalidConfig("heat 1".into())),
                 _ => run_contender(c, d, density, r, s),
-            }
-        };
+            };
         for threads in [1, 4] {
             let err = at_budget(threads, || race(&config, planted)).unwrap_err();
             assert_eq!(

@@ -53,9 +53,9 @@ struct CampaignPoint {
 struct Timeline {
     iters: Vec<IterPoint>,
     campaigns: Vec<CampaignPoint>,
-    retired_tiles: Vec<(u64, u64)>,  // (iteration, tile)
+    retired_tiles: Vec<(u64, u64)>,   // (iteration, tile)
     spares_attached: Vec<(u64, u64)>, // (iteration, tile)
-    remaps: Vec<(u64, u64, u64)>,    // (iteration, initial_cost, final_cost)
+    remaps: Vec<(u64, u64, u64)>,     // (iteration, initial_cost, final_cost)
     total_wear_faults: u64,
     burst_skipped: u64,
     pulses_by_phase: Vec<(String, u64)>,
@@ -135,15 +135,19 @@ fn replay(trace: &str) -> Timeline {
                 extract_u64(line, "final_cost").unwrap_or(0),
             )),
             "wear_fault" => {
-                t.total_wear_faults = extract_u64(line, "total_faults").unwrap_or(t.total_wear_faults);
+                t.total_wear_faults =
+                    extract_u64(line, "total_faults").unwrap_or(t.total_wear_faults);
             }
             "write_pulse_batch" => {
                 let phase = extract_str(line, "phase").unwrap_or_else(|| "unknown".into());
                 t.phase_add(&phase, extract_u64(line, "batch_pulses").unwrap_or(0));
             }
-            "tile_retired" => t.retired_tiles.push((iter, extract_u64(line, "tile").unwrap_or(0))),
+            "tile_retired" => t
+                .retired_tiles
+                .push((iter, extract_u64(line, "tile").unwrap_or(0))),
             "spare_attached" => {
-                t.spares_attached.push((iter, extract_u64(line, "tile").unwrap_or(0)));
+                t.spares_attached
+                    .push((iter, extract_u64(line, "tile").unwrap_or(0)));
             }
             _ => {} // campaign starts and future kinds carry no timeline data
         }
@@ -152,17 +156,29 @@ fn replay(trace: &str) -> Timeline {
 }
 
 fn print_timeline(t: &Timeline) -> String {
-    let mut csv = String::from("iteration,writes_issued,writes_skipped,new_wear_faults,max_abs_dw,cum_pulses\n");
+    let mut csv = String::from(
+        "iteration,writes_issued,writes_skipped,new_wear_faults,max_abs_dw,cum_pulses\n",
+    );
     println!("# per-iteration timeline (rebuilt from trace)");
     println!("iteration, writes_issued, writes_skipped, new_wear_faults, max_abs_dw, cum_pulses");
     for p in &t.iters {
         println!(
             "{}, {}, {}, {}, {:.6}, {}",
-            p.iteration, p.writes_issued, p.writes_skipped, p.new_wear_faults, p.max_abs_dw, p.cum_pulses
+            p.iteration,
+            p.writes_issued,
+            p.writes_skipped,
+            p.new_wear_faults,
+            p.max_abs_dw,
+            p.cum_pulses
         );
         csv.push_str(&format!(
             "{},{},{},{},{},{}\n",
-            p.iteration, p.writes_issued, p.writes_skipped, p.new_wear_faults, p.max_abs_dw, p.cum_pulses
+            p.iteration,
+            p.writes_issued,
+            p.writes_skipped,
+            p.new_wear_faults,
+            p.max_abs_dw,
+            p.cum_pulses
         ));
     }
     if !t.campaigns.is_empty() {
@@ -172,7 +188,14 @@ fn print_timeline(t: &Timeline) -> String {
         for c in &t.campaigns {
             println!(
                 "{}, {}, {}, {}, {}, {}, {:.3}, {:.3}",
-                c.campaign, c.iteration, c.flagged_cells, c.cycles, c.write_pulses, c.untested_groups, c.precision, c.recall
+                c.campaign,
+                c.iteration,
+                c.flagged_cells,
+                c.cycles,
+                c.write_pulses,
+                c.untested_groups,
+                c.precision,
+                c.recall
             );
         }
     }
@@ -270,10 +293,26 @@ fn main() {
             ("writes_issued", issued, stats.writes_issued),
             ("writes_skipped", skipped, stats.writes_skipped),
             // One training write is one pulse.
-            ("training pulses", timeline.phase_pulses("training"), stats.writes_issued),
-            ("detection pulses", timeline.phase_pulses("detection"), stats.detection_writes),
-            ("wear_faults", timeline.total_wear_faults, stats.wear_faults_during_training),
-            ("campaigns", timeline.campaigns.len() as u64, stats.detection_campaigns),
+            (
+                "training pulses",
+                timeline.phase_pulses("training"),
+                stats.writes_issued,
+            ),
+            (
+                "detection pulses",
+                timeline.phase_pulses("detection"),
+                stats.detection_writes,
+            ),
+            (
+                "wear_faults",
+                timeline.total_wear_faults,
+                stats.wear_faults_during_training,
+            ),
+            (
+                "campaigns",
+                timeline.campaigns.len() as u64,
+                stats.detection_campaigns,
+            ),
         ];
         let mut ok = true;
         for (name, trace, trainer) in checks {

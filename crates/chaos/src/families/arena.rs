@@ -112,9 +112,12 @@ pub fn arena(seed: u64) -> FamilyReport {
         let view = sink.view();
         recorder.add_sink(Box::new(sink));
         let strategy = ftt_strategy::build(&ftt_core::strategy::StrategySelect::DetectRemap);
-        let mut trainer = FaultTolerantTrainer::with_strategy(net, mapping, flow, recorder, strategy)
-            .map_err(|e| format!("trainer: {e}"))?;
-        trainer.train(&data, 24).map_err(|e| format!("train: {e}"))?;
+        let mut trainer =
+            FaultTolerantTrainer::with_strategy(net, mapping, flow, recorder, strategy)
+                .map_err(|e| format!("trainer: {e}"))?;
+        trainer
+            .train(&data, 24)
+            .map_err(|e| format!("train: {e}"))?;
         ensure(
             trainer.strategy().id() == "detect_remap",
             "fault_tolerant flow must select the detect_remap strategy",

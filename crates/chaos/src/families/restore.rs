@@ -72,7 +72,8 @@ fn kill_restore_case(seed: u64, data: &Dataset, total: u64, kill_at: u64) -> Res
         .map_err(|e| format!("uninterrupted: {e}"))?;
 
     let (mut head, head_view) = traced(seed)?;
-    head.train(data, kill_at).map_err(|e| format!("head: {e}"))?;
+    head.train(data, kill_at)
+        .map_err(|e| format!("head: {e}"))?;
     let bytes = ftt_snapshot::snapshot(&mut head);
     drop(head); // the crash: nothing survives but the bytes
     let slots = ftt_snapshot::decode(&bytes)

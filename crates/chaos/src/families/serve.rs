@@ -30,10 +30,7 @@ use crate::{ensure, FamilyReport};
 fn two_node_config(seed: u64) -> ServiceConfig {
     ServiceConfig {
         seed,
-        nodes: vec![
-            ChipNodeConfig::new(8, 8, 16),
-            ChipNodeConfig::new(8, 8, 16),
-        ],
+        nodes: vec![ChipNodeConfig::new(8, 8, 16), ChipNodeConfig::new(8, 8, 16)],
         queue_capacity: 2,
         queue_high_water: 1,
         max_batch: 2,
@@ -178,13 +175,15 @@ pub fn serve(seed: u64) -> FamilyReport {
             format!("capacity 2 must admit twice, got {answers:?}"),
         )?;
         ensure(
-            answers[2..].iter().all(|a| matches!(
-                a,
-                Admission::Shed {
-                    reason: ShedReason::QueueFull,
-                    ..
-                }
-            )),
+            answers[2..].iter().all(|a| {
+                matches!(
+                    a,
+                    Admission::Shed {
+                        reason: ShedReason::QueueFull,
+                        ..
+                    }
+                )
+            }),
             format!("beyond capacity must shed queue_full, got {answers:?}"),
         )?;
         svc.drain(10).map_err(|e| format!("drain: {e}"))?;
@@ -249,9 +248,7 @@ pub fn serve(seed: u64) -> FamilyReport {
             .ok_or("tenant must still exist")?;
         ensure(
             restored_fp == continued_fp,
-            format!(
-                "restored params {restored_fp:#018x} != uninterrupted {continued_fp:#018x}"
-            ),
+            format!("restored params {restored_fp:#018x} != uninterrupted {continued_fp:#018x}"),
         )?;
         let (remaining, attached) = continued
             .tenant_spares("mig")

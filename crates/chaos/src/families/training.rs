@@ -384,10 +384,7 @@ const POLICY_GOLDENS: [(&str, ThresholdPolicy, WeightCoding, u64, u64, u64, u64)
 /// layer spans several), with write variation and an endurance low enough
 /// that cells wear out inside the run. Returns the FNV-1a-64 of its JSONL
 /// trace and its statistics.
-fn policy_flow(
-    policy: ThresholdPolicy,
-    coding: WeightCoding,
-) -> Result<(u64, FlowStats), String> {
+fn policy_flow(policy: ThresholdPolicy, coding: WeightCoding) -> Result<(u64, FlowStats), String> {
     let data = SyntheticDataset::mnist_like(40, 10, 11);
     let mut rng = init_rng(11);
     let mut net = Network::new();
@@ -410,7 +407,9 @@ fn policy_flow(
     recorder.add_sink(Box::new(sink));
     let mut trainer = FaultTolerantTrainer::with_recorder(net, mapping, flow, recorder)
         .map_err(|e| format!("trainer: {e}"))?;
-    trainer.train(&data, 12).map_err(|e| format!("train: {e}"))?;
+    trainer
+        .train(&data, 12)
+        .map_err(|e| format!("train: {e}"))?;
     Ok((
         ftt_snapshot::fnv1a64(view.contents().as_bytes()),
         trainer.stats(),

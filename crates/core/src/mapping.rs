@@ -599,8 +599,10 @@ impl MappedNetwork {
         })?;
         // Every pulse in issue order: its tile, and its cell on the tile
         // with the target conductance.
-        let grids: Vec<(Polarity, &[usize])> =
-            layer.grids().map(|(p, grid)| (p, grid.tile_ids())).collect();
+        let grids: Vec<(Polarity, &[usize])> = layer
+            .grids()
+            .map(|(p, grid)| (p, grid.tile_ids()))
+            .collect();
         let mut tiles = Vec::with_capacity(updates.len() * grids.len());
         let mut cells = Vec::with_capacity(updates.len() * grids.len());
         let mut cursor = layer.tiles.grid().cursor();
@@ -1184,7 +1186,9 @@ mod tests {
         let read = net.layer_params_mut(0).unwrap().weights[3];
         assert!((read - target).abs() < 1e-5, "{read} vs {target}");
         // Magnitudes beyond full scale clamp.
-        mapped.write_weights(0, &[(3, 10.0 * w_max)], |_| {}).unwrap();
+        mapped
+            .write_weights(0, &[(3, 10.0 * w_max)], |_| {})
+            .unwrap();
         mapped.load_effective_weights(&mut net).unwrap();
         let read = net.layer_params_mut(0).unwrap().weights[3];
         assert!((read - w_max).abs() < 1e-5);
@@ -1242,7 +1246,14 @@ mod tests {
         for (polarity, grid) in layer.grids() {
             let (id, r, c) = layer.locate(grid, idx).unwrap();
             let g = MappedLayer::conductance(value, polarity, layer.w_max);
-            cells.push(mapped.chip.tile_mut(id).unwrap().pulse_analog(r, c, g).unwrap());
+            cells.push(
+                mapped
+                    .chip
+                    .tile_mut(id)
+                    .unwrap()
+                    .pulse_analog(r, c, g)
+                    .unwrap(),
+            );
         }
         let worn = cells.iter().filter(|o| o.new_fault().is_some()).count();
         (merge_outcomes(&cells), worn as u64)
@@ -1296,7 +1307,10 @@ mod tests {
                 }
                 assert_eq!(batched.export_state(), reference.export_state());
             }
-            assert!(batched.wear_faults() > 0, "{coding:?}: the run must wear cells out");
+            assert!(
+                batched.wear_faults() > 0,
+                "{coding:?}: the run must wear cells out"
+            );
             let pulses = |r: &obs::Recorder| r.registry().counter_value("rram_write_pulses_total");
             assert_eq!(pulses(&batched_rec), pulses(&reference_rec));
         }
@@ -1310,11 +1324,21 @@ mod tests {
                 .unwrap();
         let before = mapped.export_state();
         let mut calls = 0;
-        assert!(mapped.write_weights(0, &[(3, 0.1), (2, 0.1)], |_| calls += 1).is_err());
-        assert!(mapped.write_weights(0, &[(3, 0.1), (60, 0.1)], |_| calls += 1).is_err());
-        assert!(mapped.write_weights(2, &[(0, 0.1)], |_| calls += 1).is_err());
+        assert!(mapped
+            .write_weights(0, &[(3, 0.1), (2, 0.1)], |_| calls += 1)
+            .is_err());
+        assert!(mapped
+            .write_weights(0, &[(3, 0.1), (60, 0.1)], |_| calls += 1)
+            .is_err());
+        assert!(mapped
+            .write_weights(2, &[(0, 0.1)], |_| calls += 1)
+            .is_err());
         assert_eq!(calls, 0);
-        assert_eq!(mapped.export_state(), before, "a rejected batch writes nothing");
+        assert_eq!(
+            mapped.export_state(),
+            before,
+            "a rejected batch writes nothing"
+        );
     }
 
     #[test]

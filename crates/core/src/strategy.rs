@@ -40,8 +40,8 @@
 //! reads. [`FaultStrategy::cost`] returns the strategy's own ledger of what
 //! it charged, so a harness can cross-check accounting parity.
 
-use nn::pruning::{LayerMask, PruneMask};
 use nn::network::Network;
+use nn::pruning::{LayerMask, PruneMask};
 use obs::{Confusion, Event, WritePhase};
 
 use faultdet::detector::OnlineFaultDetector;

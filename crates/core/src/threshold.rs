@@ -401,7 +401,11 @@ impl ThresholdTrainer {
                 .ok_or_else(|| missing_layer(layer.layer_index))?;
             let cells = params.weight_grad.len();
             let frozen_layer = frozen
-                .and_then(|m| m.layers().iter().find(|l| l.layer_index == layer.layer_index))
+                .and_then(|m| {
+                    m.layers()
+                        .iter()
+                        .find(|l| l.layer_index == layer.layer_index)
+                })
                 .map(|l| l.pruned.as_slice());
             let ledger = &self.write_amounts;
             if ledger.get(pos).map(Vec::len) != Some(cells)
@@ -771,7 +775,16 @@ mod tests {
         // cutoff it is not — including zero, subnormal and non-finite
         // learning rates and floors.
         let below = |b: u32, lr: f64, floor: f64| f64::from(f32::from_bits(b)) * lr < floor;
-        for lr in [0.1f32, 1e-3, 2.0, 0.0, 1e-40, f32::MAX, f32::INFINITY, f32::NAN] {
+        for lr in [
+            0.1f32,
+            1e-3,
+            2.0,
+            0.0,
+            1e-40,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+        ] {
             let lr = f64::from(lr);
             for floor in [0.0, 1e-9, 0.013, 1.0, 1e30, f64::INFINITY, f64::NAN, -1.0] {
                 let cut = cutoff_bits(lr, floor);

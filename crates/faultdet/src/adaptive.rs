@@ -68,10 +68,22 @@ impl AdaptiveDetector {
         let candidates = CandidateMask::all(xbar.rows(), xbar.cols());
         let pulses_before = xbar.write_pulses();
 
-        let (sa0_map, sa0_cycles) =
-            self.kind_pass(xbar, &store, &adc, &candidates, FaultKind::StuckAt0, DELTA_LEVELS)?;
-        let (sa1_map, sa1_cycles) =
-            self.kind_pass(xbar, &store, &adc, &candidates, FaultKind::StuckAt1, -DELTA_LEVELS)?;
+        let (sa0_map, sa0_cycles) = self.kind_pass(
+            xbar,
+            &store,
+            &adc,
+            &candidates,
+            FaultKind::StuckAt0,
+            DELTA_LEVELS,
+        )?;
+        let (sa1_map, sa1_cycles) = self.kind_pass(
+            xbar,
+            &store,
+            &adc,
+            &candidates,
+            FaultKind::StuckAt1,
+            -DELTA_LEVELS,
+        )?;
 
         let mut predicted = sa0_map;
         predicted.merge(&sa1_map);

@@ -117,10 +117,10 @@ pub struct SemanticModel {
 }
 
 const KEYWORDS: [&str; 35] = [
-    "if", "while", "for", "match", "return", "loop", "in", "as", "move", "else", "unsafe",
-    "where", "use", "pub", "mod", "break", "continue", "ref", "mut", "dyn", "await", "yield",
-    "struct", "enum", "union", "trait", "type", "static", "const", "crate", "super", "box",
-    "let", "fn", "impl",
+    "if", "while", "for", "match", "return", "loop", "in", "as", "move", "else", "unsafe", "where",
+    "use", "pub", "mod", "break", "continue", "ref", "mut", "dyn", "await", "yield", "struct",
+    "enum", "union", "trait", "type", "static", "const", "crate", "super", "box", "let", "fn",
+    "impl",
 ];
 
 fn is_keyword(s: &str) -> bool {
@@ -225,7 +225,10 @@ fn manifest_deps(manifest: &str, member_names: &BTreeSet<String>) -> BTreeSet<St
     for raw in manifest.lines() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.starts_with('[') {
-            in_deps = matches!(line, "[dependencies]" | "[dev-dependencies]" | "[build-dependencies]");
+            in_deps = matches!(
+                line,
+                "[dependencies]" | "[dev-dependencies]" | "[build-dependencies]"
+            );
             continue;
         }
         if !in_deps {
@@ -312,8 +315,7 @@ fn parse_closures(
     let mut k = open + 1;
     while k < close {
         let t = &toks[k];
-        let starter = k == open + 1
-            || matches!(toks[k - 1].text.as_str(), "(" | "," | "move");
+        let starter = k == open + 1 || matches!(toks[k - 1].text.as_str(), "(" | "," | "move");
         if t.kind == TokenKind::Punct && (t.text == "|" || t.text == "||") && starter {
             let line = t.line;
             let mut params = Vec::new();
@@ -375,8 +377,7 @@ fn parse_closures(
 impl SemanticModel {
     /// Build the semantic model for an analyzed workspace.
     pub fn build(ws: &Workspace) -> SemanticModel {
-        let member_names: BTreeSet<String> =
-            ws.members.iter().map(|m| m.name.clone()).collect();
+        let member_names: BTreeSet<String> = ws.members.iter().map(|m| m.name.clone()).collect();
         let mut deps: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for m in &ws.members {
             let mut d = manifest_deps(&m.manifest, &member_names);
@@ -396,14 +397,18 @@ impl SemanticModel {
                 if t.kind != TokenKind::Ident || t.text != "fn" {
                     continue;
                 }
-                let Some(name_tok) = toks.get(i + 1) else { continue };
+                let Some(name_tok) = toks.get(i + 1) else {
+                    continue;
+                };
                 if name_tok.kind != TokenKind::Ident {
                     continue; // `fn(..)` pointer type
                 }
                 let Some((open, ret_idents)) = fn_body_open(toks, i + 1) else {
                     continue;
                 };
-                let Some(&bclose) = braces.get(&open) else { continue };
+                let Some(&bclose) = braces.get(&open) else {
+                    continue;
+                };
                 let mut info = FnInfo {
                     file: fi,
                     crate_name: file.crate_name.clone().unwrap_or_default(),
@@ -416,7 +421,16 @@ impl SemanticModel {
                     role: file.role,
                     calls: Vec::new(),
                 };
-                scan_body(file, toks, &braces, open, bclose, &mut info, fi, &mut par_calls);
+                scan_body(
+                    file,
+                    toks,
+                    &braces,
+                    open,
+                    bclose,
+                    &mut info,
+                    fi,
+                    &mut par_calls,
+                );
                 fns.push(info);
             }
         }
@@ -501,8 +515,7 @@ fn scan_body(
         if let Some(next) = toks.get(i + 1) {
             if next.text == "(" {
                 open_paren = Some(i + 1);
-            } else if next.text == "::" && toks.get(i + 2).map(|t| t.text == "<").unwrap_or(false)
-            {
+            } else if next.text == "::" && toks.get(i + 2).map(|t| t.text == "<").unwrap_or(false) {
                 // Turbofish: skip to the matching `>` then require `(`.
                 let mut angle: i64 = 0;
                 for (j, a) in toks.iter().enumerate().take(close).skip(i + 2) {
@@ -526,12 +539,12 @@ fn scan_body(
             i += 1;
             continue;
         };
-        let qualifier = if i >= 2 && toks[i - 1].text == "::" && toks[i - 2].kind == TokenKind::Ident
-        {
-            Some(toks[i - 2].text.clone())
-        } else {
-            None
-        };
+        let qualifier =
+            if i >= 2 && toks[i - 1].text == "::" && toks[i - 2].kind == TokenKind::Ident {
+                Some(toks[i - 2].text.clone())
+            } else {
+                None
+            };
         info.calls.push(CallRef {
             callee: name.to_string(),
             qualifier,
@@ -580,7 +593,8 @@ mod tests {
 
     #[test]
     fn trait_decls_without_bodies_are_skipped() {
-        let (_, names) = model_of("trait X {\n    fn no_body(&self);\n    fn with_body(&self) -> u8 { 0 }\n}\n");
+        let (_, names) =
+            model_of("trait X {\n    fn no_body(&self);\n    fn with_body(&self) -> u8 { 0 }\n}\n");
         assert_eq!(names, vec!["with_body"]);
     }
 
@@ -595,9 +609,8 @@ mod tests {
 
     #[test]
     fn par_call_closures_are_parsed() {
-        let (m, _) = model_of(
-            "fn k(n: usize) -> Vec<usize> {\n    par::map_indices(n, 1, |i| i * 2)\n}\n",
-        );
+        let (m, _) =
+            model_of("fn k(n: usize) -> Vec<usize> {\n    par::map_indices(n, 1, |i| i * 2)\n}\n");
         assert_eq!(m.par_calls.len(), 1);
         assert_eq!(m.par_calls[0].helper, "map_indices");
         assert_eq!(m.par_calls[0].closures.len(), 1);

@@ -169,7 +169,10 @@ impl Family {
     /// Whether a new series of `kind` may join this family (all series
     /// under one name must share a kind).
     fn accepts(&self, kind: &str) -> bool {
-        self.series.values().next().is_none_or(|m| m.kind_str() == kind)
+        self.series
+            .values()
+            .next()
+            .is_none_or(|m| m.kind_str() == kind)
     }
 }
 
@@ -367,8 +370,7 @@ impl Registry {
                         let mut cumulative = 0u64;
                         for (bound, bucket) in inner.bounds.iter().zip(inner.buckets.iter()) {
                             cumulative += bucket.load(Ordering::Relaxed);
-                            let _ =
-                                writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
+                            let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
                         }
                         let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count());
                         let _ = writeln!(out, "{name}_sum {}", h.sum());

@@ -236,7 +236,9 @@ impl Recorder {
                 state.seq
             ));
         }
-        self.inner.iteration.store(state.iteration, Ordering::Relaxed);
+        self.inner
+            .iteration
+            .store(state.iteration, Ordering::Relaxed);
         self.inner
             .write_pulses
             .store(state.write_pulses, Ordering::Relaxed);
@@ -422,7 +424,9 @@ mod tests {
 
         let mut short = good.clone();
         short.kind_counts.pop();
-        assert!(Recorder::deterministic().restore_clock_state(&short).is_err());
+        assert!(Recorder::deterministic()
+            .restore_clock_state(&short)
+            .is_err());
 
         let mut inflated = good.clone();
         inflated.kind_counts[0] += 10;

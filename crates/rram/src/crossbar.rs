@@ -1466,9 +1466,12 @@ mod tests {
         x.clear_dirty();
         x.nudge(1, 2, 1).unwrap();
         let st = x.export_state();
-        let mut y =
-            Crossbar::restore_state(&st, EnduranceModel::new(20.0, 5.0), WriteVariation::new(0.03))
-                .unwrap();
+        let mut y = Crossbar::restore_state(
+            &st,
+            EnduranceModel::new(20.0, 5.0),
+            WriteVariation::new(0.03),
+        )
+        .unwrap();
         assert_eq!(x.conductance_plane_f64(), y.conductance_plane_f64());
         assert_eq!(x.conductance_plane(), y.conductance_plane());
         assert_eq!(x.dirty_cells(), y.dirty_cells());

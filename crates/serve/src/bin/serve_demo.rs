@@ -58,7 +58,10 @@ fn main() -> ExitCode {
         "  ticks={} sheds={} lull_campaigns={} migrations={}",
         reference.ticks, reference.sheds, reference.lull_campaigns, reference.migrations
     );
-    println!("  inference output fp {:#018x}", reference.output_fingerprint);
+    println!(
+        "  inference output fp {:#018x}",
+        reference.output_fingerprint
+    );
     for (tenant, fp) in &reference.param_fingerprints {
         println!("  {tenant} params fp {fp:#018x}");
     }

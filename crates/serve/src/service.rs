@@ -406,8 +406,9 @@ impl Service {
                 let chip = &mut self.nodes[node].chip;
                 let mapping = TiledMapping::allocate(chip, s.rows, s.cols)?;
                 let mut wrng = StdRng::seed_from_u64(s.weight_seed);
-                let targets: Vec<f64> =
-                    (0..s.rows * s.cols).map(|_| wrng.gen_range(0.0..1.0)).collect();
+                let targets: Vec<f64> = (0..s.rows * s.cols)
+                    .map(|_| wrng.gen_range(0.0..1.0))
+                    .collect();
                 mapping.program(chip, &targets)?;
                 Backend::Inference {
                     mapping,
@@ -828,10 +829,7 @@ mod tests {
     fn small_config() -> ServiceConfig {
         ServiceConfig {
             seed: 11,
-            nodes: vec![
-                ChipNodeConfig::new(8, 8, 24),
-                ChipNodeConfig::new(8, 8, 24),
-            ],
+            nodes: vec![ChipNodeConfig::new(8, 8, 24), ChipNodeConfig::new(8, 8, 24)],
             queue_capacity: 4,
             queue_high_water: 3,
             max_batch: 2,

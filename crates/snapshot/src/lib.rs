@@ -97,11 +97,17 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Truncated { needed, available } => {
-                write!(f, "snapshot truncated: needed {needed} bytes, {available} left")
+                write!(
+                    f,
+                    "snapshot truncated: needed {needed} bytes, {available} left"
+                )
             }
             Self::BadMagic => write!(f, "not a snapshot (bad magic)"),
             Self::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v} (this build reads {FORMAT_VERSION})")
+                write!(
+                    f,
+                    "unsupported snapshot version {v} (this build reads {FORMAT_VERSION})"
+                )
             }
             Self::DigestMismatch { stored, computed } => write!(
                 f,
@@ -396,10 +402,13 @@ impl<'a> Reader<'a> {
             .pos
             .checked_add(n)
             .ok_or_else(|| SnapshotError::Malformed("length overflow".into()))?;
-        let slice = self.buf.get(self.pos..end).ok_or(SnapshotError::Truncated {
-            needed: n,
-            available: self.buf.len().saturating_sub(self.pos),
-        })?;
+        let slice = self
+            .buf
+            .get(self.pos..end)
+            .ok_or(SnapshotError::Truncated {
+                needed: n,
+                available: self.buf.len().saturating_sub(self.pos),
+            })?;
         self.pos = end;
         Ok(slice)
     }
@@ -876,9 +885,8 @@ mod tests {
         let sink = obs::JsonlSink::new();
         let view = sink.view();
         recorder.add_sink(Box::new(sink));
-        let t =
-            FaultTolerantTrainer::with_recorder(net(seed), mapping(seed), flow(), recorder)
-                .unwrap();
+        let t = FaultTolerantTrainer::with_recorder(net(seed), mapping(seed), flow(), recorder)
+            .unwrap();
         (t, view)
     }
 
@@ -970,7 +978,13 @@ mod tests {
         assert!(tampered, "a campaign must have attached a store");
         let bytes = encode(&state);
         assert!(matches!(
-            resume(&bytes, net(3), mapping(3), flow(), Recorder::deterministic()),
+            resume(
+                &bytes,
+                net(3),
+                mapping(3),
+                flow(),
+                Recorder::deterministic()
+            ),
             Err(SnapshotError::Invalid(_))
         ));
     }

@@ -178,8 +178,7 @@ impl RedundantColumn {
 
     fn campaign_due(&self, iteration: u64) -> bool {
         let periodic = self.interval > 0 && iteration.is_multiple_of(self.interval);
-        let armed = self.pending
-            && iteration >= self.last_campaign + (self.interval / 2).max(1);
+        let armed = self.pending && iteration >= self.last_campaign + (self.interval / 2).max(1);
         periodic || armed
     }
 
@@ -315,7 +314,13 @@ mod tests {
     #[test]
     fn drop_connect_masks_and_charges_cycles() {
         let data = SyntheticDataset::mnist_like(60, 20, 11);
-        let mut t = trainer_for(StrategySelect::DropConnect { rate: 0.3, seed: 11 }, 11);
+        let mut t = trainer_for(
+            StrategySelect::DropConnect {
+                rate: 0.3,
+                seed: 11,
+            },
+            11,
+        );
         t.train(&data, 12).unwrap();
         let stats = t.stats();
         // 12 iterations × (784·32 + 32·10) mapped cells.
@@ -347,7 +352,13 @@ mod tests {
     fn drop_connect_is_deterministic_per_iteration() {
         let data = SyntheticDataset::mnist_like(60, 20, 11);
         let run = || {
-            let mut t = trainer_for(StrategySelect::DropConnect { rate: 0.3, seed: 11 }, 11);
+            let mut t = trainer_for(
+                StrategySelect::DropConnect {
+                    rate: 0.3,
+                    seed: 11,
+                },
+                11,
+            );
             t.train(&data, 10).unwrap();
             let state = t.export_state();
             (t.stats(), state.params)
@@ -380,7 +391,10 @@ mod tests {
         assert_eq!(stats.last_remap_initial_cost, 0);
         // Verify reads landed in the strategy accounting slot.
         assert!(stats.strategy_cycles > 0);
-        assert_eq!(t.strategy().cost().cycles, stats.detection_cycles + stats.strategy_cycles);
+        assert_eq!(
+            t.strategy().cost().cycles,
+            stats.detection_cycles + stats.strategy_cycles
+        );
     }
 
     #[test]

@@ -852,7 +852,10 @@ mod tests {
         assert_eq!(chip.last_detection(a).unwrap(), Some(&one_shot));
         assert_eq!(first.cycles, one_shot.cycles());
         assert_eq!(first.write_pulses, one_shot.write_pulses);
-        assert_eq!(first.flagged_cells, one_shot.predicted.count_faulty() as u64);
+        assert_eq!(
+            first.flagged_cells,
+            one_shot.predicted.count_faulty() as u64
+        );
 
         // With no writes since, nothing is pending: the rerun is free and
         // the previous verdicts carry over.
@@ -914,7 +917,11 @@ mod tests {
         let s2 = back.run_campaigns(&det, &[a]);
         assert_eq!(s1, s2);
         assert_eq!(
-            c.slot(a).unwrap().last_detection.as_ref().map(|d| &d.predicted),
+            c.slot(a)
+                .unwrap()
+                .last_detection
+                .as_ref()
+                .map(|d| &d.predicted),
             back.slot(a)
                 .unwrap()
                 .last_detection
