@@ -2,19 +2,21 @@
 
 use ftt_core::config::{FlowConfig, MappingConfig, MappingScope, RemapConfig, WeightCoding};
 use ftt_core::flow::FaultTolerantTrainer;
-use ftt_core::mapping::MappedNetwork;
+use ftt_core::mapping::{LayerDetection, MappedNetwork};
 use ftt_core::remap::{CostModel, RemapAlgorithm, RemapProblem};
 use ftt_core::threshold::{ThresholdPolicy, ThresholdTrainer};
 use nn::init::init_rng;
-use nn::layers::{Dense, Relu};
+use nn::layers::{Conv2d, Dense, Flatten, Relu};
 use nn::loss::softmax_cross_entropy;
 use nn::network::Network;
 use nn::optimizer::LrSchedule;
+use nn::permute::Permutation;
 use nn::pruning::{magnitude_prune, LayerMask, PruneMask};
 use nn::synth::SyntheticDataset;
 use nn::tensor::Tensor;
 use proptest::prelude::*;
 use rram::endurance::EnduranceModel;
+use rram::fault::{FaultKind, FaultMap};
 use rram::variation::WriteVariation;
 
 fn mlp(seed: u64, hidden: usize) -> Network {
@@ -24,6 +26,54 @@ fn mlp(seed: u64, hidden: usize) -> Network {
     net.push(Relu::new());
     net.push(Dense::new(hidden, 4, &mut rng));
     net
+}
+
+/// Three neuron groups: conv → conv → flatten → dense → dense on 4×4
+/// inputs gives `block` 9, 16 and 1, the middle layers are each a row side
+/// and a column side, and the 96-row dense layer spans two bitset words.
+fn cnn(seed: u64) -> Network {
+    let mut rng = init_rng(seed);
+    let mut net = Network::new();
+    net.push(Conv2d::new(1, 4, 3, 1, 1, &mut rng));
+    net.push(Relu::new());
+    net.push(Conv2d::new(4, 6, 3, 1, 1, &mut rng));
+    net.push(Relu::new());
+    net.push(Flatten::new());
+    net.push(Dense::new(6 * 16, 5, &mut rng));
+    net.push(Relu::new());
+    net.push(Dense::new(5, 3, &mut rng));
+    net
+}
+
+/// Detections built by hand for every mapped layer: `pick` 0 all healthy,
+/// 1 every cell faulty (SA0 or SA1), 2 only SA1 cells.
+fn hand_detections(mapped: &MappedNetwork, pick: usize, seed: u64) -> Vec<LayerDetection> {
+    mapped
+        .layers()
+        .iter()
+        .map(|ml| {
+            let mut predicted = FaultMap::healthy(ml.rows, ml.cols);
+            for r in 0..ml.rows {
+                for c in 0..ml.cols {
+                    let u = unit(seed ^ ml.weight_layer as u64, (r * ml.cols + c) as u64);
+                    let kind = match pick {
+                        0 => None,
+                        1 if u < 0.5 => Some(FaultKind::StuckAt0),
+                        1 => Some(FaultKind::StuckAt1),
+                        _ => (u < 0.3).then_some(FaultKind::StuckAt1),
+                    };
+                    predicted.set(r, c, kind);
+                }
+            }
+            LayerDetection {
+                weight_layer: ml.weight_layer,
+                predicted,
+                cycles: 0,
+                write_pulses: 0,
+                untested_groups: 0,
+            }
+        })
+        .collect()
 }
 
 /// A splitmix64 hash mapped to [0, 1): deterministic case data without an
@@ -292,5 +342,84 @@ proptest! {
             trainer.curve().clone()
         };
         prop_assert_eq!(run(seed), run(seed));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The kernel search returns the reference search's plan: every
+    /// permutation and both costs, and its final cost is the full
+    /// recount's. One, two and three chained groups (`block` up to 16),
+    /// both cost models, ground-truth and hand-built maps (on the healthy,
+    /// all-faulty and SA1-only maps every swap ties, so every probe is
+    /// accepted and moves the neighbouring groups' bitsets).
+    #[test]
+    fn swap_kernel_matches_reference_search(
+        seed in 0u64..1_000,
+        net_pick in 0usize..4,
+        map_pick in 0usize..4,
+        model_pick in 0usize..2,
+        genetic in 0usize..2,
+        iterations in 1usize..600,
+    ) {
+        let mut net = match net_pick {
+            0 => mlp(seed, 3 + (seed % 12) as usize),
+            1 => {
+                let mut rng = init_rng(seed);
+                let mut net = Network::new();
+                net.push(Dense::new(8, 12, &mut rng));
+                net.push(Relu::new());
+                net.push(Dense::new(12, 7, &mut rng));
+                net.push(Relu::new());
+                net.push(Dense::new(7, 4, &mut rng));
+                net
+            }
+            2 => cnn(seed),
+            _ => {
+                let mut rng = init_rng(seed);
+                let mut net = Network::new();
+                for (inputs, outputs) in [(8, 6), (6, 4), (4, 5)] {
+                    net.push(Dense::new(inputs, outputs, &mut rng));
+                    net.push(Relu::new());
+                }
+                net.push(Dense::new(5, 3, &mut rng));
+                net
+            }
+        };
+        // The last case maps weight layers 0, 1 and 3: layers 0 and 1 form
+        // the one group, and layer 3 sits in none, so its errors are fixed.
+        let scope = match net_pick {
+            3 => MappingScope::WeightLayers(vec![0, 1, 3]),
+            _ => MappingScope::EntireNetwork,
+        };
+        let mapped = MappedNetwork::from_network(
+            &mut net,
+            MappingConfig::new(scope)
+                .with_initial_fault_fraction(0.25)
+                .with_seed(seed),
+        )
+        .unwrap();
+        let mask = magnitude_prune(&mut net, [0.3, 0.5, 0.8][(seed % 3) as usize]);
+        let cost = [CostModel::PaperDist, CostModel::Extended][model_pick];
+        let problem = match map_pick {
+            0 => RemapProblem::with_ground_truth(&mapped, &mask, cost),
+            pick => RemapProblem::new(&mapped, &mask, &hand_detections(&mapped, pick - 1, seed), cost),
+        }
+        .unwrap();
+        prop_assert_eq!(problem.group_count(), [1, 2, 3, 1][net_pick]);
+        let algorithm = if genetic == 1 {
+            RemapAlgorithm::Genetic { population: 4 + (seed % 5) as usize }
+        } else {
+            RemapAlgorithm::SwapHillClimb
+        };
+        let config = RemapConfig { algorithm, cost, iterations, seed };
+        let plan = problem.solve(&mapped, &config);
+        let reference = problem.solve_reference(&mapped, &config);
+        prop_assert_eq!(plan.perms(), reference.perms());
+        prop_assert_eq!(plan.initial_cost, reference.initial_cost);
+        prop_assert_eq!(plan.final_cost, reference.final_cost);
+        let perms: Vec<Permutation> = plan.perms().iter().map(|(_, p)| p.clone()).collect();
+        prop_assert_eq!(plan.final_cost, problem.cost(&perms));
     }
 }

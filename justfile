@@ -20,6 +20,11 @@ test-all:
 bench *ARGS:
     cargo run --release --quiet --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- {{ARGS}}
 
+# Formatting gate: every workspace member must be rustfmt-clean (the
+# benchmark package is its own workspace and is not covered).
+fmt-check:
+    cargo fmt --all --check
+
 # Lints at the workspace's warning bar, with `unsafe` forbidden in every
 # target (vendored shims included). The root clippy.toml bans wall
 # clocks, hash maps and unscoped threads (DESIGN.md §10). `-D warnings`
