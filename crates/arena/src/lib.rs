@@ -90,7 +90,7 @@ impl ArenaConfig {
         }
     }
 
-    /// A reduced sweep for CI and the chaos harness: same shape, far fewer
+    /// A reduced sweep for CI and the benchmark: same shape, far fewer
     /// iterations and samples (rankings are not meaningful, byte-identity
     /// still is).
     pub fn quick() -> Self {
@@ -452,14 +452,16 @@ mod tests {
 
     #[test]
     fn league_table_is_thread_budget_invariant() {
-        // tiny()'s contenders clear par's work gate, so budget 4 races them
-        // on four workers.
+        // tiny()'s contenders clear par's work gate, so budgets 4 and the
+        // cap race them on four workers.
         assert!(contender_ops(&tiny()) >= par::PAR_MIN_WORK);
         let r1 = at_budget(1, || run(&tiny())).unwrap();
-        let r4 = at_budget(4, || run(&tiny())).unwrap();
-        assert_eq!(r1.rows, r4.rows);
-        assert_eq!(r1.to_jsonl(), r4.to_jsonl());
-        assert_eq!(r1.trace, r4.trace);
+        for budget in [4, par::MAX_THREADS] {
+            let r = at_budget(budget, || run(&tiny())).unwrap();
+            assert_eq!(r1.rows, r.rows, "budget {budget}");
+            assert_eq!(r1.to_jsonl(), r.to_jsonl(), "budget {budget}");
+            assert_eq!(r1.trace, r.trace, "budget {budget}");
+        }
     }
 
     #[test]

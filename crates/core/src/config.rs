@@ -192,10 +192,6 @@ pub struct FlowConfig {
     /// Re-mapping configuration; `None` disables re-mapping (detection
     /// alone still refreshes the fault distribution for reporting).
     pub remap: Option<RemapConfig>,
-    /// Pruning fraction for `dense` layers (the paper's ≥ 50 % sparsity).
-    pub prune_fraction_dense: f64,
-    /// Pruning fraction for `conv2d` layers (much lower sparsity, §6.4).
-    pub prune_fraction_conv: f64,
     /// Iterations between accuracy evaluations recorded on the curve.
     pub eval_interval: u64,
     /// Data-shuffling seed.
@@ -226,8 +222,6 @@ impl FlowConfig {
                 mode: faultdet::detector::TestMode::default_selected(),
             },
             remap: None,
-            prune_fraction_dense: 0.5,
-            prune_fraction_conv: 0.1,
             eval_interval: 50,
             data_seed: 0,
             strategy: StrategySelect::DetectRemap,

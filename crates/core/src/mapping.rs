@@ -241,7 +241,7 @@ pub struct LayerDetection {
 }
 
 /// Aggregate result of one tile-sparing pass (see
-/// [`MappedNetwork::apply_sparing`]).
+/// [`MappedNetwork::apply_sparing_at`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SparingOutcome {
     /// Tiles retired this pass.
@@ -780,33 +780,13 @@ impl MappedNetwork {
 
     /// The §5-style sparing pass: retire every mapped tile whose
     /// *predicted* fault density (from the latest campaigns) crosses
-    /// `retire_fault_density`, attach a spare, program it with the shard's
-    /// target weights, verify it with a fresh tile-local campaign, and
-    /// re-point the shard. With an exhausted pool the tile degrades in
-    /// service (counted in the outcome). Dirty layers' entries in
-    /// `detections` get their `predicted` maps recomposed so the
-    /// downstream re-mapping search sees the post-sparing fault state.
-    ///
-    /// No-op (all-zero outcome) when `retire_fault_density` is `None`.
-    ///
-    /// # Errors
-    ///
-    /// Device failures while programming or verifying a spare propagate.
-    pub fn apply_sparing(
-        &mut self,
-        detector: &OnlineFaultDetector,
-        detections: &mut [LayerDetection],
-    ) -> Result<SparingOutcome, FttError> {
-        let Some(threshold) = self.config.retire_fault_density else {
-            return Ok(SparingOutcome::default());
-        };
-        self.apply_sparing_at(threshold, detector, detections)
-    }
-
-    /// Like [`MappedNetwork::apply_sparing`], but retires every tile whose
-    /// predicted fault density crossed the explicit `threshold` instead of
-    /// consulting `retire_fault_density` — the entry point for strategies
-    /// (e.g. redundant-column correction) that own their retirement policy.
+    /// `threshold`, attach a spare, program it with the shard's target
+    /// weights, verify it with a fresh tile-local campaign, and re-point the
+    /// shard. With an exhausted pool the tile degrades in service (counted
+    /// in the outcome). Dirty layers' entries in `detections` get their
+    /// `predicted` maps recomposed so the downstream re-mapping search sees
+    /// the post-sparing fault state. Each strategy passes its own threshold
+    /// (`retire_fault_density` for the closed loop).
     ///
     /// # Errors
     ///
@@ -1496,7 +1476,9 @@ mod tests {
             let mut detections = mapped.detect(&detector).unwrap();
             let flagged_before: usize = detections.iter().map(|d| d.predicted.count_faulty()).sum();
             assert!(flagged_before > 0);
-            let outcome = mapped.apply_sparing(&detector, &mut detections).unwrap();
+            let outcome = mapped
+                .apply_sparing_at(0.05, &detector, &mut detections)
+                .unwrap();
             assert!(outcome.tiles_retired > 0, "{outcome:?}");
             assert_eq!(outcome.tiles_retired, outcome.spares_attached);
             assert!(outcome.reprogram_pulses > 0);
@@ -1542,7 +1524,9 @@ mod tests {
         let mut mapped = MappedNetwork::from_network(&mut net, config).unwrap();
         let detector = OnlineFaultDetector::new(DetectorConfig::new(1).unwrap());
         let mut detections = mapped.detect(&detector).unwrap();
-        let outcome = mapped.apply_sparing(&detector, &mut detections).unwrap();
+        let outcome = mapped
+            .apply_sparing_at(0.05, &detector, &mut detections)
+            .unwrap();
         assert_eq!(outcome.spares_attached, 1, "one spare, one attachment");
         assert!(outcome.spares_exhausted > 0, "the rest degrade in service");
         // Detection still works over the mixed old/spare tile set.
@@ -1576,7 +1560,9 @@ mod tests {
             .iter()
             .map(|l| l.tiles.tile_ids().to_vec())
             .collect();
-        let outcome = mapped.apply_sparing(&detector, &mut detections).unwrap();
+        let outcome = mapped
+            .apply_sparing_at(0.05, &detector, &mut detections)
+            .unwrap();
         assert!(outcome.spares_attached > 0, "{outcome:?}");
         // Locate a shard that was re-pointed at a spare, and wear out its
         // first cell with repeated post-verify training pulses.
@@ -1637,7 +1623,9 @@ mod tests {
             let mut mapped = MappedNetwork::from_network(&mut net, config.clone()).unwrap();
             let detector = OnlineFaultDetector::new(DetectorConfig::new(2).unwrap());
             let mut detections = mapped.detect(&detector).unwrap();
-            let spared = mapped.apply_sparing(&detector, &mut detections).unwrap();
+            let spared = mapped
+                .apply_sparing_at(0.05, &detector, &mut detections)
+                .unwrap();
             assert!(spared.spares_attached > 0, "{coding:?}: {spared:?}");
             mapped.write_weights(0, &[(3, 0.05)], |_| {}).unwrap();
 
@@ -1710,23 +1698,5 @@ mod tests {
         let mut bad = good;
         bad.layers[0].w_max = f64::NAN;
         assert!(incoherent(&bad));
-    }
-
-    #[test]
-    fn sparing_is_a_noop_without_a_threshold() {
-        let mut net = mlp();
-        let mut mapped = MappedNetwork::from_network(
-            &mut net,
-            MappingConfig::new(MappingScope::EntireNetwork)
-                .with_initial_fault_fraction(0.3)
-                .with_seed(2)
-                .with_spare_tiles(8),
-        )
-        .unwrap();
-        let detector = OnlineFaultDetector::new(DetectorConfig::new(1).unwrap());
-        let mut detections = mapped.detect(&detector).unwrap();
-        let outcome = mapped.apply_sparing(&detector, &mut detections).unwrap();
-        assert_eq!(outcome, SparingOutcome::default());
-        assert_eq!(mapped.chip().tiles_retired(), 0);
     }
 }

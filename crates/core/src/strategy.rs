@@ -42,7 +42,7 @@
 
 use nn::network::Network;
 use nn::pruning::{LayerMask, PruneMask};
-use obs::{Confusion, Event, WritePhase};
+use obs::{Confusion, Counter, Event, WritePhase};
 
 use faultdet::detector::OnlineFaultDetector;
 use faultdet::metrics::DetectionReport;
@@ -56,6 +56,14 @@ use nn::pruning::{try_apply_mask, try_magnitude_prune_per_layer};
 
 /// Conductance tolerance below which a reprogramming write is skipped.
 pub(crate) const REPROGRAM_EPSILON: f64 = 1e-4;
+
+/// Fraction of each `dense` layer's weights the re-mapping phase prunes:
+/// fully connected layers keep their accuracy at ≥ 50 % sparsity (§6.4).
+const PRUNE_FRACTION_DENSE: f64 = 0.5;
+
+/// Fraction of each `conv2d` layer's weights the re-mapping phase prunes:
+/// convolutional layers tolerate much less sparsity than FC layers (§6.4).
+const PRUNE_FRACTION_CONV: f64 = 0.1;
 
 /// Stable identifiers of every strategy the workspace knows. Snapshot
 /// restore rejects captures whose strategy id is not in this list.
@@ -265,35 +273,17 @@ impl DetectRemap {
         // Tile sparing: retire tiles whose predicted fault density crossed
         // the configured threshold and swap in screened spares, before the
         // re-mapping search reasons about the (now partially healed) fault
-        // state. No-op unless `retire_fault_density` is configured.
-        if ctx.mapped.config().retire_fault_density.is_some() {
-            let sparing = {
-                let _sparing_span = recorder.span("tile_sparing");
-                ctx.mapped.apply_sparing(&detector, &mut detections)?
-            };
-            ctx.metrics.tiles_retired.add(sparing.tiles_retired);
-            ctx.metrics.spares_attached.add(sparing.spares_attached);
-            ctx.metrics.detection_cycles.add(sparing.verify_cycles);
-            ctx.metrics
-                .detection_writes
-                .add(sparing.verify_write_pulses);
-            self.cost.absorb(StrategyCost {
-                cycles: sparing.verify_cycles,
-                write_pulses: sparing.verify_write_pulses + sparing.reprogram_pulses,
-            });
-            recorder.set_write_pulses(ctx.mapped.total_write_pulses());
-            if sparing.verify_write_pulses > 0 {
-                recorder.emit(Event::WritePulseBatch {
-                    pulses: sparing.verify_write_pulses,
-                    phase: WritePhase::Detection,
-                });
-            }
-            if sparing.reprogram_pulses > 0 {
-                recorder.emit(Event::WritePulseBatch {
-                    pulses: sparing.reprogram_pulses,
-                    phase: WritePhase::Reprogram,
-                });
-            }
+        // state. No-op unless `retire_fault_density` is configured; the
+        // verify reads are detection cycles.
+        if let Some(threshold) = ctx.mapped.config().retire_fault_density {
+            run_sparing_pass(
+                ctx,
+                &mut self.cost,
+                threshold,
+                |m| &m.detection_cycles,
+                &detector,
+                &mut detections,
+            )?;
         }
 
         let Some(remap_cfg) = ctx.flow.remap else {
@@ -310,8 +300,8 @@ impl DetectRemap {
         let fractions: Vec<f64> = weight_layers
             .iter()
             .map(|&li| match ctx.net.try_layer_kind(li) {
-                Some("dense") => ctx.flow.prune_fraction_dense,
-                _ => ctx.flow.prune_fraction_conv,
+                Some("dense") => PRUNE_FRACTION_DENSE,
+                _ => PRUNE_FRACTION_CONV,
             })
             .collect();
         let mut mask = try_magnitude_prune_per_layer(ctx.net, &fractions)?;
@@ -439,6 +429,59 @@ pub fn run_detection_campaign(
         });
     }
     Ok((detector, detections))
+}
+
+/// Runs the tile-sparing pass at `threshold` after a campaign and charges
+/// it: retires every tile whose predicted fault density crossed the
+/// threshold and attaches screened spares under a `tile_sparing` span
+/// (nested in the caller's phase span), adds the retirements and
+/// attachments to the flow counters, the spare verify reads to the counter
+/// `verify_cycles` selects and the verify writes to the detection writes,
+/// absorbs the pass into `cost`, and emits its detection and reprogram
+/// [`Event::WritePulseBatch`]es.
+///
+/// # Errors
+///
+/// Device failures while programming or verifying a spare propagate from
+/// [`MappedNetwork::apply_sparing_at`].
+pub fn run_sparing_pass(
+    ctx: &mut StrategyCtx<'_>,
+    cost: &mut StrategyCost,
+    threshold: f64,
+    verify_cycles: fn(&FlowMetrics) -> &Counter,
+    detector: &OnlineFaultDetector,
+    detections: &mut [LayerDetection],
+) -> Result<(), FttError> {
+    let recorder = ctx.metrics.recorder().clone();
+    let sparing = {
+        let _sparing_span = recorder.span("tile_sparing");
+        ctx.mapped
+            .apply_sparing_at(threshold, detector, detections)?
+    };
+    ctx.metrics.tiles_retired.add(sparing.tiles_retired);
+    ctx.metrics.spares_attached.add(sparing.spares_attached);
+    verify_cycles(ctx.metrics).add(sparing.verify_cycles);
+    ctx.metrics
+        .detection_writes
+        .add(sparing.verify_write_pulses);
+    cost.absorb(StrategyCost {
+        cycles: sparing.verify_cycles,
+        write_pulses: sparing.verify_write_pulses + sparing.reprogram_pulses,
+    });
+    recorder.set_write_pulses(ctx.mapped.total_write_pulses());
+    if sparing.verify_write_pulses > 0 {
+        recorder.emit(Event::WritePulseBatch {
+            pulses: sparing.verify_write_pulses,
+            phase: WritePhase::Detection,
+        });
+    }
+    if sparing.reprogram_pulses > 0 {
+        recorder.emit(Event::WritePulseBatch {
+            pulses: sparing.reprogram_pulses,
+            phase: WritePhase::Reprogram,
+        });
+    }
+    Ok(())
 }
 
 /// Sums `(cycles, write_pulses, untested_groups, flagged_cells)` over a

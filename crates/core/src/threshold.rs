@@ -451,11 +451,10 @@ impl ThresholdTrainer {
     }
 
     /// The scalar four-pass loop [`ThresholdTrainer::apply_with_mask`]
-    /// replaced, kept as its oracle: the tests and the chaos harness
-    /// require both to agree on the report (`max_abs_dw` bit for bit),
-    /// the ledgers, the targets and every tile's state. Each update is its
-    /// own one-weight [`MappedNetwork::write_weights`] batch. The flow
-    /// never calls it.
+    /// replaced, kept as its oracle: the tests require both to agree on
+    /// the report (`max_abs_dw` bit for bit), the ledgers, the targets and
+    /// every tile's state. Each update is its own one-weight
+    /// [`MappedNetwork::write_weights`] batch. The flow never calls it.
     ///
     /// # Errors
     ///
@@ -859,7 +858,7 @@ mod tests {
         assert_eq!(trainer.write_amounts(0), Some(before.as_slice()));
         // Running it twice is bit-identical (deterministic skip).
         let report2 = trainer.apply(&mut mapped, &mut net, 0.1).unwrap();
-        assert_eq!(report.writes_skipped, report2.writes_skipped);
+        assert_eq!(report2, report);
     }
 
     #[test]

@@ -223,6 +223,185 @@ proptest! {
     }
 }
 
+/// Seed of the degenerate-gradient and block-edge cases below.
+const EDGE_SEED: u64 = 0xC0FFEE ^ 0x04;
+
+/// Network shapes `(inputs, hidden, outputs)` whose two weight layers hold
+/// 15, 16 or 17 weights, one max-sweep block ±1. On 4² tiles each layer
+/// spans several tiles.
+const BLOCK_EDGE_SHAPES: [(usize, usize, usize); 5] =
+    [(3, 5, 3), (4, 4, 4), (17, 1, 17), (15, 1, 16), (16, 1, 15)];
+
+/// Learning rates the update must treat exactly as the scalar loop does:
+/// an ordinary one, both zeros, a negative one and the non-finite ones.
+const EDGE_LRS: [f32; 7] = [
+    0.1,
+    0.0,
+    -0.0,
+    -0.1,
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+];
+
+/// An output gradient that is zero except for a NaN in row 0, a +∞ in the
+/// middle row and finite entries in the last row. Back-propagated on the
+/// identity batch, it puts NaN/∞ rows and columns inside otherwise
+/// all-zero blocks of both weight layers.
+fn poisoned_rows(inputs: usize, outputs: usize) -> Vec<f32> {
+    let mut dy = vec![0.0; inputs * outputs];
+    dy[0] = f32::NAN;
+    dy[(inputs / 2) * outputs + outputs - 1] = f32::INFINITY;
+    for (c, g) in dy[(inputs - 1) * outputs..].iter_mut().enumerate() {
+        *g = 0.25 - 0.1 * c as f32;
+    }
+    dy
+}
+
+fn zero_rows(inputs: usize, outputs: usize) -> Vec<f32> {
+    vec![0.0; inputs * outputs]
+}
+
+/// Freezes the first layer's row 0 (where [`poisoned_rows`] puts its NaN)
+/// and the second layer's column 0.
+fn freeze_poisoned_rows((inputs, hidden, outputs): (usize, usize, usize)) -> Option<PruneMask> {
+    let mask = |layer_index, rows, cols, pruned: &dyn Fn(usize) -> bool| LayerMask {
+        layer_index,
+        shape: (rows, cols),
+        pruned: (0..rows * cols).map(pruned).collect(),
+    };
+    Some(PruneMask::from_layers(vec![
+        mask(0, inputs, hidden, &|i| i < hidden),
+        mask(1, hidden, outputs, &|i| i % outputs == 0),
+    ]))
+}
+
+/// Runs [`ThresholdTrainer::apply_with_mask`] and the scalar oracle
+/// [`ThresholdTrainer::apply_reference`] side by side on twin chips, for
+/// every shape in [`BLOCK_EDGE_SHAPES`], LR in [`EDGE_LRS`], policy and
+/// coding, two steps each, with the output gradient `dy` on the identity
+/// batch. The reports (`max_abs_dw` bit for bit), the ledgers and every
+/// tile's state must agree after each step.
+fn assert_block_edges_match_oracle(
+    frozen: impl Fn((usize, usize, usize)) -> Option<PruneMask>,
+    dy: impl Fn(usize, usize) -> Vec<f32>,
+) {
+    let policies = [
+        ThresholdPolicy::None,
+        ThresholdPolicy::paper_default(),
+        ThresholdPolicy::WearAware {
+            fraction: 0.01,
+            growth: 0.5,
+        },
+    ];
+    for shape @ (inputs, hidden, outputs) in BLOCK_EDGE_SHAPES {
+        let mask = frozen(shape);
+        for lr in EDGE_LRS {
+            for policy in policies {
+                for coding in [WeightCoding::Unipolar, WeightCoding::Differential] {
+                    let what = format!("{shape:?} lr {lr} {policy:?} {coding:?}");
+                    let mapping = MappingConfig::new(MappingScope::EntireNetwork)
+                        .with_coding(coding)
+                        .with_tile_size(4)
+                        .with_variation(WriteVariation::new(0.05))
+                        .with_endurance(EnduranceModel::new(3.0, 1.0))
+                        .with_seed(EDGE_SEED);
+                    let twin = || {
+                        let mut rng = init_rng(EDGE_SEED);
+                        let mut net = Network::new();
+                        net.push(Dense::new(inputs, hidden, &mut rng));
+                        net.push(Dense::new(hidden, outputs, &mut rng));
+                        let mapped =
+                            MappedNetwork::from_network(&mut net, mapping.clone()).unwrap();
+                        let trainer = ThresholdTrainer::new(policy, &mapped);
+                        (net, mapped, trainer)
+                    };
+                    let (mut net_a, mut mapped_a, mut fast) = twin();
+                    let (mut net_b, mut mapped_b, mut oracle) = twin();
+                    for step in 0..2 {
+                        for (net, mapped) in [(&mut net_a, &mapped_a), (&mut net_b, &mapped_b)] {
+                            mapped.load_effective_weights(net).unwrap();
+                            backward_identity(net, inputs, dy(inputs, outputs));
+                        }
+                        let a = fast
+                            .apply_with_mask(&mut mapped_a, &mut net_a, lr, mask.as_ref())
+                            .unwrap();
+                        let b = oracle
+                            .apply_reference(&mut mapped_b, &mut net_b, lr, mask.as_ref())
+                            .unwrap();
+                        let what = format!("{what} step {step}");
+                        assert_eq!(a, b, "{what}");
+                        assert_eq!(a.max_abs_dw.to_bits(), b.max_abs_dw.to_bits(), "{what}");
+                        assert!(
+                            lr > 0.0 && lr.is_finite() || a.max_abs_dw.to_bits() == 0,
+                            "{what}: max|δw| {} must be +0.0",
+                            a.max_abs_dw
+                        );
+                        assert_eq!(fast.export_ledgers(), oracle.export_ledgers(), "{what}");
+                        assert_eq!(mapped_a.export_state(), mapped_b.export_state(), "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// NaN/∞ inside otherwise all-zero blocks.
+#[test]
+fn block_edges_nan_in_zero_blocks_match_oracle() {
+    assert_block_edges_match_oracle(|_| None, poisoned_rows);
+}
+
+/// A frozen mask over some of those NaNs: frozen wins.
+#[test]
+fn block_edges_frozen_nans_match_oracle() {
+    assert_block_edges_match_oracle(freeze_poisoned_rows, poisoned_rows);
+}
+
+/// An all-zero iteration; skipped blocks must not count their frozen
+/// entries.
+#[test]
+fn block_edges_all_zero_iteration_matches_oracle() {
+    assert_block_edges_match_oracle(|_| None, zero_rows);
+    assert_block_edges_match_oracle(freeze_poisoned_rows, zero_rows);
+}
+
+/// A 6×4 dense layer mapped whole, after one backward pass of the crafted
+/// output gradient `grad`.
+fn mapped_after_backward(grad: Vec<f32>) -> (Network, MappedNetwork) {
+    let mut rng = init_rng(EDGE_SEED);
+    let mut net = Network::new();
+    net.push(Dense::new(6, 4, &mut rng));
+    let mapped =
+        MappedNetwork::from_network(&mut net, MappingConfig::new(MappingScope::EntireNetwork))
+            .unwrap();
+    mapped.load_effective_weights(&mut net).unwrap();
+    let x = Tensor::from_vec(vec![1, 6], (0..6).map(|i| 0.1 + i as f32 * 0.1).collect());
+    net.forward_train(&x);
+    net.backward(&Tensor::from_vec(vec![1, grad.len()], grad));
+    (net, mapped)
+}
+
+/// An all-NaN iteration has no finite update: it pulses no cell.
+#[test]
+fn all_nan_gradients_degrade_to_noop() {
+    let (mut net, mut mapped) = mapped_after_backward(vec![f32::NAN; 4]);
+    let mut trainer = ThresholdTrainer::new(ThresholdPolicy::paper_default(), &mapped);
+    let report = trainer.apply(&mut mapped, &mut net, 0.1).unwrap();
+    assert_eq!(report.writes_issued, 0);
+    assert_eq!(report.max_abs_dw, 0.0);
+}
+
+/// The original method has no write-verify: even zero updates cost a
+/// pulse, so the degenerate-iteration skip must not touch the baseline.
+#[test]
+fn none_policy_keeps_pulse_everything_semantics() {
+    let (mut net, mut mapped) = mapped_after_backward(vec![0.0; 4]);
+    let mut trainer = ThresholdTrainer::new(ThresholdPolicy::None, &mapped);
+    let report = trainer.apply(&mut mapped, &mut net, 0.1).unwrap();
+    assert_eq!(report.writes_skipped, 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -516,11 +516,25 @@ mod tests {
 
     #[test]
     fn test_restores_training_state() {
-        let mut xbar = faulty_xbar(16, 0.05, 2);
-        let before = xbar.read_all_levels();
-        let detector = OnlineFaultDetector::new(DetectorConfig::new(4).unwrap());
-        let _ = detector.run(&mut xbar).unwrap();
-        assert_eq!(xbar.read_all_levels(), before, "weights must be recovered");
+        // A square array, and a ragged 12×9 one at Tr = 5 with a fifth of
+        // its cells stuck.
+        let mut ragged = CrossbarBuilder::new(12, 9)
+            .initial_faults(SpatialDistribution::Uniform, 0.2)
+            .seed(0xC0FFEE ^ 0x08)
+            .build()
+            .unwrap();
+        for r in 0..12 {
+            for c in 0..9 {
+                let _ = ragged.write_level(r, c, ((r + c) % 8) as u16);
+            }
+        }
+        for (mut xbar, t) in [(faulty_xbar(16, 0.05, 2), 4), (ragged, 5)] {
+            let before = xbar.read_all_levels();
+            let detector = OnlineFaultDetector::new(DetectorConfig::new(t).unwrap());
+            let _ = detector.run(&mut xbar).unwrap();
+            assert_eq!(xbar.read_all_levels(), before, "weights must be recovered");
+            assert_planes_coherent(&xbar);
+        }
     }
 
     #[test]
@@ -681,6 +695,63 @@ mod tests {
         );
     }
 
+    /// Twin 17×17 arrays with write variation (lane-tail sized): a campaign
+    /// that attaches a store equals a one-shot `run` byte for byte,
+    /// snapshot read included; after sparse identical traffic, the warm
+    /// campaign restores the array exactly as a one-shot campaign on the
+    /// twin does while re-reading no more than the written cells.
+    #[test]
+    fn fresh_then_warm_store_campaigns_match_one_shot_runs() {
+        use rand::Rng;
+        const SEED: u64 = 0xC0FFEE ^ 0x0c;
+        let programmed = || {
+            let mut xbar = CrossbarBuilder::new(17, 17)
+                .initial_faults(SpatialDistribution::Uniform, 0.08)
+                .variation(rram::variation::WriteVariation::new(0.05))
+                .seed(SEED)
+                .build()
+                .unwrap();
+            let mut rng = rram::rng::sim_rng(SEED ^ 0xC0DE);
+            for r in 0..17 {
+                for c in 0..17 {
+                    let level = rng.gen_range(0..xbar.levels());
+                    let _ = xbar.write_level(r, c, level).unwrap();
+                }
+            }
+            xbar
+        };
+        let detector = OnlineFaultDetector::new(DetectorConfig::new(4).unwrap());
+        let (mut twin, mut xbar) = (programmed(), programmed());
+
+        let one_shot = detector.run(&mut twin).unwrap();
+        let mut store = None;
+        let fresh = detector.run_on_store(&mut xbar, &mut store, None).unwrap();
+        assert_eq!(fresh, one_shot);
+        assert_eq!(twin.read_all_levels(), xbar.read_all_levels());
+
+        let mut rng = rram::rng::sim_rng(SEED ^ 0xD1FF);
+        for _ in 0..6 {
+            let (r, c) = (rng.gen_range(0..17), rng.gen_range(0..17));
+            let level = rng.gen_range(0..twin.levels());
+            let _ = twin.write_level(r, c, level).unwrap();
+            let _ = xbar.write_level(r, c, level).unwrap();
+        }
+        let one_shot2 = detector.run(&mut twin).unwrap();
+        let warm = detector
+            .run_on_store(&mut xbar, &mut store, Some(&fresh.predicted))
+            .unwrap();
+        // Both campaigns restore every cell they touched to its stored
+        // level, so the twins stay byte-identical although the warm sweep
+        // drove far fewer cells.
+        assert_eq!(twin.read_all_levels(), xbar.read_all_levels());
+        assert!(
+            warm.store_read_cells <= 6,
+            "re-read {}",
+            warm.store_read_cells
+        );
+        assert!(warm.cycles() < one_shot2.cycles());
+    }
+
     #[test]
     fn zero_test_size_is_rejected() {
         assert!(DetectorConfig::new(0).is_err());
@@ -728,29 +799,115 @@ mod tests {
         xbar
     }
 
+    /// Both cached conductance planes read exactly what the cells read.
+    fn assert_planes_coherent(xbar: &Crossbar) {
+        let (plane64, plane32) = (xbar.conductance_plane_f64(), xbar.conductance_plane());
+        for r in 0..xbar.rows() {
+            for c in 0..xbar.cols() {
+                let g = xbar.conductance(r, c).unwrap();
+                let i = r * xbar.cols() + c;
+                assert_eq!(plane64[i].to_bits(), g.to_bits(), "plane64 at ({r}, {c})");
+                assert_eq!(
+                    plane32[i].to_bits(),
+                    (g as f32).to_bits(),
+                    "plane32 at ({r}, {c})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn remainder_groups_are_swept_not_dropped() {
         // Tr = 3 does not divide 10 rows or 7 columns: the campaign must
         // sweep ceil(10/3) + ceil(7/3) = 4 + 3 groups per pass and still
-        // find a fault parked in the trailing remainder group.
-        for (rows, cols, t) in [(10usize, 7usize, 3usize), (9, 5, 4), (5, 9, 16)] {
-            let mut xbar = uniform_xbar(rows, cols, 3);
-            let mut injected = FaultMap::healthy(rows, cols);
-            injected.set(rows - 1, cols - 1, Some(FaultKind::StuckAt0));
-            xbar.apply_fault_map(&injected);
+        // find a fault parked in the trailing remainder group. Tr = 16
+        // exceeds both dimensions of 5×9: one partial group per axis.
+        let shapes = [
+            (10usize, 7usize, 3usize),
+            (9, 5, 4),
+            (13, 13, 7),
+            (5, 9, 16),
+            (7, 7, 5),
+        ];
+        for (rows, cols, t) in shapes {
+            // One fault in the very first cell and one in the remainder
+            // corner, of each kind in turn.
+            for (first, corner) in [
+                (FaultKind::StuckAt1, FaultKind::StuckAt0),
+                (FaultKind::StuckAt0, FaultKind::StuckAt1),
+            ] {
+                let mut xbar = uniform_xbar(rows, cols, 3);
+                let mut injected = FaultMap::healthy(rows, cols);
+                injected.set(0, 0, Some(first));
+                injected.set(rows - 1, cols - 1, Some(corner));
+                xbar.apply_fault_map(&injected);
 
-            let detector = OnlineFaultDetector::new(DetectorConfig::new(t).unwrap());
-            let outcome = detector.run(&mut xbar).unwrap();
-            let expected_cycles = (rows.div_ceil(t) + cols.div_ceil(t)) as u64;
-            assert_eq!(
-                outcome.sa0_cycles, expected_cycles,
-                "{rows}x{cols} t={t}: a remainder group was dropped"
-            );
-            assert_eq!(
-                outcome.predicted.get(rows - 1, cols - 1),
-                Some(FaultKind::StuckAt0),
-                "{rows}x{cols} t={t}: the remainder-corner fault escaped"
-            );
+                let detector = OnlineFaultDetector::new(DetectorConfig::new(t).unwrap());
+                let outcome = detector.run(&mut xbar).unwrap();
+                let what = format!("{rows}x{cols} t={t} corner {corner:?}");
+                assert_eq!(outcome.untested_groups, 0, "{what}");
+                let expected_cycles = (rows.div_ceil(t) + cols.div_ceil(t)) as u64;
+                assert_eq!(
+                    (outcome.sa0_cycles, outcome.sa1_cycles),
+                    (expected_cycles, expected_cycles),
+                    "{what}: a remainder group was dropped"
+                );
+                assert_eq!(
+                    outcome.predicted.get(rows - 1, cols - 1),
+                    Some(corner),
+                    "{what}: the remainder-corner fault escaped"
+                );
+                assert_eq!(outcome.predicted.get(0, 0), Some(first), "{what}");
+                assert_planes_coherent(&xbar);
+            }
+        }
+    }
+
+    /// Arrays where every cell is stuck: 8 failed increments per line are
+    /// 8 mod 16 ≠ 0, so every cell is flagged and nothing hides.
+    #[test]
+    fn all_faulty_arrays_are_fully_flagged() {
+        for kind in [FaultKind::StuckAt0, FaultKind::StuckAt1] {
+            let mut xbar = uniform_xbar(8, 8, 3);
+            let mut injected = FaultMap::healthy(8, 8);
+            for r in 0..8 {
+                for c in 0..8 {
+                    injected.set(r, c, Some(kind));
+                }
+            }
+            xbar.apply_fault_map(&injected);
+            let outcome = OnlineFaultDetector::new(DetectorConfig::new(8).unwrap())
+                .run(&mut xbar)
+                .unwrap();
+            assert_eq!(outcome.untested_groups, 0, "{kind:?}");
+            assert_eq!(outcome.predicted.count_faulty(), 64, "{kind:?}");
+            assert_planes_coherent(&xbar);
+        }
+    }
+
+    /// 1×N, N×1 and 1×1 arrays: reads and campaigns handle rank-1
+    /// geometry, and a fault in the only row or column is found.
+    #[test]
+    fn rank1_arrays_are_swept() {
+        for (rows, cols) in [(1usize, 8usize), (8, 1), (1, 1)] {
+            let mut xbar = uniform_xbar(rows, cols, 3);
+            assert_eq!(xbar.mvm(&vec![1.0f32; rows]).unwrap().len(), cols);
+            let mut injected = FaultMap::healthy(rows, cols);
+            injected.set(0, 0, Some(FaultKind::StuckAt0));
+            xbar.apply_fault_map(&injected);
+            for t in [1usize, 3] {
+                let outcome = OnlineFaultDetector::new(DetectorConfig::new(t).unwrap())
+                    .run(&mut xbar)
+                    .unwrap();
+                let what = format!("{rows}x{cols} t={t}");
+                assert_eq!(
+                    outcome.predicted.get(0, 0),
+                    Some(FaultKind::StuckAt0),
+                    "{what}"
+                );
+                assert_eq!(outcome.untested_groups, 0, "{what}");
+            }
+            assert_planes_coherent(&xbar);
         }
     }
 
@@ -787,6 +944,22 @@ mod tests {
         assert_eq!(caught.predicted.count_faulty(), 16);
         for r in 0..16 {
             assert_eq!(caught.predicted.get(r, 5), Some(FaultKind::StuckAt0));
+        }
+
+        // 20 rows at Tr = 16: the 16 faults of the first group alias,
+        // while the 4 in the remainder group deviate by 4 mod 16 and must
+        // be flagged.
+        let mut xbar = uniform_xbar(20, 8, 3);
+        let mut injected = FaultMap::healthy(20, 8);
+        for r in 0..20 {
+            injected.set(r, 2, Some(FaultKind::StuckAt0));
+        }
+        xbar.apply_fault_map(&injected);
+        let partial = OnlineFaultDetector::new(DetectorConfig::new(16).unwrap())
+            .run(&mut xbar)
+            .unwrap();
+        for r in 0..20 {
+            assert_eq!(partial.predicted.get(r, 2).is_some(), r >= 16, "row {r}");
         }
     }
 }

@@ -44,16 +44,6 @@ impl FlagSet {
         self.col_test.insert((group, row));
     }
 
-    /// Number of row-direction flags.
-    pub fn row_test_flags(&self) -> usize {
-        self.row_test.len()
-    }
-
-    /// Number of column-direction flags.
-    pub fn col_test_flags(&self) -> usize {
-        self.col_test.len()
-    }
-
     /// Predicts the fault map: a candidate cell `(r, c)` is predicted to
     /// carry `kind` iff its row group flagged column `c` **and** its column
     /// group flagged row `r`.
@@ -172,7 +162,5 @@ mod tests {
         let candidates = CandidateMask::all(8, 8);
         let map = flags.predict(&candidates, FaultKind::StuckAt1, 4);
         assert_eq!(map.count_faulty(), 0);
-        assert_eq!(flags.row_test_flags(), 1);
-        assert_eq!(flags.col_test_flags(), 0);
     }
 }

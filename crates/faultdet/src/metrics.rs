@@ -98,17 +98,6 @@ impl DetectionReport {
         }
     }
 
-    /// Harmonic mean of precision and recall.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-
     /// Total cells scored.
     pub fn total(&self) -> u64 {
         self.tp + self.fp + self.fn_ + self.tn
@@ -138,7 +127,6 @@ mod tests {
         assert_eq!(report.tn, 14);
         assert_eq!(report.precision(), 1.0);
         assert_eq!(report.recall(), 1.0);
-        assert_eq!(report.f1(), 1.0);
         assert_eq!(report.total(), 16);
     }
 

@@ -580,30 +580,6 @@ impl OffChipStore {
             agg: None,
         })
     }
-
-    /// Restores every cell whose level differs from the snapshot back to the
-    /// stored value (the "recover the training weights" step). Returns the
-    /// number of restore writes issued.
-    ///
-    /// # Errors
-    ///
-    /// Propagates crossbar write errors (only possible on dimension
-    /// mismatch, which would be a bug).
-    pub fn restore(&self, xbar: &mut Crossbar) -> Result<u64, rram::RramError> {
-        let mut writes = 0u64;
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let target = self.stored[r * self.cols + c];
-                if xbar.read_level(r, c)? != target {
-                    let outcome = xbar.write_level(r, c, target)?;
-                    if outcome.changed() {
-                        writes += 1;
-                    }
-                }
-            }
-        }
-        Ok(writes)
-    }
 }
 
 /// Serializable state of an [`OffChipStore`]; see
@@ -712,42 +688,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn restore_returns_crossbar_to_snapshot() {
-        let mut x = programmed_xbar();
-        let store = OffChipStore::read_from(&x);
-        // Perturb.
-        x.nudge(0, 0, 1).unwrap();
-        x.nudge(2, 3, -1).unwrap();
-        let writes = store.restore(&mut x).unwrap();
-        assert_eq!(writes, 2);
-        assert_eq!(x.read_all_levels(), {
-            let mut expected = Vec::new();
-            for r in 0..4 {
-                for c in 0..4 {
-                    expected.push(store.stored_level(r, c));
-                }
-            }
-            expected
-        });
-        // A second restore is free.
-        assert_eq!(store.restore(&mut x).unwrap(), 0);
-    }
-
-    #[test]
-    fn restore_skips_stuck_cells() {
-        let mut x = programmed_xbar();
-        let store = OffChipStore::read_from(&x);
-        let mut map = FaultMap::healthy(4, 4);
-        map.set(1, 1, Some(FaultKind::StuckAt0));
-        x.apply_fault_map(&map);
-        // Stuck cell reads 0 but stored 3; restore attempts a write that the
-        // cell ignores; no effective write is counted.
-        let writes = store.restore(&mut x).unwrap();
-        assert_eq!(writes, 0);
-        assert_eq!(x.read_level(1, 1).unwrap(), 0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use super::obs_policy::{strip_quotes, REGISTRY_FNS};
 pub(super) const ID: &str = "O2";
 
 /// The crate that defines the event schema: `obs` owns the structured
-/// event stream that `replay` and the chaos goldens read (DESIGN.md §9).
+/// event stream that `replay` and the golden-trace tests read (DESIGN.md §9).
 const EVENT_CRATE: &str = "obs";
 
 /// The schema enum inside [`EVENT_CRATE`], `obs::Event`.

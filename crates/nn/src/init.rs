@@ -20,23 +20,6 @@ pub fn he_uniform<R: Rng + ?Sized>(fan_in: usize, count: usize, rng: &mut R) -> 
     (0..count).map(|_| rng.gen_range(-bound..bound)).collect()
 }
 
-/// Xavier (Glorot) uniform initialization: `U(-b, b)` with
-/// `b = sqrt(6 / (fan_in + fan_out))` — for linear/sigmoid output layers.
-///
-/// # Panics
-///
-/// Panics if `fan_in + fan_out` is zero.
-pub fn xavier_uniform<R: Rng + ?Sized>(
-    fan_in: usize,
-    fan_out: usize,
-    count: usize,
-    rng: &mut R,
-) -> Vec<f32> {
-    assert!(fan_in + fan_out > 0, "fan sum must be non-zero");
-    let bound = (6.0 / (fan_in + fan_out) as f64).sqrt() as f32;
-    (0..count).map(|_| rng.gen_range(-bound..bound)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,14 +32,6 @@ mod tests {
         assert!(w.iter().all(|&x| x.abs() <= bound));
         let mean: f32 = w.iter().sum::<f32>() / w.len() as f32;
         assert!(mean.abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn xavier_uniform_is_bounded() {
-        let mut rng = init_rng(2);
-        let w = xavier_uniform(50, 50, 1000, &mut rng);
-        let bound = (6.0f64 / 100.0).sqrt() as f32;
-        assert!(w.iter().all(|&x| x.abs() <= bound));
     }
 
     #[test]

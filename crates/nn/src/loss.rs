@@ -37,24 +37,6 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
     (loss * scale, grad)
 }
 
-/// Mean squared error `mean((pred - target)²)` and its gradient w.r.t. `pred`.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    assert_eq!(pred.shape(), target.shape(), "mse shapes must match");
-    let n = pred.len() as f32;
-    let mut grad = pred.clone();
-    let mut loss = 0.0f32;
-    for (g, &t) in grad.data_mut().iter_mut().zip(target.data()) {
-        let diff = *g - t;
-        loss += diff * diff;
-        *g = 2.0 * diff / n;
-    }
-    (loss / n, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,14 +84,5 @@ mod tests {
     fn bad_label_panics() {
         let logits = Tensor::zeros(vec![1, 3]);
         let _ = softmax_cross_entropy(&logits, &[3]);
-    }
-
-    #[test]
-    fn mse_basics() {
-        let pred = Tensor::from_vec(vec![1, 2], vec![1.0, 3.0]);
-        let target = Tensor::from_vec(vec![1, 2], vec![0.0, 3.0]);
-        let (loss, grad) = mse(&pred, &target);
-        assert!((loss - 0.5).abs() < 1e-6);
-        assert_eq!(grad.data(), &[1.0, 0.0]);
     }
 }

@@ -53,62 +53,6 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
     correct as f64 / b as f64
 }
 
-/// A `K × K` confusion matrix (`rows` = true class, `cols` = predicted).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<u64>,
-}
-
-impl ConfusionMatrix {
-    /// Builds a confusion matrix from logits and labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any label is out of range or batch sizes differ.
-    pub fn from_logits(logits: &Tensor, labels: &[usize], classes: usize) -> Self {
-        let (b, k) = (logits.rows(), logits.cols());
-        assert_eq!(b, labels.len(), "one label per row");
-        assert!(k >= classes, "logit width below class count");
-        let mut counts = vec![0u64; classes * classes];
-        for (row, &label) in logits.data().chunks(k).zip(labels) {
-            assert!(label < classes, "label {label} out of range");
-            let pred = row[..classes]
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            counts[label * classes + pred] += 1;
-        }
-        Self { classes, counts }
-    }
-
-    /// Count of samples with true class `t` predicted as `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn count(&self, t: usize, p: usize) -> u64 {
-        assert!(
-            t < self.classes && p < self.classes,
-            "class index out of range"
-        );
-        self.counts[t * self.classes + p]
-    }
-
-    /// Overall accuracy.
-    pub fn accuracy(&self) -> f64 {
-        let diag: u64 = (0..self.classes).map(|i| self.count(i, i)).sum();
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            0.0
-        } else {
-            diag as f64 / total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,17 +76,6 @@ mod tests {
         let logits = Tensor::from_vec(vec![3, 2], vec![0.9, 0.1, 0.2, 0.8, 0.6, 0.4]);
         assert_eq!(accuracy(&logits, &[0, 1, 1]), 2.0 / 3.0);
         assert_eq!(accuracy(&logits, &[0, 1, 0]), 1.0);
-    }
-
-    #[test]
-    fn confusion_matrix_diagonal() {
-        let logits = Tensor::from_vec(vec![4, 2], vec![1., 0., 0., 1., 1., 0., 1., 0.]);
-        let cm = ConfusionMatrix::from_logits(&logits, &[0, 1, 1, 0], 2);
-        assert_eq!(cm.count(0, 0), 2);
-        assert_eq!(cm.count(1, 1), 1);
-        assert_eq!(cm.count(1, 0), 1);
-        assert_eq!(cm.count(0, 1), 0);
-        assert_eq!(cm.accuracy(), 0.75);
     }
 
     #[test]

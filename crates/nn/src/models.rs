@@ -82,13 +82,6 @@ pub fn vgg11_cifar(width_divisor: usize, seed: u64) -> Network {
     net
 }
 
-/// Indices (into the network's *weight layers*) of the FC layers of
-/// [`vgg11_cifar`] — weight layers 8, 9 and 10. The paper's FC-only case
-/// maps just these onto RCS.
-pub fn vgg11_fc_weight_layers() -> Vec<usize> {
-    vec![8, 9, 10]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,15 +139,6 @@ mod tests {
             (7_000_000..11_000_000).contains(&total),
             "total {total} should be within ~25% of the paper's 7.66M"
         );
-    }
-
-    #[test]
-    fn fc_weight_layer_indices_are_dense() {
-        let mut net = vgg11_cifar(32, 2);
-        let weight_layers = net.weight_layer_indices();
-        for k in vgg11_fc_weight_layers() {
-            assert_eq!(net.layer_kind(weight_layers[k]), "dense");
-        }
     }
 
     #[test]

@@ -127,20 +127,6 @@ pub fn permute_columns<T: Copy>(data: &mut [T], rows: usize, cols: usize, perm: 
     }
 }
 
-/// Permutes the rows of a row-major `rows × cols` matrix in place.
-///
-/// # Panics
-///
-/// Panics if sizes disagree.
-pub fn permute_rows<T: Copy>(data: &mut [T], rows: usize, cols: usize, perm: &Permutation) {
-    assert_eq!(data.len(), rows * cols, "matrix size mismatch");
-    assert_eq!(perm.len(), rows, "permutation must cover the rows");
-    let original = data.to_vec();
-    for (i, &src) in perm.as_slice().iter().enumerate() {
-        data[i * cols..(i + 1) * cols].copy_from_slice(&original[src * cols..(src + 1) * cols]);
-    }
-}
-
 /// Permutes row *blocks* of `block` consecutive rows each — the shape of a
 /// downstream layer whose rows are grouped per upstream neuron (`k·k` rows
 /// per input channel for convolutions, `H·W` rows per channel across a
@@ -296,17 +282,12 @@ mod tests {
     }
 
     #[test]
-    fn column_and_row_permutation() {
+    fn column_permutation() {
         // 2x3 matrix [[1,2,3],[4,5,6]]
         let mut m = vec![1, 2, 3, 4, 5, 6];
         let perm = Permutation::from_vec(vec![2, 0, 1]).unwrap();
         permute_columns(&mut m, 2, 3, &perm);
         assert_eq!(m, vec![3, 1, 2, 6, 4, 5]);
-
-        let mut m = vec![1, 2, 3, 4, 5, 6];
-        let perm = Permutation::from_vec(vec![1, 0]).unwrap();
-        permute_rows(&mut m, 2, 3, &perm);
-        assert_eq!(m, vec![4, 5, 6, 1, 2, 3]);
     }
 
     #[test]

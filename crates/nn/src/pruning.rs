@@ -28,19 +28,6 @@ pub struct LayerMask {
 }
 
 impl LayerMask {
-    /// Whether the weight at `(row, col)` is pruned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn is_pruned(&self, row: usize, col: usize) -> bool {
-        assert!(
-            row < self.shape.0 && col < self.shape.1,
-            "index out of range"
-        );
-        self.pruned[row * self.shape.1 + col]
-    }
-
     /// Fraction of pruned weights.
     pub fn sparsity(&self) -> f64 {
         self.pruned.iter().filter(|&&p| p).count() as f64 / self.pruned.len() as f64
@@ -412,28 +399,24 @@ mod tests {
 
     #[test]
     fn zero_and_full_fractions() {
+        let weights = |n: &mut Network| -> Vec<f32> {
+            n.param_layers_mut()
+                .flat_map(|(_, p)| p.weights.to_vec())
+                .collect()
+        };
         let mut n = net();
+        let before = weights(&mut n);
         let mask = magnitude_prune(&mut n, 0.0);
         assert_eq!(mask.total_sparsity(), 0.0);
+        try_apply_mask(&mut n, &mask).unwrap();
+        assert_eq!(weights(&mut n), before, "0 % must prune nothing");
         let mask = magnitude_prune(&mut n, 1.0);
         assert_eq!(mask.total_sparsity(), 1.0);
-    }
-
-    #[test]
-    fn mask_is_pruned_accessor() {
-        let mut n = net();
-        let mask = magnitude_prune(&mut n, 0.5);
-        let lm = mask.layer(0);
-        assert_eq!(lm.shape, (10, 20));
-        let mut seen_pruned = false;
-        for r in 0..10 {
-            for c in 0..20 {
-                if lm.is_pruned(r, c) {
-                    seen_pruned = true;
-                }
-            }
-        }
-        assert!(seen_pruned);
+        try_apply_mask(&mut n, &mask).unwrap();
+        assert!(
+            weights(&mut n).iter().all(|&w| w == 0.0),
+            "100 % zeroes all"
+        );
     }
 
     #[test]
@@ -449,6 +432,7 @@ mod tests {
         assert!(try_magnitude_prune_per_layer(&mut n, &[0.5]).is_err());
         assert!(try_magnitude_prune_per_layer(&mut n, &[0.5, f64::NAN]).is_err());
         assert!(try_magnitude_prune_per_layer(&mut n, &[0.5, 1.5]).is_err());
+        assert!(try_magnitude_prune_per_layer(&mut n, &[-0.5, 0.5]).is_err());
         let ok = try_magnitude_prune_per_layer(&mut n, &[0.0, 1.0]).unwrap();
         assert_eq!(ok.len(), 2);
 

@@ -8,7 +8,7 @@
 //! * [`RingSink`] — bounded in-memory buffer (most recent N events) for
 //!   tests and post-mortem inspection;
 //! * [`JsonlSink`] — append-only JSON-Lines text, one event per line, for
-//!   export and the byte-identity chaos checks.
+//!   export and the byte-identity trace checks.
 //!
 //! Both hand out `Arc`-shared views so callers can keep reading after the
 //! sink has been moved into the recorder.

@@ -30,8 +30,9 @@
 //! into pre-sliced disjoint regions, so outputs are bit-identical to the
 //! sequential order regardless of the thread count. The proof is the
 //! byte-comparison of seeded traces and statistics at several budgets that
-//! the chaos harness, `arena`, the unit tests of each call site and the
-//! benchmark's tests run, each sized so the compared budgets fork.
+//! the root package's adversarial tests, `arena`, the unit tests of each
+//! call site and the benchmark's tests run, each sized so the compared
+//! budgets fork.
 //!
 //! The crate holds only the worker budget and the fork-join core: it
 //! records no metrics and keeps no other process-global state. A caller
@@ -61,19 +62,19 @@ pub const PAR_MIN_WORK: usize = 1 << 20;
 /// sparsity above this fraction.
 pub const SPARSITY_SKIP_THRESHOLD: f32 = 0.5;
 
-/// Accumulator-lane count for `f32` kernels (MVM dot products / SAXPY
-/// rows). Part of the workspace-wide lane contract: every vectorized `f32`
-/// reduction runs this many independent accumulators over
-/// `chunks_exact(F32_LANES)` and folds the remainder round-robin into the
-/// same accumulators, then combines them with the fixed tree
-/// `((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))`. The lane count and the reduction
-/// tree are *semantic*: changing either changes float results, so both are
-/// pinned here and asserted bit-identical against scalar oracles in
-/// `rram`'s proptests and the chaos `kernels` family.
+/// Lane count for `f32` kernels (the MVM SAXPY rows): an output-axis
+/// unroll, so every output keeps its own accumulator and results equal
+/// the scalar loop's.
 pub const F32_LANES: usize = 8;
 
-/// Accumulator-lane count for `f64` kernels (group-sum sweeps). Same
-/// contract as [`F32_LANES`] with the reduction tree `(a0+a1)+(a2+a3)`.
+/// Accumulator-lane count for `f64` kernels (group-sum sweeps). Part of
+/// the workspace-wide lane contract: the row-direction sum runs this many
+/// independent accumulators over `chunks_exact(F64_LANES)`, folds the
+/// remainder round-robin into the same accumulators, then combines them
+/// with the fixed tree `(a0+a1)+(a2+a3)`. The lane count and the tree are
+/// *semantic*: changing either changes float results, so both are pinned
+/// here and asserted bit-identical against cell-walking references in
+/// `rram`'s tests.
 pub const F64_LANES: usize = 4;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -326,7 +327,7 @@ mod tests {
 
     #[test]
     fn budget_garbage_falls_back_to_auto() {
-        for garbage in ["", "  ", "abc", "-3", "1.5", "0x10", "NaN", "١٦"] {
+        for garbage in ["", "  ", "abc", "-3", "1.5", "3.5", "0x10", "NaN", "١٦"] {
             let n = resolve_thread_budget(Some(garbage));
             assert!(n >= 1, "garbage {garbage:?} must yield a usable budget");
             assert!(n <= MAX_THREADS);
@@ -338,6 +339,7 @@ mod tests {
         assert_eq!(resolve_thread_budget(Some("1")), 1);
         assert_eq!(resolve_thread_budget(Some("64")), 64);
         assert_eq!(resolve_thread_budget(Some(" 8\n")), 8);
+        assert_eq!(resolve_thread_budget(Some(" 8 ")), 8);
     }
 
     #[test]

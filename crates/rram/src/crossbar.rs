@@ -78,11 +78,10 @@ pub fn sparse_enough(input: &[f32]) -> bool {
 // unroll across independent output elements: each element keeps its own
 // accumulator, so the per-element accumulation order is unchanged from the
 // scalar loop and results are bit-identical to the pre-lane kernels.
-// *Reduction* kernels (`lane_dot_f32`, `lane_sum_f64`) fold one slice into
-// `F32_LANES`/`F64_LANES` independent accumulators (remainder round-robin
-// into the same accumulators) and combine them with the fixed tree pinned
-// in `par` — that tree *is* the defined summation order for dot products
-// and row-direction group sums.
+// The *reduction* kernel (`lane_sum_f64`) folds one slice into `F64_LANES`
+// independent accumulators (remainder round-robin into the same
+// accumulators) and combines them with the fixed tree pinned in `par` —
+// that tree *is* the defined summation order for row-direction group sums.
 // ---------------------------------------------------------------------------
 
 /// `out[i] += row[i] * v`, unrolled [`par::F32_LANES`] outputs per step —
@@ -108,8 +107,7 @@ fn saxpy_f32(out: &mut [f32], row: &[f32], v: f32) {
 }
 
 /// `out[i] += row[i]`, unrolled [`par::F64_LANES`] outputs per step — the
-/// one column-group-sum kernel behind both the batched and the
-/// single-column quiescent reads.
+/// column-group-sum kernel behind the row-group pass's quiescent reads.
 #[inline]
 fn accumulate_f64(out: &mut [f64], row: &[f64]) {
     debug_assert_eq!(out.len(), row.len());
@@ -124,31 +122,6 @@ fn accumulate_f64(out: &mut [f64], row: &[f64]) {
     for (o, &g) in o.into_remainder().iter_mut().zip(g.remainder()) {
         *o += g;
     }
-}
-
-/// Dot product over [`par::F32_LANES`] independent accumulators; the
-/// remainder folds round-robin into the same accumulators, then the lane
-/// tree `((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))` combines them.
-#[inline]
-fn lane_dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; par::F32_LANES];
-    let mut ac = a.chunks_exact(par::F32_LANES);
-    let mut bc = b.chunks_exact(par::F32_LANES);
-    for (x, y) in (&mut ac).zip(&mut bc) {
-        acc[0] += x[0] * y[0];
-        acc[1] += x[1] * y[1];
-        acc[2] += x[2] * y[2];
-        acc[3] += x[3] * y[3];
-        acc[4] += x[4] * y[4];
-        acc[5] += x[5] * y[5];
-        acc[6] += x[6] * y[6];
-        acc[7] += x[7] * y[7];
-    }
-    for (l, (&x, &y)) in ac.remainder().iter().zip(bc.remainder()).enumerate() {
-        acc[l] += x * y;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
 /// Slice sum over [`par::F64_LANES`] independent accumulators with the
@@ -816,73 +789,11 @@ impl Crossbar {
         Ok(out)
     }
 
-    /// Analog matrix–vector product driving the **columns** (the crossbar's
-    /// second direction, used by the test method): returns one value per
-    /// row, `out[j] = Σ_k g[j][k] · input[k]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RramError::DimensionMismatch`] if `input.len() != cols`.
-    pub fn mvm_transpose(&self, input: &[f32]) -> Result<Vec<f32>, RramError> {
-        if input.len() != self.cols {
-            return Err(RramError::DimensionMismatch {
-                expected: self.cols,
-                actual: input.len(),
-            });
-        }
-        Ok(self
-            .plane32
-            .chunks_exact(self.cols)
-            .map(|row| lane_dot_f32(row, input))
-            .collect())
-    }
-
-    /// Quiescent column read for the test method: the analog sum of the
-    /// conductances of the cells in `rows` (an inclusive-start, exclusive-end
-    /// slice of driven word lines) on column `col`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RramError::OutOfBounds`] if the range or column is invalid.
-    pub fn column_group_sum(
-        &self,
-        rows: std::ops::Range<usize>,
-        col: usize,
-    ) -> Result<f64, RramError> {
-        if rows.end > self.rows || col >= self.cols {
-            return Err(RramError::OutOfBounds {
-                row: rows.end.saturating_sub(1),
-                col,
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        // One-column slice through the shared accumulate kernel: identical
-        // per-column accumulation order to the batched sweep, so the single
-        // and batched reads are bit-equal by construction.
-        Ok(self.column_sums_in(rows, col..col + 1)[0])
-    }
-
-    /// The one column-direction sum kernel: `out[k] = Σ_{r ∈ rows} g[r][k]`
-    /// for `k ∈ cols`, accumulating row-by-row in ascending row order via
-    /// [`accumulate_f64`]. Bounds must be pre-validated by the caller.
-    fn column_sums_in(
-        &self,
-        rows: std::ops::Range<usize>,
-        cols: std::ops::Range<usize>,
-    ) -> Vec<f64> {
-        let mut out = vec![0.0f64; cols.len()];
-        for r in rows {
-            let row = &self.plane64[r * self.cols + cols.start..r * self.cols + cols.end];
-            accumulate_f64(&mut out, row);
-        }
-        out
-    }
-
-    /// Batched [`Crossbar::column_group_sum`] for **all** columns at once:
-    /// `out[k] = Σ_{r ∈ rows} g[r][k]`. One dense row-major sweep instead
-    /// of `cols` strided walks — this is the kernel behind the detection
-    /// campaign's row-group pass.
+    /// Quiescent column reads for the test method, for **all** columns at
+    /// once: `out[k] = Σ_{r ∈ rows} g[r][k]`, the analog sum over a slice of
+    /// driven word lines. One dense row-major sweep that accumulates
+    /// row by row in ascending row order via `accumulate_f64` — the
+    /// kernel behind the detection campaign's row-group pass.
     ///
     /// # Errors
     ///
@@ -896,12 +807,17 @@ impl Crossbar {
                 cols: self.cols,
             });
         }
-        Ok(self.column_sums_in(rows, 0..self.cols))
+        let mut out = vec![0.0f64; self.cols];
+        for r in rows {
+            accumulate_f64(&mut out, &self.plane64[r * self.cols..(r + 1) * self.cols]);
+        }
+        Ok(out)
     }
 
-    /// Batched [`Crossbar::row_group_sum`] for **all** rows at once:
-    /// `out[j] = Σ_{k ∈ cols} g[j][k]` — the kernel behind the detection
-    /// campaign's column-group pass.
+    /// Quiescent row reads for **all** rows at once: `out[j] = Σ_{k ∈ cols}
+    /// g[j][k]`, the analog sum over a slice of driven bit lines, folded by
+    /// `lane_sum_f64` — the kernel behind the detection campaign's
+    /// column-group pass.
     ///
     /// # Errors
     ///
@@ -921,30 +837,6 @@ impl Crossbar {
             })
             .collect();
         Ok(out)
-    }
-
-    /// Quiescent row read: the analog sum over a slice of driven bit lines
-    /// on row `row`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RramError::OutOfBounds`] if the range or row is invalid.
-    pub fn row_group_sum(
-        &self,
-        row: usize,
-        cols: std::ops::Range<usize>,
-    ) -> Result<f64, RramError> {
-        if cols.end > self.cols || row >= self.rows {
-            return Err(RramError::OutOfBounds {
-                row,
-                col: cols.end.saturating_sub(1),
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        Ok(lane_sum_f64(
-            &self.plane64[row * self.cols + cols.start..row * self.cols + cols.end],
-        ))
     }
 
     /// Pins cells to hard faults per the given map (fabrication injection).
@@ -1219,14 +1111,6 @@ mod tests {
                 out[c]
             );
         }
-        // Transposed direction agrees with the transposed math.
-        let tin = [1.0, -1.0, 0.5, 0.0];
-        let tout = x.mvm_transpose(&tin).unwrap();
-        #[allow(clippy::needless_range_loop)]
-        for r in 0..4 {
-            let expect: f32 = (0..4).map(|c| (((r + c) % 8) as f32 / 7.0) * tin[c]).sum();
-            assert!((tout[r] - expect).abs() < 1e-5);
-        }
     }
 
     #[test]
@@ -1239,7 +1123,6 @@ mod tests {
                 actual: 3
             })
         ));
-        assert!(x.mvm_transpose(&[1.0; 5]).is_err());
     }
 
     #[test]
@@ -1295,39 +1178,14 @@ mod tests {
                 x.write_level(r, c, (r as u16 + 1).min(7)).unwrap();
             }
         }
-        let s = x.column_group_sum(0..2, 1).unwrap();
+        let s = x.column_group_sums(0..2).unwrap()[1];
         let expect = (1.0 + 2.0) / 7.0;
         assert!((s - expect).abs() < 1e-9);
-        let s = x.row_group_sum(2, 1..4).unwrap();
+        let s = x.row_group_sums(1..4).unwrap()[2];
         let expect = 3.0 * 3.0 / 7.0;
         assert!((s - expect).abs() < 1e-9);
-        assert!(x.column_group_sum(0..5, 0).is_err());
-        assert!(x.row_group_sum(4, 0..1).is_err());
-    }
-
-    #[test]
-    fn single_column_sum_equals_batched_entry() {
-        // Both paths must go through the one accumulate kernel: bit-equal.
-        let mut x = CrossbarBuilder::new(7, 5)
-            .variation(WriteVariation::new(0.03))
-            .seed(4)
-            .build()
-            .unwrap();
-        for r in 0..7 {
-            for c in 0..5 {
-                x.write_level(r, c, ((r * 5 + c) % 8) as u16).unwrap();
-            }
-        }
-        for (lo, hi) in [(0, 7), (1, 4), (3, 3), (2, 7)] {
-            let batched = x.column_group_sums(lo..hi).unwrap();
-            for (c, sum) in batched.iter().enumerate() {
-                assert_eq!(x.column_group_sum(lo..hi, c).unwrap(), *sum);
-            }
-            let row_batched = x.row_group_sums(0..5).unwrap();
-            for (r, sum) in row_batched.iter().enumerate() {
-                assert_eq!(x.row_group_sum(r, 0..5).unwrap(), *sum);
-            }
-        }
+        assert!(x.column_group_sums(0..5).is_err());
+        assert!(x.row_group_sums(0..5).is_err());
     }
 
     #[test]
@@ -1401,6 +1259,11 @@ mod tests {
                 Err(RramError::NonFiniteValue { .. })
             ));
         }
+        // So must a level the cell cannot represent.
+        assert!(matches!(
+            x.write_level(0, 0, 99),
+            Err(RramError::LevelOutOfRange { .. })
+        ));
         // The rejected writes must not have touched cell state or planes.
         assert_eq!(x.conductance(0, 0).unwrap(), before);
         assert!(x.conductance_plane().iter().all(|g| g.is_finite()));

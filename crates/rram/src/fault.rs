@@ -172,20 +172,6 @@ impl FaultMap {
             }
         }
     }
-
-    /// Returns the rows that contain at least one fault.
-    pub fn rows_with_faults(&self) -> Vec<usize> {
-        (0..self.rows)
-            .filter(|&r| (0..self.cols).any(|c| self.get(r, c).is_some()))
-            .collect()
-    }
-
-    /// Returns the columns that contain at least one fault.
-    pub fn cols_with_faults(&self) -> Vec<usize> {
-        (0..self.cols)
-            .filter(|&c| (0..self.rows).any(|r| self.get(r, c).is_some()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -234,15 +220,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get(0, 0), Some(FaultKind::StuckAt0));
         assert_eq!(a.get(1, 1), Some(FaultKind::StuckAt1));
-    }
-
-    #[test]
-    fn rows_and_cols_with_faults() {
-        let mut map = FaultMap::healthy(4, 4);
-        map.set(1, 3, Some(FaultKind::StuckAt0));
-        map.set(2, 3, Some(FaultKind::StuckAt1));
-        assert_eq!(map.rows_with_faults(), vec![1, 2]);
-        assert_eq!(map.cols_with_faults(), vec![3]);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property-based tests for the RRAM substrate invariants.
 
+use std::ops::Range;
+
 use proptest::prelude::*;
 use rram::adc::Adc;
 use rram::cell::{RramCell, WriteOutcome};
-use rram::crossbar::CrossbarBuilder;
+use rram::crossbar::{Crossbar, CrossbarBuilder};
 use rram::endurance::EnduranceModel;
 use rram::fault::FaultKind;
 use rram::rng::sim_rng;
@@ -227,12 +229,10 @@ proptest! {
         prop_assert_eq!(fast, reference);
     }
 
-    /// Group-sum duality: the single-column/-row quiescent reads are
-    /// bit-identical to the corresponding entries of the batched sweeps,
-    /// for arbitrary sub-ranges (remainder tails included). Both routes
-    /// must run the same lane kernel, so equality is exact, not approximate.
+    /// The batched quiescent reads equal the cell-walking references bit
+    /// for bit, for arbitrary sub-ranges (remainder tails included).
     #[test]
-    fn single_group_sums_equal_batched_entries(
+    fn group_sums_equal_cell_walking_references(
         seed in 0u64..300,
         rows in 1usize..20,
         cols in 1usize..20,
@@ -257,7 +257,7 @@ proptest! {
         let col_sums = xbar.column_group_sums(lo_r..hi_r).unwrap();
         for (c, sum) in col_sums.iter().enumerate() {
             prop_assert_eq!(
-                xbar.column_group_sum(lo_r..hi_r, c).unwrap().to_bits(),
+                column_sum_reference(&xbar, lo_r..hi_r, c).to_bits(),
                 sum.to_bits(),
             );
         }
@@ -266,7 +266,7 @@ proptest! {
         let row_sums = xbar.row_group_sums(lo_c..hi_c).unwrap();
         for (r, sum) in row_sums.iter().enumerate() {
             prop_assert_eq!(
-                xbar.row_group_sum(r, lo_c..hi_c).unwrap().to_bits(),
+                row_sum_reference(&xbar, r, lo_c..hi_c).to_bits(),
                 sum.to_bits(),
             );
         }
@@ -288,52 +288,67 @@ proptest! {
     }
 }
 
+/// The column-group read walked cell by cell through
+/// `Crossbar::conductance`: an ascending fold over the driven rows, the
+/// order in which the batched kernel's per-column accumulators add.
+fn column_sum_reference(xbar: &Crossbar, rows: Range<usize>, col: usize) -> f64 {
+    rows.fold(0.0, |sum, r| sum + xbar.conductance(r, col).unwrap())
+}
+
+/// The row-group read walked cell by cell through `Crossbar::conductance`:
+/// four accumulators filled round-robin and combined as
+/// `(a0 + a1) + (a2 + a3)`, the `par::F64_LANES` reduction tree. A change
+/// to the lane count or the tree fails the comparison.
+fn row_sum_reference(xbar: &Crossbar, row: usize, cols: Range<usize>) -> f64 {
+    let mut acc = [0.0f64; 4];
+    for (i, c) in cols.enumerate() {
+        acc[i % 4] += xbar.conductance(row, c).unwrap();
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
 /// Lane-tail sweep: the vectorized kernels must survive every remainder
 /// shape around the lane widths (`par::F32_LANES` = 8, `par::F64_LANES`
 /// = 4), so sizes ±1 around multiples of both are pinned explicitly and
-/// checked bit-for-bit against the scalar references.
+/// checked bit-for-bit against the scalar references, on healthy arrays
+/// and on arrays with a tenth of their cells stuck.
 #[test]
 fn lane_tail_sizes_are_bit_identical() {
     use rand::Rng;
     for &n in &[
         1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33,
     ] {
-        let mut xbar = CrossbarBuilder::new(n, n)
-            .variation(WriteVariation::new(0.05))
-            .seed(n as u64)
-            .build()
-            .unwrap();
-        let mut rng = sim_rng(n as u64 ^ 0xFEED);
-        for r in 0..n {
-            for c in 0..n {
-                let _ = xbar.write_level(r, c, rng.gen_range(0..8)).unwrap();
+        for faulty in [false, true] {
+            let mut builder = CrossbarBuilder::new(n, n)
+                .variation(WriteVariation::new(0.05))
+                .seed(n as u64);
+            if faulty {
+                builder = builder.initial_faults(SpatialDistribution::Uniform, 0.1);
             }
-        }
-        let input: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        assert_eq!(
-            xbar.mvm(&input).unwrap(),
-            xbar.mvm_reference(&input).unwrap(),
-            "mvm size {n}"
-        );
-        // Column sums vs a plain scalar fold over the f64 plane (the
-        // output-axis kernel preserves the scalar accumulation order).
-        let plane = xbar.conductance_plane_f64();
-        let sums = xbar.column_group_sums(0..n).unwrap();
-        for c in 0..n {
-            let mut scalar = 0.0f64;
+            let mut xbar = builder.build().unwrap();
+            let mut rng = sim_rng(n as u64 ^ 0xFEED);
             for r in 0..n {
-                scalar += plane[r * n + c];
+                for c in 0..n {
+                    let _ = xbar.write_level(r, c, rng.gen_range(0..8)).unwrap();
+                }
             }
-            assert_eq!(sums[c].to_bits(), scalar.to_bits(), "col {c} size {n}");
-        }
-        // Row sums agree with the single-row kernel on every row.
-        let rows = xbar.row_group_sums(0..n).unwrap();
-        for (r, sum) in rows.iter().enumerate() {
+            let input: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let what = format!("size {n} faulty {faulty}");
             assert_eq!(
-                sum.to_bits(),
-                xbar.row_group_sum(r, 0..n).unwrap().to_bits(),
-                "row {r} size {n}"
+                xbar.mvm(&input).unwrap(),
+                xbar.mvm_reference(&input).unwrap(),
+                "mvm {what}"
             );
+            let sums = xbar.column_group_sums(0..n).unwrap();
+            for (c, sum) in sums.iter().enumerate() {
+                let reference = column_sum_reference(&xbar, 0..n, c);
+                assert_eq!(sum.to_bits(), reference.to_bits(), "col {c} {what}");
+            }
+            let sums = xbar.row_group_sums(0..n).unwrap();
+            for (r, sum) in sums.iter().enumerate() {
+                let reference = row_sum_reference(&xbar, r, 0..n);
+                assert_eq!(sum.to_bits(), reference.to_bits(), "row {r} {what}");
+            }
         }
     }
 }

@@ -19,7 +19,7 @@
 //! - [`workload`] — seeded open-loop traffic generation (base rate,
 //!   lull window, overflow burst).
 //! - [`scenario`] — the seeded reference deployment every determinism
-//!   gate (demo binary, chaos family, unit tests) byte-compares.
+//!   gate (demo binary, adversarial tests, unit tests) byte-compares.
 //! - [`scrape`] — the render-to-string Prometheus endpoint.
 //!
 //! ## Determinism

@@ -8,9 +8,8 @@
 //! determinism gates byte-compare: the JSONL event trace, the Prometheus
 //! rendering, and the output/parameter fingerprints.
 //!
-//! The demo binary, the chaos `serve` family, and the unit tests all
-//! run *this* function, so "the demo is deterministic" and "the tests
-//! pass" are the same statement.
+//! The demo binary and the unit tests both run *this* function, so "the
+//! demo is deterministic" and "the tests pass" are the same statement.
 
 use obs::JsonlSink;
 

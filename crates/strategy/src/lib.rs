@@ -34,16 +34,15 @@
 #![warn(missing_debug_implementations)]
 
 use nn::pruning::{LayerMask, PruneMask};
-use obs::{Event, WritePhase};
 use rand::Rng;
 use rram::rng::sim_rng;
 
 use ftt_core::error::FttError;
 
 pub use ftt_core::strategy::{
-    is_known_strategy_id, run_detection_campaign, score_against_ground_truth, sum_detections,
-    union_masks, DetectRemap, FaultStrategy, NoOp, StrategyCost, StrategyCtx, StrategySelect,
-    KNOWN_STRATEGY_IDS,
+    is_known_strategy_id, run_detection_campaign, run_sparing_pass, score_against_ground_truth,
+    sum_detections, union_masks, DetectRemap, FaultStrategy, NoOp, StrategyCost, StrategyCtx,
+    StrategySelect, KNOWN_STRATEGY_IDS,
 };
 
 /// Constructs the strategy a [`StrategySelect`] names — all four
@@ -191,37 +190,16 @@ impl RedundantColumn {
         // The correction itself: retire over-threshold column groups and
         // attach screened spares, at this strategy's own threshold (the
         // mapping config's `retire_fault_density` is irrelevant here).
-        let sparing = {
-            let _sparing_span = recorder.span("tile_sparing");
-            ctx.mapped
-                .apply_sparing_at(self.retire_density, &detector, &mut detections)?
-        };
-        ctx.metrics.tiles_retired.add(sparing.tiles_retired);
-        ctx.metrics.spares_attached.add(sparing.spares_attached);
         // Verify reads are strategy-private overhead; verify writes are
         // detection-phase pulses like the closed loop's.
-        ctx.metrics.strategy_cycles.add(sparing.verify_cycles);
-        ctx.metrics
-            .detection_writes
-            .add(sparing.verify_write_pulses);
-        self.cost.absorb(StrategyCost {
-            cycles: sparing.verify_cycles,
-            write_pulses: sparing.verify_write_pulses + sparing.reprogram_pulses,
-        });
-        recorder.set_write_pulses(ctx.mapped.total_write_pulses());
-        if sparing.verify_write_pulses > 0 {
-            recorder.emit(Event::WritePulseBatch {
-                pulses: sparing.verify_write_pulses,
-                phase: WritePhase::Detection,
-            });
-        }
-        if sparing.reprogram_pulses > 0 {
-            recorder.emit(Event::WritePulseBatch {
-                pulses: sparing.reprogram_pulses,
-                phase: WritePhase::Reprogram,
-            });
-        }
-        Ok(())
+        run_sparing_pass(
+            ctx,
+            &mut self.cost,
+            self.retire_density,
+            |m| &m.strategy_cycles,
+            &detector,
+            &mut detections,
+        )
     }
 }
 

@@ -808,6 +808,43 @@ mod tests {
         assert!(!c.slot(id).unwrap().retired, "tile stays in service");
     }
 
+    /// Exhausting the spare pool degrades, not fails: the over-threshold
+    /// tile stays in service and later campaigns still run over it.
+    #[test]
+    fn exhausted_pool_keeps_flagged_tiles_in_service() {
+        let config = ChipConfig::new(8, 8, 0xC0FFEE ^ 0x0b ^ 0x22)
+            .with_spare_tiles(1)
+            .with_retire_fault_density(0.05);
+        let mut chip = TiledChip::new(config).unwrap();
+        let a = chip.allocate(8, 8).unwrap();
+        let b = chip.allocate(8, 5).unwrap();
+        // Make both tiles dense with faults.
+        for (id, cols) in [(a, 8usize), (b, 5)] {
+            let mut map = FaultMap::healthy(8, cols);
+            for r in 0..8 {
+                map.set(r, r % cols, Some(FaultKind::StuckAt0));
+            }
+            chip.tile_mut(id).unwrap().apply_fault_map(&map);
+        }
+        let detector = OnlineFaultDetector::new(DetectorConfig::new(1).unwrap());
+        assert_eq!(chip.run_campaigns(&detector, &[a, b]).campaigns_run, 2);
+        assert_eq!(chip.tiles_over_density(0.05), vec![a, b]);
+        assert!(matches!(
+            chip.substitute(a).unwrap(),
+            SpareOutcome::Attached { .. }
+        ));
+        assert_eq!(chip.substitute(b).unwrap(), SpareOutcome::Exhausted);
+        assert!(
+            chip.active_ids().contains(&b),
+            "exhausted tile stays in service"
+        );
+        let stats = chip.run_campaigns(&detector, &[b]);
+        assert_eq!(stats.campaigns_run, 1, "campaigns still run over it");
+        assert_eq!(stats.flagged_cells, 8, "its faults stay flagged");
+        // Retiring an already-retired tile is a typed error, not a panic.
+        assert!(chip.substitute(a).is_err());
+    }
+
     #[test]
     fn campaigns_store_outcomes_and_skip_retired() {
         let injection = FaultInjection::new(SpatialDistribution::Uniform, 0.2).unwrap();
@@ -980,8 +1017,9 @@ mod tests {
         };
         assert!(c.slot(id).unwrap().store.is_none(), "stale store dropped");
         assert!(c.slot(new_id).unwrap().store.is_none());
-        // Verifying the screened spare (as apply_sparing does) attaches its
-        // store and leaves nothing pending: the next campaign starts warm.
+        // Verifying the screened spare (as `MappedNetwork::apply_sparing_at`
+        // does) attaches its store and leaves nothing pending: the next
+        // campaign starts warm.
         let verify = c.run_campaigns(&det, &[new_id]);
         assert_eq!(
             c.last_detection(new_id).unwrap().unwrap().store_read_cells,

@@ -13,7 +13,7 @@
 //! plane in place. Column shards merely partition which plane a segment
 //! comes from, which cannot reorder any single column's accumulation, so
 //! the result is bit-identical to the monolithic kernel — asserted by
-//! in-crate tests and the chaos `tiling` family.
+//! the in-crate tests.
 //!
 //! The zero-skip gate replicates the monolithic kernel's: skipping a zero
 //! input row adds `±0.0 · g` (finite `g`), which cannot move an IEEE-754
@@ -488,13 +488,94 @@ mod tests {
 
     #[test]
     fn single_tile_degenerates_to_monolithic() {
-        let (chip, mapping, mono) = build_pair(60, 50, 128);
+        let (mut chip, mapping, mut mono) = build_pair(60, 50, 128);
         assert_eq!(mapping.tile_ids().len(), 1);
         let input = dense_input(60, 4);
         assert_bit_identical(
             &mapping.mvm(&chip, &input).unwrap(),
             &mono.mvm(&input).unwrap(),
         );
+        // With faults mirrored on both sides the one tile still reads
+        // like the monolithic array, and its composed fault map is the
+        // monolithic one.
+        let mut map = FaultMap::healthy(60, 50);
+        for i in 0..60usize {
+            let kind = if i % 3 == 0 {
+                FaultKind::StuckAt0
+            } else {
+                FaultKind::StuckAt1
+            };
+            map.set(i, (i * 11) % 50, Some(kind));
+        }
+        mapping.apply_fault_map(&mut chip, &map).unwrap();
+        mono.apply_fault_map(&map);
+        assert_eq!(mapping.fault_map(&chip).unwrap(), mono.fault_map());
+        assert_bit_identical(
+            &mapping.mvm(&chip, &input).unwrap(),
+            &mono.mvm(&input).unwrap(),
+        );
+    }
+
+    /// Deterministic pseudo-levels for programming a plane (splitmix-style).
+    fn level_at(seed: u64, i: u64) -> u16 {
+        let mut z = seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z >> 33) as u16 % 8
+    }
+
+    /// A remainder grid: 136×264 on 32² tiles is four full row bands and
+    /// an 8-row one, eight full column shards and an 8-wide one, here
+    /// programmed level by level with a clustered SA0/SA1 sprinkle mirrored
+    /// onto a monolithic crossbar. The tiled MVM must equal the monolithic
+    /// kernel on dense and sparse inputs, and every row of the batched MVM
+    /// the single-sample one.
+    #[test]
+    fn remainder_grid_with_faults_matches_monolithic() {
+        const SEED: u64 = 0xC0FFEE ^ 0x0b;
+        let (rows, cols) = (136, 264);
+        let mut mono = CrossbarBuilder::new(rows, cols).build().unwrap();
+        for r in 0..rows {
+            for c in 0..cols {
+                let level = level_at(SEED, (r * cols + c) as u64);
+                mono.write_level(r, c, level).unwrap();
+            }
+        }
+        // SA1 cells pin full conductance, so they contribute to (and must
+        // not corrupt) the accumulation order.
+        let mut faults = FaultMap::healthy(rows, cols);
+        for i in 0..rows * cols / 23 {
+            let cell = (level_at(SEED ^ 0x5a, i as u64) as usize)
+                .wrapping_mul(2_654_435_761)
+                .wrapping_add(i * 97)
+                % (rows * cols);
+            let kind = if i % 3 == 0 {
+                FaultKind::StuckAt0
+            } else {
+                FaultKind::StuckAt1
+            };
+            faults.set(cell / cols, cell % cols, Some(kind));
+        }
+        mono.apply_fault_map(&faults);
+        let mut chip = TiledChip::new(ChipConfig::new(32, 8, SEED)).unwrap();
+        let tiled = TiledMapping::allocate(&mut chip, rows, cols).unwrap();
+        tiled
+            .program(&mut chip, mono.conductance_plane_f64())
+            .unwrap();
+        tiled.apply_fault_map(&mut chip, &faults).unwrap();
+
+        let dense: Vec<f32> = (0..rows).map(|i| ((i as f32) * 0.37).sin()).collect();
+        let sparse: Vec<f32> = (0..rows)
+            .map(|i| if i % 5 == 0 { (i as f32) * 0.01 } else { 0.0 })
+            .collect();
+        let mut singles = Vec::new();
+        for input in [&dense, &sparse] {
+            let got = tiled.mvm(&chip, input).unwrap();
+            assert_bit_identical(&got, &mono.mvm(input).unwrap());
+            singles.extend(got);
+        }
+        let batch: Vec<f32> = dense.iter().chain(&sparse).copied().collect();
+        assert_bit_identical(&tiled.mvm_batch(&chip, &batch, 2).unwrap(), &singles);
     }
 
     #[test]

@@ -33,12 +33,6 @@ fmt-check:
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings -F unsafe-code
 
-# Adversarial-configuration harness (DESIGN.md §8.4): seeded, deterministic,
-# < 60 s. Part of tier-1 via tests/chaos_harness.rs.
-chaos:
-    cargo test -q --test chaos_harness
-    cargo test -q -p chaos
-
 # Panic-policy gate (DESIGN.md §8.1): library code may not unwrap, expect
 # or call a panicking macro on caller-reachable paths, and every lint
 # escape hatch is an `#[expect(lint, reason = "...")]` (no bare #[allow]).
@@ -64,12 +58,13 @@ clippy-unwrap:
 lint:
     cargo test -q -p ftt-lint
 
-# Chaos harness at ambient thread budgets 1 and MAX (CI's tier1 and
-# test-all jobs cover 4, the workflow-wide RRAM_FTT_THREADS). Every
-# family's checks must hold whatever budget the process starts with.
-chaos-budgets:
-    RRAM_FTT_THREADS=1 cargo test -q --test chaos_harness
-    RRAM_FTT_THREADS=1024 cargo test -q --test chaos_harness
+# Root-package tests (end to end and tests/adversarial, DESIGN.md §8.4)
+# at ambient thread budgets 1 and MAX (CI's tier1 and test-all jobs cover
+# 4, the workflow-wide RRAM_FTT_THREADS). Every check must hold whatever
+# budget the process starts with.
+budgets:
+    RRAM_FTT_THREADS=1 cargo test -q
+    RRAM_FTT_THREADS=1024 cargo test -q
 
 # Replay golden: reruns the seeded fault-tolerant run behind
 # results/replay.csv (detection campaigns, each followed by the sparing
