@@ -36,13 +36,16 @@ pub trait Layer: fmt::Debug {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Back-propagates `grad_out` (gradient w.r.t. this layer's output),
-    /// accumulating parameter gradients and returning the gradient w.r.t.
-    /// the layer input.
+    /// filling the parameter gradients. When `input_grad` is true it
+    /// returns the gradient w.r.t. the layer input; when false it returns
+    /// `None` without computing it. [`crate::network::Network::backward`]
+    /// passes false to the first layer only, whose input gradient is the
+    /// gradient w.r.t. the network's input, which no trainer reads.
     ///
     /// # Panics
     ///
     /// Panics if no training-mode forward pass preceded this call.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    fn backward(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor>;
 
     /// Mutable access to the layer's parameters, if it has any.
     fn params(&mut self) -> Option<LayerParams<'_>> {

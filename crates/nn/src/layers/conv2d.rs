@@ -23,7 +23,6 @@ pub struct Conv2d {
     dw: Tensor,
     db: Vec<f32>,
     cached_input: Option<Tensor>,
-    in_hw: (usize, usize),
 }
 
 impl Conv2d {
@@ -57,7 +56,6 @@ impl Conv2d {
             dw: Tensor::zeros(vec![rows, out_ch]),
             db: vec![0.0; out_ch],
             cached_input: None,
-            in_hw: (0, 0),
         }
     }
 
@@ -109,12 +107,11 @@ impl Layer for Conv2d {
         });
         if train {
             self.cached_input = Some(input.clone());
-            self.in_hw = (h, w);
         }
         Tensor::from_vec(vec![batch, self.out_ch, oh, ow], out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
         #[expect(
             clippy::expect_used,
             reason = "documented `Layer::backward` contract — a training-mode forward must precede \
@@ -132,7 +129,7 @@ impl Layer for Conv2d {
         let rows = self.in_ch * self.k * self.k;
         self.dw = Tensor::zeros(vec![rows, self.out_ch]);
         self.db = vec![0.0; self.out_ch];
-        let mut dx = vec![0.0f32; batch * sample_len];
+        let mut dx = input_grad.then(|| vec![0.0f32; batch * sample_len]);
         for bidx in 0..batch {
             let sample = &input.data()[bidx * sample_len..(bidx + 1) * sample_len];
             let cols = im2col(sample, c, h, w, self.k, self.stride, self.pad);
@@ -158,11 +155,13 @@ impl Layer for Conv2d {
                 }
             }
             // dX = col2im(g · Wᵀ)
-            let dcols = gmat.matmul_nt(&self.w);
-            let folded = col2im(&dcols, c, h, w, self.k, self.stride, self.pad);
-            dx[bidx * sample_len..(bidx + 1) * sample_len].copy_from_slice(&folded);
+            if let Some(dx) = dx.as_mut() {
+                let dcols = gmat.matmul_nt(&self.w);
+                let folded = col2im(&dcols, c, h, w, self.k, self.stride, self.pad);
+                dx[bidx * sample_len..(bidx + 1) * sample_len].copy_from_slice(&folded);
+            }
         }
-        Tensor::from_vec(vec![batch, c, h, w], dx)
+        dx.map(|dx| Tensor::from_vec(vec![batch, c, h, w], dx))
     }
 
     fn params(&mut self) -> Option<LayerParams<'_>> {
@@ -233,7 +232,7 @@ mod tests {
         );
         let y = conv.forward(&x, true);
         let ones = Tensor::from_vec(y.shape().to_vec(), vec![1.0; y.len()]);
-        let dx = conv.backward(&ones);
+        let dx = conv.backward(&ones, true).unwrap();
 
         let eps = 1e-2;
         let loss =
@@ -271,7 +270,7 @@ mod tests {
         let x = Tensor::from_vec(vec![2, 1, 2, 2], vec![0.0; 8]);
         let y = conv.forward(&x, true);
         let ones = Tensor::from_vec(y.shape().to_vec(), vec![1.0; y.len()]);
-        let _ = conv.backward(&ones);
+        let _ = conv.backward(&ones, true);
         // 2 samples × 4 positions of ones per channel.
         assert_eq!(conv.db, vec![8.0, 8.0]);
     }

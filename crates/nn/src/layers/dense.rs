@@ -78,7 +78,7 @@ impl Layer for Dense {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
         #[expect(
             clippy::expect_used,
             reason = "documented `Layer::backward` contract — a training-mode forward must precede \
@@ -97,7 +97,7 @@ impl Layer for Dense {
                 *d += g;
             }
         }
-        grad_out.matmul_nt(&self.w)
+        input_grad.then(|| grad_out.matmul_nt(&self.w))
     }
 
     fn params(&mut self) -> Option<LayerParams<'_>> {
@@ -144,7 +144,7 @@ mod tests {
         // Loss = sum(y); then dL/dy = ones.
         let y = layer.forward(&x, true);
         let ones = Tensor::from_vec(y.shape().to_vec(), vec![1.0; y.len()]);
-        let dx = layer.backward(&ones);
+        let dx = layer.backward(&ones, true).unwrap();
 
         // Finite-difference check on one weight and one input element.
         let eps = 1e-3;
@@ -178,7 +178,7 @@ mod tests {
         let x = Tensor::from_vec(vec![3, 2], vec![1.; 6]);
         let _ = layer.forward(&x, true);
         let g = Tensor::from_vec(vec![3, 2], vec![1., 2., 3., 4., 5., 6.]);
-        let _ = layer.backward(&g);
+        let _ = layer.backward(&g, true);
         assert_eq!(layer.db, vec![9.0, 12.0]);
     }
 
@@ -200,6 +200,6 @@ mod tests {
         let mut rng = init_rng(5);
         let mut layer = Dense::new(2, 2, &mut rng);
         let g = Tensor::zeros(vec![1, 2]);
-        let _ = layer.backward(&g);
+        let _ = layer.backward(&g, true);
     }
 }

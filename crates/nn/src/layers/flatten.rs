@@ -28,7 +28,7 @@ impl Layer for Flatten {
         input.clone().reshape(vec![batch, features])
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
         #[expect(
             clippy::expect_used,
             reason = "documented `Layer::backward` contract — a training-mode forward must precede \
@@ -38,7 +38,7 @@ impl Layer for Flatten {
             .in_shape
             .take()
             .expect("backward called without a training-mode forward");
-        grad_out.clone().reshape(shape)
+        input_grad.then(|| grad_out.clone().reshape(shape))
     }
 
     fn kind(&self) -> &'static str {
@@ -57,7 +57,7 @@ mod tests {
         let y = flat.forward(&x, true);
         assert_eq!(y.shape(), &[2, 48]);
         let g = Tensor::zeros(vec![2, 48]);
-        let dx = flat.backward(&g);
+        let dx = flat.backward(&g, true).unwrap();
         assert_eq!(dx.shape(), &[2, 3, 4, 4]);
     }
 
@@ -74,6 +74,6 @@ mod tests {
     #[should_panic(expected = "without a training-mode forward")]
     fn backward_requires_forward() {
         let mut flat = Flatten::new();
-        let _ = flat.backward(&Tensor::zeros(vec![1, 1]));
+        let _ = flat.backward(&Tensor::zeros(vec![1, 1]), true);
     }
 }

@@ -64,7 +64,7 @@ impl Layer for MaxPool2 {
         Tensor::from_vec(vec![batch, c, oh, ow], out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
         #[expect(
             clippy::expect_used,
             reason = "documented `Layer::backward` contract — a training-mode forward must precede \
@@ -79,12 +79,15 @@ impl Layer for MaxPool2 {
             argmax.len(),
             "gradient shape changed since forward"
         );
+        if !input_grad {
+            return None;
+        }
         let mut dx = Tensor::zeros(self.in_shape.clone());
         let dx_data = dx.data_mut();
         for (&g, &idx) in grad_out.data().iter().zip(&argmax) {
             dx_data[idx] += g;
         }
-        dx
+        Some(dx)
     }
 
     fn kind(&self) -> &'static str {
@@ -121,7 +124,7 @@ mod tests {
         ]);
         let _ = pool.forward(&x, true);
         let g = Tensor::from_vec(vec![1, 1, 1, 1], vec![5.0]);
-        let dx = pool.backward(&g);
+        let dx = pool.backward(&g, true).unwrap();
         assert_eq!(dx.data(), &[0., 5., 0., 0.]);
     }
 
@@ -152,6 +155,6 @@ mod tests {
     fn backward_requires_forward() {
         let mut pool = MaxPool2::new();
         let g = Tensor::zeros(vec![1, 1, 1, 1]);
-        let _ = pool.backward(&g);
+        let _ = pool.backward(&g, true);
     }
 }

@@ -24,7 +24,7 @@ impl Layer for Relu {
         input.map(|x| x.max(0.0))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
         #[expect(
             clippy::expect_used,
             reason = "documented `Layer::backward` contract — a training-mode forward must precede \
@@ -39,13 +39,16 @@ impl Layer for Relu {
             grad_out.len(),
             "gradient shape changed since forward"
         );
+        if !input_grad {
+            return None;
+        }
         let data = grad_out
             .data()
             .iter()
             .zip(&mask)
             .map(|(&g, &m)| if m { g } else { 0.0 })
             .collect();
-        Tensor::from_vec(grad_out.shape().to_vec(), data)
+        Some(Tensor::from_vec(grad_out.shape().to_vec(), data))
     }
 
     fn kind(&self) -> &'static str {
@@ -71,7 +74,7 @@ mod tests {
         let x = Tensor::from_vec(vec![1, 4], vec![-1., 2., -3., 4.]);
         let _ = relu.forward(&x, true);
         let g = Tensor::from_vec(vec![1, 4], vec![10., 20., 30., 40.]);
-        let dx = relu.backward(&g);
+        let dx = relu.backward(&g, true).unwrap();
         assert_eq!(dx.data(), &[0., 20., 0., 40.]);
     }
 
@@ -82,7 +85,7 @@ mod tests {
         let x = Tensor::from_vec(vec![1, 1], vec![0.0]);
         let _ = relu.forward(&x, true);
         let g = Tensor::from_vec(vec![1, 1], vec![5.0]);
-        assert_eq!(relu.backward(&g).data(), &[0.0]);
+        assert_eq!(relu.backward(&g, true).unwrap().data(), &[0.0]);
     }
 
     #[test]
@@ -90,6 +93,6 @@ mod tests {
     fn backward_requires_forward() {
         let mut relu = Relu::new();
         let g = Tensor::zeros(vec![1, 1]);
-        let _ = relu.backward(&g);
+        let _ = relu.backward(&g, true);
     }
 }

@@ -49,7 +49,7 @@ impl Layer for Softmax {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
         #[expect(
             clippy::expect_used,
             reason = "documented `Layer::backward` contract — a training-mode forward must precede \
@@ -59,6 +59,9 @@ impl Layer for Softmax {
             .cached_output
             .take()
             .expect("backward called without a training-mode forward");
+        if !input_grad {
+            return None;
+        }
         let k = y.cols();
         let mut dx = Tensor::zeros(y.shape().to_vec());
         for ((dx_row, y_row), g_row) in dx
@@ -73,7 +76,7 @@ impl Layer for Softmax {
                 *d = yv * (gv - dot);
             }
         }
-        dx
+        Some(dx)
     }
 
     fn kind(&self) -> &'static str {
@@ -114,7 +117,7 @@ mod tests {
         // Loss = y[2] (pick one output), so dL/dy = e_2.
         let mut g = Tensor::zeros(vec![1, 4]);
         g.data_mut()[2] = 1.0;
-        let dx = sm.backward(&g);
+        let dx = sm.backward(&g, true).unwrap();
         let eps = 1e-3;
         for i in 0..4 {
             let mut x2 = x.clone();

@@ -77,17 +77,24 @@ impl Network {
     }
 
     /// Back-propagates the loss gradient through all layers, filling each
-    /// parameterized layer's gradients.
+    /// parameterized layer's gradients, and returns the network so the
+    /// caller can read them (`net.backward(&g).param_layers_mut()`).
+    ///
+    /// The gradient w.r.t. the network's input is never computed: the
+    /// first layer fills its parameter gradients and stops there.
     ///
     /// # Panics
     ///
     /// Panics if [`Network::forward_train`] did not precede this call.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    pub fn backward(&mut self, grad_out: &Tensor) -> &mut Self {
         let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let Some(dx) = layer.backward(&g, i > 0) else {
+                break;
+            };
+            g = dx;
         }
-        g
+        self
     }
 
     /// Iterates over `(layer_index, params)` for every parameterized layer.
@@ -163,8 +170,7 @@ mod tests {
         let x = Tensor::from_vec(vec![2, 4], (0..8).map(|i| i as f32 * 0.1).collect());
         let y = net.forward_train(&x);
         let g = Tensor::from_vec(y.shape().to_vec(), vec![1.0; y.len()]);
-        let dx = net.backward(&g);
-        assert_eq!(dx.shape(), &[2, 4]);
+        net.backward(&g);
         let mut count = 0;
         for (_, p) in net.param_layers_mut() {
             assert!(
@@ -174,6 +180,57 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 2);
+    }
+
+    /// Every layer's full backward, the first layer's input gradient
+    /// included; returns that gradient.
+    fn full_backward(net: &mut Network, grad_out: &Tensor) -> Tensor {
+        let mut g = grad_out.clone();
+        for layer in net.layers.iter_mut().rev() {
+            g = layer.backward(&g, true).unwrap();
+        }
+        g
+    }
+
+    /// Every weight and bias gradient's bits, in layer order.
+    fn grad_bits(net: &mut Network) -> Vec<Vec<u32>> {
+        net.param_layers_mut()
+            .flat_map(|(_, p)| [p.weight_grad, p.bias_grad.unwrap()])
+            .map(|g| g.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// `Network::backward`'s weight and bias gradients equal
+    /// [`full_backward`]'s bit for bit at batch 1 and 3. Each walk runs on
+    /// its own copy of `build()`, so neither can read gradients the other
+    /// left behind.
+    fn assert_skip_matches_full_walk(build: fn() -> Network, sample_shape: &[usize]) {
+        for batch in [1, 3] {
+            let (mut reference, mut net) = (build(), build());
+            let shape: Vec<usize> = [&[batch][..], sample_shape].concat();
+            let len = shape.iter().product::<usize>();
+            let x = Tensor::from_vec(
+                shape.clone(),
+                (0..len).map(|i| (i as f32 * 0.37).sin()).collect(),
+            );
+            let labels: Vec<usize> = (0..batch).map(|b| (3 * b + 1) % 10).collect();
+            let logits = reference.forward_train(&x);
+            assert_eq!(logits, net.forward_train(&x));
+            let (_, g) = crate::loss::softmax_cross_entropy(&logits, &labels);
+            assert_eq!(full_backward(&mut reference, &g).shape(), &shape[..]);
+            let full = grad_bits(&mut reference);
+            assert_eq!(full.len(), 2 * net.weight_layer_indices().len());
+            assert!(
+                full == grad_bits(net.backward(&g)),
+                "{shape:?}: gradients differ"
+            );
+        }
+    }
+
+    #[test]
+    fn skipping_the_input_gradient_leaves_param_grads_bit_identical() {
+        assert_skip_matches_full_walk(|| crate::models::mlp_784_100_10(3), &[784]);
+        assert_skip_matches_full_walk(|| crate::models::vgg11_cifar(32, 3), &[3, 32, 32]);
     }
 
     #[test]

@@ -6,14 +6,14 @@
 //! on rows and output neurons on columns, matching the paper's `w(n)_{i,j}`
 //! indexing.
 //!
-//! The three GEMM kernels share one inner microkernel (`saxpy_row_kernel`)
-//! operating on contiguous rows: `matmul` uses it directly, `matmul_tn`
-//! packs `selfᵀ` first so the inner loop never strides, and `matmul_nt`
-//! runs contiguous dot products. Output rows are independent, so all three
-//! fan out across [`par`] worker threads above a FLOP-count gate — each
-//! worker owns a block of whole output rows, which keeps every output
-//! element's accumulation order identical to the sequential kernel
-//! (bit-identical results at any thread count).
+//! The three GEMM kernels share one row-blocked loop (`saxpy_gemm`) over
+//! one inner microkernel (`saxpy_row_kernel`) on contiguous rows: `matmul`
+//! passes its operands as they are, `matmul_tn` packs `selfᵀ` first and
+//! `matmul_nt` packs `otherᵀ`, so the inner loop never strides. Output rows
+//! are independent, so that loop fans out across [`par`] worker threads
+//! above a FLOP-count gate — each worker owns a block of whole output rows,
+//! which keeps every output element's accumulation order identical to the
+//! sequential kernel (bit-identical results at any thread count).
 
 // Kernel module: keep the hot loops in iterator/slice style so the
 // optimizer sees contiguous accesses (regressions to index loops are
@@ -181,16 +181,7 @@ impl Tensor {
         let (m, k) = (self.rows(), self.cols());
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul inner dimensions: {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        let a = &self.data;
-        let b = &other.data;
-        par::for_each_row_block_mut(&mut out, n, k * n, |i0, block| {
-            for (bi, c_row) in block.chunks_mut(n).enumerate() {
-                let i = i0 + bi;
-                saxpy_row_kernel(&a[i * k..(i + 1) * k], b, c_row);
-            }
-        });
-        Tensor::from_vec(vec![m, n], out)
+        saxpy_gemm(&self.data, &other.data, m, k, n)
     }
 
     /// Matrix product `selfᵀ · other` (`[k,m]ᵀ · [k,n] → [m,n]`), used for
@@ -210,27 +201,18 @@ impl Tensor {
         let (k, m) = (self.rows(), self.cols());
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul_tn leading dimensions: {k} vs {k2}");
-        // Pack Aᵀ row-major: at[i*k + p] = a[p*m + i].
-        let mut at = vec![0.0f32; k * m];
-        for (p, a_row) in self.data.chunks_exact(m).enumerate() {
-            for (i, &v) in a_row.iter().enumerate() {
-                at[i * k + p] = v;
-            }
-        }
-        let mut out = vec![0.0f32; m * n];
-        let b = &other.data;
-        par::for_each_row_block_mut(&mut out, n, k * n, |i0, block| {
-            for (bi, c_row) in block.chunks_mut(n).enumerate() {
-                let i = i0 + bi;
-                saxpy_row_kernel(&at[i * k..(i + 1) * k], b, c_row);
-            }
-        });
-        Tensor::from_vec(vec![m, n], out)
+        saxpy_gemm(&transpose(&self.data, k, m), &other.data, m, k, n)
     }
 
     /// Matrix product `self · otherᵀ` (`[m,k] · [n,k]ᵀ → [m,n]`), used for
-    /// input gradients (`dX = dY · Wᵀ`). Both operands are walked
-    /// contiguously (dot products), row-blocked across workers.
+    /// input gradients (`dX = dY · Wᵀ`).
+    ///
+    /// `otherᵀ` is packed into a contiguous `[k,n]` buffer once per call,
+    /// so the hot loop is the SAXPY microkernel of [`Tensor::matmul`]. Each
+    /// output element sums `self[i,p] · other[j,p]` in ascending `p` from
+    /// +0.0, the order of a plain dot-product loop, so for a finite `other`
+    /// (the zero skip's condition, see `saxpy_row_kernel`) the result
+    /// equals that loop bit for bit.
     ///
     /// # Panics
     ///
@@ -239,22 +221,7 @@ impl Tensor {
         let (m, k) = (self.rows(), self.cols());
         let (n, k2) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul_nt trailing dimensions: {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        let a = &self.data;
-        let b = &other.data;
-        par::for_each_row_block_mut(&mut out, n, k * n, |i0, block| {
-            for (bi, c_row) in block.chunks_mut(n).enumerate() {
-                let a_row = &a[(i0 + bi) * k..(i0 + bi + 1) * k];
-                for (c, b_row) in c_row.iter_mut().zip(b.chunks_exact(k)) {
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in a_row.iter().zip(b_row) {
-                        acc += av * bv;
-                    }
-                    *c = acc;
-                }
-            }
-        });
-        Tensor::from_vec(vec![m, n], out)
+        saxpy_gemm(&self.data, &transpose(&other.data, n, k), m, k, n)
     }
 
     /// Adds a row vector to every row of a 2-D tensor (bias addition).
@@ -281,15 +248,45 @@ impl Tensor {
     }
 }
 
+/// `[m,k] · [k,n] → [m,n]` on row-major slices: the one GEMM loop behind
+/// the three tensor products. Output rows are blocked across `par`
+/// workers; each row runs [`saxpy_row_kernel`] from a +0.0 start.
+fn saxpy_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
+    let mut out = vec![0.0f32; m * n];
+    par::for_each_row_block_mut(&mut out, n, k * n, |i0, block| {
+        for (bi, c_row) in block.chunks_mut(n).enumerate() {
+            let i = i0 + bi;
+            saxpy_row_kernel(&a[i * k..(i + 1) * k], b, c_row);
+        }
+    });
+    Tensor::from_vec(vec![m, n], out)
+}
+
+/// The `[cols, rows]` transpose of a row-major `[rows, cols]` slice: the
+/// pack that lets `matmul_tn` and `matmul_nt` run the contiguous kernel.
+fn transpose(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; rows * cols];
+    for (r, row) in data.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            out[c * rows + r] = v;
+        }
+    }
+    out
+}
+
 /// The shared GEMM microkernel: `c_row += Σ_p a_row[p] · b[p-th row]`, all
 /// slices contiguous. The zero-skip branch is gated on measured sparsity
 /// ([`par::SPARSITY_SKIP_THRESHOLD`]): skipping a zero `a` saves an
 /// `n`-length SAXPY but costs a branch per `p`, which only wins on
 /// mostly-zero operands — e.g. activations after §5.2 magnitude pruning
-/// has parked >50 % of the weights at zero, or ReLU-sparse features.
-/// Skipping never changes the result: each skipped contribution is
-/// `±0.0 · b` with finite `b`, which leaves an IEEE-754 accumulator on the
-/// value it would otherwise hold.
+/// has parked >50 % of the weights at zero, ReLU-sparse features, or
+/// gradients that max pooling routed to one position in four.
+/// Skipping never changes the result when `b` is finite: each skipped
+/// contribution is `±0.0 · b = ±0.0`, and adding a signed zero leaves an
+/// accumulator that starts at +0.0 on the value it already holds (such an
+/// accumulator is never −0.0, since an exact cancellation rounds to +0.0).
+/// A zero times an infinite or NaN `b` is NaN, so with a non-finite `b`
+/// the skip would differ from the unskipped sum.
 #[inline]
 fn saxpy_row_kernel(a_row: &[f32], b: &[f32], c_row: &mut [f32]) {
     let n = c_row.len();

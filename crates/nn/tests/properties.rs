@@ -9,7 +9,85 @@ use nn::pruning::magnitude_prune;
 use nn::tensor::Tensor;
 use proptest::prelude::*;
 
+/// `a · bᵀ` as one serial dot product per output, summed in ascending `p`
+/// from +0.0: the loop `Tensor::matmul_nt` ran before it packed `bᵀ` for
+/// the SAXPY kernel, kept as its oracle.
+fn matmul_nt_dot_loop(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let k = a.cols();
+    a.data()
+        .chunks_exact(k)
+        .flat_map(|a_row| {
+            b.data().chunks_exact(k).map(move |b_row| {
+                let mut acc = 0.0f32;
+                for (&av, &bv) in a_row.iter().zip(b_row) {
+                    acc += av * bv;
+                }
+                acc
+            })
+        })
+        .collect()
+}
+
 proptest! {
+    /// `matmul_nt` equals the dot-product oracle bit for bit over awkward
+    /// shapes (`m` or `n` of 1, `k` below the lane width, ragged `n`). The
+    /// left operand mixes signed zeros, subnormals, NaN and infinities, and
+    /// its rows alternate between either side of the zero-skip gate; the
+    /// right operand is finite, the skip's exactness condition. Rust leaves
+    /// a NaN's sign and payload unspecified, so a NaN output only has to be
+    /// NaN on both sides.
+    #[test]
+    fn matmul_nt_matches_dot_product_oracle(
+        seed in 0u64..1_000,
+        m in 1usize..5,
+        k in 1usize..13,
+        n in 1usize..20,
+    ) {
+        use rand::Rng;
+        let mut rng = init_rng(seed);
+        let special = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 8.0,
+            -f32::MIN_POSITIVE / 3.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let mut a = Vec::with_capacity(m * k);
+        for row in 0..m {
+            // Mostly zeros on every other row: those take the skip path.
+            let zero_share = if (row + seed as usize).is_multiple_of(2) { 0.8 } else { 0.1 };
+            for _ in 0..k {
+                a.push(if rng.gen_bool(zero_share) {
+                    if rng.gen_bool(0.5) { 0.0 } else { -0.0 }
+                } else if rng.gen_bool(0.3) {
+                    special[rng.gen_range(0..special.len())]
+                } else {
+                    rng.gen_range(-2.0f32..2.0)
+                });
+            }
+        }
+        let b: Vec<f32> = (0..n * k)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => -0.0,
+                1 => f32::MIN_POSITIVE / 5.0,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect();
+        let a = Tensor::from_vec(vec![m, k], a);
+        let b = Tensor::from_vec(vec![n, k], b);
+        let got = a.matmul_nt(&b);
+        prop_assert_eq!(got.shape(), &[m, n][..]);
+        for (g, want) in got.data().iter().zip(matmul_nt_dot_loop(&a, &b)) {
+            if want.is_nan() {
+                prop_assert!(g.is_nan(), "{} where the oracle gives NaN", g);
+            } else {
+                prop_assert_eq!(g.to_bits(), want.to_bits(), "{} vs {}", g, want);
+            }
+        }
+    }
+
     /// matmul is associative with vectors: (A·B)·x == A·(B·x).
     #[test]
     fn matmul_is_associative(seed in 0u64..500) {

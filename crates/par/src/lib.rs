@@ -13,9 +13,9 @@
 //! * [`map_indices`] — evaluate an independent `Fn(usize) -> T` for
 //!   `0..n` and collect results in index order (arena contenders).
 //!
-//! Six call sites use them, and a workload forks each one: the three
-//! tensor products, `Conv2d::forward`, `TiledChip::run_campaigns` and
-//! `ftt_arena::run` (DESIGN.md §6.2). Per-sample kernels — one crossbar's
+//! Four call sites use them, and a workload forks each one: the GEMM
+//! loop behind the three tensor products, `Conv2d::forward`,
+//! `TiledChip::run_campaigns` and `ftt_arena::run` (DESIGN.md §6.2). Per-sample kernels — one crossbar's
 //! MVM, one campaign's group sweeps, one remap cost — run on the calling
 //! thread.
 //!
@@ -53,13 +53,14 @@ use std::sync::OnceLock;
 /// jobs, which differ by orders of magnitude.
 pub const PAR_MIN_WORK: usize = 1 << 20;
 
-/// Sparsity gate shared by `Crossbar::mvm` and `Tensor::matmul`: skipping a
-/// zero input element saves a row-length SAXPY, but the branch costs a
-/// compare per element. Profiling shows the skip only wins once the input
-/// is mostly zeros — which happens after §5.2-style pruning re-mapping
-/// (>50 % of weights pruned) or with sparse spike-like activations. Dense
-/// kernels therefore only take the branch when the caller has measured
-/// sparsity above this fraction.
+/// Sparsity gate shared by `Crossbar::mvm` and the SAXPY kernel behind
+/// `Tensor::{matmul, matmul_tn, matmul_nt}`: skipping a zero input element
+/// saves a row-length SAXPY, but the branch costs a compare per element.
+/// Profiling shows the skip only wins once the input is mostly zeros —
+/// which happens after §5.2-style pruning re-mapping (>50 % of weights
+/// pruned) or with sparse spike-like activations. Dense kernels therefore
+/// only take the branch when the caller has measured sparsity above this
+/// fraction.
 pub const SPARSITY_SKIP_THRESHOLD: f32 = 0.5;
 
 /// Lane count for `f32` kernels (the MVM SAXPY rows): an output-axis

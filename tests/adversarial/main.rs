@@ -1,14 +1,16 @@
 //! Adversarial configurations of the whole stack: the closed loop on
-//! dead, rank-1 and sparing-heavy hardware, the threshold-policy goldens,
-//! trace and curve determinism across thread budgets, kill/restore from
-//! snapshot bytes, the service under floods and mid-migration kills, and
-//! the strategy arena's golden and degenerate heats.
+//! dead, rank-1 and sparing-heavy hardware, the threshold-policy goldens
+//! and a convolutional network's golden, trace and curve determinism
+//! across thread budgets, kill/restore from snapshot bytes, the service
+//! under floods and mid-migration kills, and the strategy arena's golden
+//! and degenerate heats.
 //!
 //! Each module holds the cases of one scenario family. Cases that touch a
 //! single crate live in that crate's own tests.
 
 mod all_faulty_extremes;
 mod arena;
+mod conv_flow;
 mod degenerate_gradients;
 mod extreme_geometry;
 mod obs_stream;
