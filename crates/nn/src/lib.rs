@@ -6,7 +6,8 @@
 //! entirely in safe Rust with no external numerics dependencies:
 //!
 //! * [`tensor::Tensor`] — a dense `f32` tensor with the matrix kernels
-//!   (blocked GEMM, im2col) that the layers build on.
+//!   (one SAXPY GEMM loop, the convolution's lowering) that the layers
+//!   build on.
 //! * [`layers`] — dense, 2-D convolution, max-pooling, ReLU, flatten and
 //!   softmax layers, each implementing [`layer::Layer`] with explicit
 //!   forward/backward passes and exposed parameters so an external trainer

@@ -69,8 +69,11 @@ impl Network {
     }
 
     fn run_forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return input.clone();
+        };
+        let mut x = first.forward(input, train);
+        for layer in rest {
             x = layer.forward(&x, train);
         }
         x

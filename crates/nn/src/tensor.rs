@@ -14,6 +14,8 @@
 //! above a FLOP-count gate — each worker owns a block of whole output rows,
 //! which keeps every output element's accumulation order identical to the
 //! sequential kernel (bit-identical results at any thread count).
+//! `Conv2d` runs its products on the same loop, into buffers it keeps, and
+//! lowers its input through `ConvGeom` (DESIGN.md §6.10).
 
 // Kernel module: keep the hot loops in iterator/slice style so the
 // optimizer sees contiguous accesses (regressions to index loops are
@@ -248,30 +250,73 @@ impl Tensor {
     }
 }
 
-/// `[m,k] · [k,n] → [m,n]` on row-major slices: the one GEMM loop behind
-/// the three tensor products. Output rows are blocked across `par`
-/// workers; each row runs [`saxpy_row_kernel`] from a +0.0 start.
+/// `[m,k] · [k,n] → [m,n]` on row-major slices, into a fresh buffer.
 fn saxpy_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
     let mut out = vec![0.0f32; m * n];
-    par::for_each_row_block_mut(&mut out, n, k * n, |i0, block| {
+    saxpy_accumulate(a, b, k, n, &mut out);
+    Tensor::from_vec(vec![m, n], out)
+}
+
+/// [`saxpy_gemm`] into a caller-kept `[m,n]` buffer, `m = out.len() / n`,
+/// which it overwrites.
+pub(crate) fn saxpy_gemm_into(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    out.fill(0.0);
+    saxpy_accumulate(a, b, k, n, out);
+}
+
+/// `out += a · b`: the one GEMM loop behind the three tensor products and
+/// the convolution's. Output rows are blocked across `par` workers; each
+/// row runs [`saxpy_row_kernel`], so a zeroed `out` gives each output the
+/// sum of its products from +0.0.
+fn saxpy_accumulate(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    par::for_each_row_block_mut(out, n, k * n, |i0, block| {
         for (bi, c_row) in block.chunks_mut(n).enumerate() {
             let i = i0 + bi;
             saxpy_row_kernel(&a[i * k..(i + 1) * k], b, c_row);
         }
     });
-    Tensor::from_vec(vec![m, n], out)
 }
 
 /// The `[cols, rows]` transpose of a row-major `[rows, cols]` slice: the
 /// pack that lets `matmul_tn` and `matmul_nt` run the contiguous kernel.
 fn transpose(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; rows * cols];
-    for (r, row) in data.chunks_exact(cols).enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            out[c * rows + r] = v;
+    transpose_into(data, rows, cols, &mut out);
+    out
+}
+
+/// [`transpose`] into a caller-kept `[cols, rows]` buffer.
+pub(crate) fn transpose_into(data: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
+    transpose_with(data, rows, cols, out, |o, v| *o = v);
+}
+
+/// Applies `f(out[c][r], data[r][c])` over a row-major `[rows, cols]`
+/// `data` and a `[cols, rows]` `out`. It reads eight source rows at a
+/// time and visits each output row's eight entries from them, so both
+/// sides stay in cache.
+pub(crate) fn transpose_with(
+    data: &[f32],
+    rows: usize,
+    cols: usize,
+    out: &mut [f32],
+    f: impl Fn(&mut f32, f32),
+) {
+    for (band, src) in data.chunks(8 * cols).enumerate() {
+        let (r0, height) = (8 * band, src.len() / cols);
+        for (c, out_row) in out.chunks_exact_mut(rows).enumerate() {
+            for (i, o) in out_row[r0..r0 + height].iter_mut().enumerate() {
+                f(o, src[i * cols + c]);
+            }
         }
     }
-    out
+}
+
+/// `y += a · x`, element by element: one SAXPY row.
+#[inline]
+pub(crate) fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
+    for (y, &x) in y.iter_mut().zip(x) {
+        *y += a * x;
+    }
 }
 
 /// The shared GEMM microkernel: `c_row += Σ_p a_row[p] · b[p-th row]`, all
@@ -296,10 +341,7 @@ fn saxpy_row_kernel(a_row: &[f32], b: &[f32], c_row: &mut [f32]) {
         if skip_zeros && a == 0.0 {
             continue;
         }
-        let b_row = &b[p * n..(p + 1) * n];
-        for (c, &bv) in c_row.iter_mut().zip(b_row) {
-            *c += a * bv;
-        }
+        axpy(a, &b[p * n..(p + 1) * n], c_row);
     }
 }
 
@@ -312,101 +354,161 @@ fn checked_len(shape: &[usize]) -> usize {
     shape.iter().product()
 }
 
-/// Unfolds image patches into a matrix for convolution-as-GEMM (im2col).
+/// The geometry of one convolution over a `[channels, height, width]`
+/// sample, and the layouts of its lowering.
 ///
-/// `input` is one sample `[channels, height, width]` flattened row-major.
-/// Returns a `[out_h * out_w, channels * k * k]` tensor whose row `p` holds
-/// the receptive field of output position `p`.
-///
-/// # Panics
-///
-/// Panics if the kernel/stride/padding combination does not produce at least
-/// one output position.
-pub fn im2col(
-    input: &[f32],
-    channels: usize,
-    height: usize,
-    width: usize,
+/// Lowering reads the *padded sample*, `[channels, height + 2·pad,
+/// width + 2·pad]` with the input in the middle and zeros around it
+/// ([`ConvGeom::pad_sample`]). Every tap of every output lands inside it,
+/// so no lowering tests bounds. The *patch matrix* is `[positions, rows]`:
+/// row `p` holds the receptive field of output position
+/// `p = oy · out_w + ox`, ordered `(c, ky, kx)`, so entry `(p, r)` is the
+/// padded sample at [`ConvGeom::corner`]`(p)` plus
+/// [`ConvGeom::tap_offsets`]`[r]`. [`ConvGeom::lower_tap`] writes one row
+/// of its transpose as one run of an input row per output row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ConvGeom {
+    pub(crate) channels: usize,
+    pub(crate) height: usize,
+    pub(crate) width: usize,
     k: usize,
     stride: usize,
     pad: usize,
-) -> Tensor {
-    let (out_h, out_w) = conv_output_size(height, width, k, stride, pad);
-    let mut out = vec![0.0f32; out_h * out_w * channels * k * k];
-    let row_len = channels * k * k;
-    for oy in 0..out_h {
-        for ox in 0..out_w {
-            let patch = &mut out[(oy * out_w + ox) * row_len..(oy * out_w + ox + 1) * row_len];
-            let mut idx = 0;
-            for c in 0..channels {
-                let plane = &input[c * height * width..(c + 1) * height * width];
-                for ky in 0..k {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    for kx in 0..k {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        patch[idx] = if iy >= 0
-                            && ix >= 0
-                            && (iy as usize) < height
-                            && (ix as usize) < width
-                        {
-                            plane[iy as usize * width + ix as usize]
-                        } else {
-                            0.0
-                        };
-                        idx += 1;
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(vec![out_h * out_w, row_len], out)
+    pub(crate) out_h: usize,
+    pub(crate) out_w: usize,
 }
 
-/// Folds a patch-gradient matrix back into an image (col2im), accumulating
-/// overlapping contributions. Inverse-adjoint of [`im2col`].
-///
-/// `cols` must be `[out_h * out_w, channels * k * k]`.
-///
-/// # Panics
-///
-/// Panics if `cols` has the wrong shape for the given geometry.
-pub fn col2im(
-    cols: &Tensor,
-    channels: usize,
-    height: usize,
-    width: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-) -> Vec<f32> {
-    let (out_h, out_w) = conv_output_size(height, width, k, stride, pad);
-    assert_eq!(
-        cols.shape(),
-        &[out_h * out_w, channels * k * k],
-        "col2im shape mismatch"
-    );
-    let mut out = vec![0.0f32; channels * height * width];
-    let row_len = channels * k * k;
-    for oy in 0..out_h {
-        for ox in 0..out_w {
-            let patch = &cols.data()[(oy * out_w + ox) * row_len..(oy * out_w + ox + 1) * row_len];
-            let mut idx = 0;
-            for c in 0..channels {
-                for ky in 0..k {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    for kx in 0..k {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if iy >= 0 && ix >= 0 && (iy as usize) < height && (ix as usize) < width {
-                            out[c * height * width + iy as usize * width + ix as usize] +=
-                                patch[idx];
-                        }
-                        idx += 1;
-                    }
+impl ConvGeom {
+    /// # Panics
+    ///
+    /// Panics if the configuration yields no output positions.
+    pub(crate) fn new(
+        (channels, height, width): (usize, usize, usize),
+        k: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Self {
+        let (out_h, out_w) = conv_output_size(height, width, k, stride, pad);
+        Self {
+            channels,
+            height,
+            width,
+            k,
+            stride,
+            pad,
+            out_h,
+            out_w,
+        }
+    }
+
+    /// Output positions per channel.
+    pub(crate) fn positions(&self) -> usize {
+        self.out_h * self.out_w
+    }
+
+    /// Length of one receptive field: `channels · k²`.
+    pub(crate) fn rows(&self) -> usize {
+        self.channels * self.k * self.k
+    }
+
+    /// Elements of one input sample.
+    pub(crate) fn sample_len(&self) -> usize {
+        self.channels * self.height * self.width
+    }
+
+    /// `(height, width)` of one padded channel plane.
+    fn padded_hw(&self) -> (usize, usize) {
+        (self.height + 2 * self.pad, self.width + 2 * self.pad)
+    }
+
+    /// Writes the padded sample of `input` into `padded`, which it resizes.
+    pub(crate) fn pad_sample(&self, input: &[f32], padded: &mut Vec<f32>) {
+        let (ph, pw) = self.padded_hw();
+        padded.clear();
+        padded.resize(self.channels * ph * pw, 0.0);
+        for (i, line) in input.chunks_exact(self.width).enumerate() {
+            let (c, y) = (i / self.height, i % self.height);
+            let at = (c * ph + y + self.pad) * pw + self.pad;
+            padded[at..at + self.width].copy_from_slice(line);
+        }
+    }
+
+    /// Index in the padded sample of tap `(0, 0)` of output position `p`
+    /// in channel 0.
+    fn corner(&self, p: usize) -> usize {
+        let pw = self.padded_hw().1;
+        (p / self.out_w * pw + p % self.out_w) * self.stride
+    }
+
+    /// Offset in the padded sample of each tap `r = (c, ky, kx)` from its
+    /// position's [`ConvGeom::corner`].
+    pub(crate) fn tap_offsets(&self) -> Vec<usize> {
+        let (ph, pw) = self.padded_hw();
+        let k = self.k;
+        (0..self.rows())
+            .map(|r| r / (k * k) * ph * pw + r / k % k * pw + r % k)
+            .collect()
+    }
+
+    /// Writes row `r = (c, ky, kx)` of the transposed patch matrix of a
+    /// padded sample into `row` (`[positions]`): tap `(ky, kx)` of channel
+    /// `c` at every output position, one run per output row.
+    pub(crate) fn lower_tap(&self, padded: &[f32], r: usize, row: &mut [f32]) {
+        let (ph, pw) = self.padded_hw();
+        let k = self.k;
+        let (c, ky, kx) = (r / (k * k), r / k % k, r % k);
+        let plane = &padded[c * ph * pw..(c + 1) * ph * pw];
+        let lines = plane[ky * pw + kx..].chunks(self.stride * pw);
+        for (run, line) in row.chunks_exact_mut(self.out_w).zip(lines) {
+            if self.stride == 1 {
+                run.copy_from_slice(&line[..self.out_w]);
+            } else {
+                for (o, &v) in run.iter_mut().zip(line.iter().step_by(self.stride)) {
+                    *o = v;
                 }
             }
         }
     }
-    out
+
+    /// Writes the patch matrix of a padded sample into `cols`
+    /// (`[positions, rows]`); `offsets` is [`ConvGeom::tap_offsets`].
+    pub(crate) fn lower_patches(&self, padded: &[f32], offsets: &[usize], cols: &mut [f32]) {
+        for (p, patch) in cols.chunks_exact_mut(self.rows()).enumerate() {
+            let src = &padded[self.corner(p)..];
+            for (d, &off) in patch.iter_mut().zip(offsets) {
+                *d = src[off];
+            }
+        }
+    }
+
+    /// Adds a `[positions, rows]` patch-gradient matrix into the sample
+    /// gradient `out` (col2im, the adjoint of [`ConvGeom::lower_patches`]),
+    /// through the padded scratch `padded`. Each input element receives
+    /// its contributions in ascending output position.
+    pub(crate) fn fold_patches(
+        &self,
+        cols: &[f32],
+        offsets: &[usize],
+        padded: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        let (ph, pw) = self.padded_hw();
+        padded.clear();
+        padded.resize(self.channels * ph * pw, 0.0);
+        for (p, patch) in cols.chunks_exact(self.rows()).enumerate() {
+            let dst = &mut padded[self.corner(p)..];
+            for (&g, &off) in patch.iter().zip(offsets) {
+                dst[off] += g;
+            }
+        }
+        for (i, line) in out.chunks_exact_mut(self.width).enumerate() {
+            let (c, y) = (i / self.height, i % self.height);
+            let at = (c * ph + y + self.pad) * pw + self.pad;
+            for (d, &g) in line.iter_mut().zip(&padded[at..at + self.width]) {
+                *d += g;
+            }
+        }
+    }
 }
 
 /// Output spatial size of a convolution.
@@ -578,8 +680,21 @@ pub(crate) mod tests {
         assert_eq!(conv_output_size(5, 5, 3, 1, 0), (3, 3));
     }
 
+    fn padded(img: &[f32], g: &ConvGeom) -> Vec<f32> {
+        let mut padded = vec![f32::NAN];
+        g.pad_sample(img, &mut padded);
+        padded
+    }
+
+    /// The patch matrix of `img` (one sample) under `g`.
+    fn patches(img: &[f32], g: &ConvGeom) -> Vec<f32> {
+        let mut cols = vec![f32::NAN; g.positions() * g.rows()];
+        g.lower_patches(&padded(img, g), &g.tap_offsets(), &mut cols);
+        cols
+    }
+
     #[test]
-    fn im2col_simple_3x3_kernel2() {
+    fn lowering_simple_3x3_kernel2() {
         // One channel, 3x3 image, 2x2 kernel, stride 1, no padding.
         #[rustfmt::skip]
         let img = vec![
@@ -587,33 +702,69 @@ pub(crate) mod tests {
             3., 4., 5.,
             6., 7., 8.,
         ];
-        let cols = im2col(&img, 1, 3, 3, 2, 1, 0);
-        assert_eq!(cols.shape(), &[4, 4]);
-        assert_eq!(&cols.data()[0..4], &[0., 1., 3., 4.]);
-        assert_eq!(&cols.data()[12..16], &[4., 5., 7., 8.]);
+        let g = ConvGeom::new((1, 3, 3), 2, 1, 0);
+        let cols = patches(&img, &g);
+        assert_eq!((g.positions(), g.rows()), (4, 4));
+        assert_eq!(&cols[0..4], &[0., 1., 3., 4.]);
+        assert_eq!(&cols[12..16], &[4., 5., 7., 8.]);
     }
 
     #[test]
-    fn im2col_padding_zero_fills() {
-        let img = vec![1.0; 4]; // 2x2
-        let cols = im2col(&img, 1, 2, 2, 3, 1, 1);
-        assert_eq!(cols.shape(), &[4, 9]);
+    fn lowering_padding_zero_fills() {
+        let g = ConvGeom::new((1, 2, 2), 3, 1, 1);
+        let cols = patches(&[1.0; 4], &g);
+        assert_eq!((g.positions(), g.rows()), (4, 9));
         // Top-left patch covers padding on top and left: corners are zero.
-        let first = &cols.data()[0..9];
-        assert_eq!(first[0], 0.0);
-        assert_eq!(first[4], 1.0);
+        assert_eq!(cols[0], 0.0);
+        assert_eq!(cols[4], 1.0);
     }
 
     #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random-ish x, y.
-        let (c, h, w, k, s, p) = (2, 4, 4, 3, 1, 1);
-        let x: Vec<f32> = (0..c * h * w).map(|i| (i as f32 * 0.37).sin()).collect();
-        let cols = im2col(&x, c, h, w, k, s, p);
+    fn lowering_matches_the_elementwise_definition() {
+        // Strides, paddings and kernels whose taps fall wholly into the
+        // padding (k 1, pad 2) included.
+        for (h, w, k, stride, pad) in [
+            (5, 4, 3, 1, 1),
+            (6, 5, 2, 2, 0),
+            (3, 4, 1, 1, 2),
+            (4, 4, 5, 2, 2),
+            (7, 6, 3, 2, 1),
+        ] {
+            let g = ConvGeom::new((2, h, w), k, stride, pad);
+            let img: Vec<f32> = (0..g.sample_len()).map(|i| i as f32 + 1.0).collect();
+            let cols = patches(&img, &g);
+            for (p, patch) in cols.chunks_exact(g.rows()).enumerate() {
+                for (r, &got) in patch.iter().enumerate() {
+                    let (c, ky, kx) = (r / (k * k), r / k % k, r % k);
+                    let iy = (p / g.out_w * stride + ky).checked_sub(pad);
+                    let ix = (p % g.out_w * stride + kx).checked_sub(pad);
+                    let want = match (iy, ix) {
+                        (Some(iy), Some(ix)) if iy < h && ix < w => img[(c * h + iy) * w + ix],
+                        _ => 0.0,
+                    };
+                    assert_eq!(
+                        got,
+                        want,
+                        "{:?} position {p} tap {r}",
+                        (h, w, k, stride, pad)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_is_adjoint_of_lowering() {
+        // <lower(x), y> == <x, fold(y)> for random-ish x, y.
+        let g = ConvGeom::new((2, 4, 4), 3, 1, 1);
+        let x: Vec<f32> = (0..g.sample_len())
+            .map(|i| (i as f32 * 0.37).sin())
+            .collect();
+        let cols = patches(&x, &g);
         let y: Vec<f32> = (0..cols.len()).map(|i| (i as f32 * 0.13).cos()).collect();
-        let y_t = Tensor::from_vec(cols.shape().to_vec(), y.clone());
-        let lhs: f32 = cols.data().iter().zip(&y).map(|(a, b)| a * b).sum();
-        let folded = col2im(&y_t, c, h, w, k, s, p);
+        let lhs: f32 = cols.iter().zip(&y).map(|(a, b)| a * b).sum();
+        let mut folded = vec![0.0; g.sample_len()];
+        g.fold_patches(&y, &g.tap_offsets(), &mut vec![f32::NAN], &mut folded);
         let rhs: f32 = x.iter().zip(&folded).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }

@@ -2,7 +2,7 @@
 
 use nn::init::init_rng;
 use nn::layer::Layer;
-use nn::layers::{Dense, Relu};
+use nn::layers::{Conv2d, Dense, Relu};
 use nn::network::Network;
 use nn::permute::{permute_hidden_neurons, Permutation};
 use nn::pruning::magnitude_prune;
@@ -26,6 +26,151 @@ fn matmul_nt_dot_loop(a: &Tensor, b: &Tensor) -> Vec<f32> {
             })
         })
         .collect()
+}
+
+/// One convolution's geometry: `[c, h, w]` samples, a `k × k` kernel.
+#[derive(Debug, Clone, Copy)]
+struct Geom {
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+}
+
+impl Geom {
+    fn out_hw(&self) -> (usize, usize) {
+        (
+            (self.h + 2 * self.pad - self.k) / self.stride + 1,
+            (self.w + 2 * self.pad - self.k) / self.stride + 1,
+        )
+    }
+
+    /// The input element under tap `(ky, kx)` of output `(oy, ox)`, if it
+    /// is not padding: a bounds test per element.
+    fn source(&self, (oy, ox): (usize, usize), (ky, kx): (usize, usize)) -> Option<usize> {
+        let iy = (oy * self.stride + ky).checked_sub(self.pad)?;
+        let ix = (ox * self.stride + kx).checked_sub(self.pad)?;
+        (iy < self.h && ix < self.w).then_some(iy * self.w + ix)
+    }
+}
+
+/// `im2col` as `Conv2d` ran it before it chose an orientation per layer:
+/// the `[positions, c·k²]` patch matrix of one sample.
+fn im2col_reference(x: &[f32], g: Geom) -> Tensor {
+    let (oh, ow) = g.out_hw();
+    let mut cols = Vec::with_capacity(oh * ow * g.c * g.k * g.k);
+    for oy in 0..oh {
+        for ox in 0..ow {
+            for plane in x.chunks_exact(g.h * g.w) {
+                for ky in 0..g.k {
+                    for kx in 0..g.k {
+                        cols.push(g.source((oy, ox), (ky, kx)).map_or(0.0, |i| plane[i]));
+                    }
+                }
+            }
+        }
+    }
+    Tensor::from_vec(vec![oh * ow, g.c * g.k * g.k], cols)
+}
+
+/// `col2im`, the adjoint of [`im2col_reference`], as `Conv2d` ran it.
+fn col2im_reference(cols: &Tensor, g: Geom) -> Vec<f32> {
+    let (oh, ow) = g.out_hw();
+    let mut out = vec![0.0f32; g.c * g.h * g.w];
+    let mut patches = cols.data().chunks_exact(cols.cols());
+    for oy in 0..oh {
+        for ox in 0..ow {
+            let mut taps = patches.next().unwrap().iter();
+            for plane in out.chunks_exact_mut(g.h * g.w) {
+                for ky in 0..g.k {
+                    for kx in 0..g.k {
+                        let v = *taps.next().unwrap();
+                        if let Some(i) = g.source((oy, ox), (ky, kx)) {
+                            plane[i] += v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `(y, dW, db, dX)` of a convolution by the patch-major path `Conv2d`
+/// ran before it chose an orientation per layer: per sample, `im2col`,
+/// `y = cols · W`, `dW += colsᵀ · G` (`matmul_tn`), `db` summed position
+/// by position, and `dX = col2im(G · Wᵀ)` (`matmul_nt`).
+fn conv_reference(x: &Tensor, (w, b): (&Tensor, &[f32]), grad: &Tensor, g: Geom) -> [Vec<f32>; 4] {
+    let out_ch = w.cols();
+    let (oh, ow) = g.out_hw();
+    let positions = oh * ow;
+    let (mut y, mut dw, mut db, mut dx) = (
+        Vec::new(),
+        vec![0.0f32; w.len()],
+        vec![0.0f32; out_ch],
+        Vec::new(),
+    );
+    let samples = x.data().chunks_exact(g.c * g.h * g.w);
+    for (sample, gs) in samples.zip(grad.data().chunks_exact(out_ch * positions)) {
+        let cols = im2col_reference(sample, g);
+        let yp = cols.matmul(w);
+        for (oc, &bias) in b.iter().enumerate() {
+            y.extend((0..positions).map(|p| yp.at2(p, oc) + bias));
+        }
+        let mut gmat = Tensor::zeros(vec![positions, out_ch]);
+        for (oc, g_row) in gs.chunks_exact(positions).enumerate() {
+            for (p, &v) in g_row.iter().enumerate() {
+                *gmat.at2_mut(p, oc) = v;
+            }
+        }
+        for (acc, &v) in dw.iter_mut().zip(cols.matmul_tn(&gmat).data()) {
+            *acc += v;
+        }
+        for p in 0..positions {
+            for (oc, d) in db.iter_mut().enumerate() {
+                *d += gmat.at2(p, oc);
+            }
+        }
+        dx.extend(col2im_reference(&gmat.matmul_nt(w), g));
+    }
+    [y, dw, db, dx]
+}
+
+/// Bit-for-bit equality, except that a NaN only has to be NaN on both
+/// sides (Rust leaves a NaN's sign and payload unspecified).
+fn same_bits(got: &[f32], want: &[f32]) -> Result<(), String> {
+    if got.len() != want.len() {
+        return Err(format!("{} values, want {}", got.len(), want.len()));
+    }
+    match got.iter().zip(want).position(|(g, w)| {
+        if w.is_nan() {
+            !g.is_nan()
+        } else {
+            g.to_bits() != w.to_bits()
+        }
+    }) {
+        Some(i) => Err(format!("[{i}]: {} vs {}", got[i], want[i])),
+        None => Ok(()),
+    }
+}
+
+/// A finite value: a signed zero with probability `zero_share`, else a
+/// subnormal, a magnitude near `f32::MAX`'s square root (products of two
+/// overflow to ±∞, and sums of those to NaN) or an ordinary value.
+fn awkward_value(rng: &mut rand::rngs::StdRng, zero_share: f64) -> f32 {
+    use rand::Rng;
+    if rng.gen_bool(zero_share) {
+        return if rng.gen_bool(0.7) { 0.0 } else { -0.0 };
+    }
+    match rng.gen_range(0..20) {
+        0 => f32::MIN_POSITIVE / 8.0,
+        1 => -f32::MIN_POSITIVE / 3.0,
+        2 => 3e19,
+        3 => -2e19,
+        _ => rng.gen_range(-2.0f32..2.0),
+    }
 }
 
 proptest! {
@@ -84,6 +229,102 @@ proptest! {
                 prop_assert!(g.is_nan(), "{} where the oracle gives NaN", g);
             } else {
                 prop_assert_eq!(g.to_bits(), want.to_bits(), "{} vs {}", g, want);
+            }
+        }
+    }
+
+    /// `Conv2d`'s forward, `dW`, `db` and `dX` equal the patch-major
+    /// reference ([`conv_reference`]) bit for bit, for every kernel in
+    /// {1, 2, 3, 5}, stride in {1, 2} and padding in {0, 1, 2}, at batch 1
+    /// and 3, with output channels on both sides of the orientation rule
+    /// (channel-major when a sample has more positions than output
+    /// channels). Every operand is finite, the zero skips' exactness
+    /// condition (DESIGN.md §6.3): signed zeros, subnormals, ReLU-sparse
+    /// inputs, gradients that a 2×2 max-pool leaves three-quarters zero,
+    /// and magnitudes whose products overflow, so some outputs are ±∞ or
+    /// NaN.
+    #[test]
+    fn conv2d_matches_the_patch_major_reference(seed in 0u64..1_000) {
+        use rand::Rng;
+        let mut rng = init_rng(seed);
+        let combos = [1usize, 2, 3, 5].into_iter().flat_map(|k| {
+            [1, 2].into_iter().flat_map(move |stride| [0, 1, 2].map(|pad| (k, stride, pad)))
+        });
+        for (i, (k, stride, pad)) in combos.enumerate() {
+            let channel_major = (i + seed as usize).is_multiple_of(2);
+            let batch = if (i / 2 + seed as usize).is_multiple_of(2) { 1 } else { 3 };
+            // At least two output rows and columns, so both sides of the
+            // rule exist; inputs smaller than the kernel where padding
+            // allows.
+            let lo = (k + 2).saturating_sub(2 * pad).max(1);
+            let g = Geom {
+                c: rng.gen_range(1..4),
+                h: rng.gen_range(lo..=k + 3),
+                w: rng.gen_range(lo..=k + 3),
+                k,
+                stride,
+                pad,
+            };
+            let (oh, ow) = g.out_hw();
+            let positions = oh * ow;
+            let out_ch = if channel_major {
+                rng.gen_range(1..positions).min(rng.gen_range(1..9))
+            } else {
+                rng.gen_range(positions..positions + 4)
+            };
+            prop_assert_eq!(positions > out_ch, channel_major);
+            let mut conv = Conv2d::new(g.c, out_ch, k, stride, pad, &mut rng);
+            {
+                let p = conv.params().unwrap();
+                for v in p.weights.iter_mut() {
+                    *v = awkward_value(&mut rng, 0.3);
+                }
+                for v in p.bias.unwrap().iter_mut() {
+                    *v = rng.gen_range(-1.0f32..1.0);
+                }
+            }
+            let x_share = if rng.gen_bool(0.5) { 0.6 } else { 0.1 };
+            let x_len = batch * g.c * g.h * g.w;
+            let x = Tensor::from_vec(
+                vec![batch, g.c, g.h, g.w],
+                (0..x_len).map(|_| awkward_value(&mut rng, x_share)).collect(),
+            );
+            // Max-pool-sparse: one entry in each 2×2 window is nonzero.
+            let pooled = rng.gen_bool(0.5);
+            let grad = Tensor::from_vec(
+                vec![batch, out_ch, oh, ow],
+                (0..batch * out_ch * positions)
+                    .map(|j| {
+                        let (oy, ox) = (j % positions / ow, j % ow);
+                        if pooled && (oy % 2, ox % 2) != (j / positions % 2, j / positions / 2 % 2) {
+                            0.0
+                        } else {
+                            awkward_value(&mut rng, 0.2)
+                        }
+                    })
+                    .collect(),
+            );
+            let (w, b) = {
+                let p = conv.params().unwrap();
+                let w = Tensor::from_vec(vec![p.weight_shape.0, p.weight_shape.1], p.weights.to_vec());
+                (w, p.bias.unwrap().to_vec())
+            };
+            let [y_ref, dw_ref, db_ref, dx_ref] = conv_reference(&x, (&w, &b), &grad, g);
+            let case = format!("{g:?} out_ch {out_ch} batch {batch}");
+            // An inference forward must match too, and must leave the
+            // training forward's lowering for `backward`.
+            let y = conv.forward(&x, true);
+            let inference = conv.forward(&x, false);
+            let dx = conv.backward(&grad, true).unwrap();
+            let p = conv.params().unwrap();
+            for (what, got, want) in [
+                ("y", y.data(), &y_ref),
+                ("inference y", inference.data(), &y_ref),
+                ("dW", p.weight_grad, &dw_ref),
+                ("db", p.bias_grad.unwrap(), &db_ref),
+                ("dX", dx.data(), &dx_ref),
+            ] {
+                prop_assert_eq!(same_bits(got, want), Ok(()), "{} {}", case, what);
             }
         }
     }

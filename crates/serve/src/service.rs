@@ -974,6 +974,69 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// A migration whose snapshot no longer decodes: `tick` returns the
+    /// typed error, and `migrating` stays set, so the tenant takes no
+    /// further training step and no second migration starts for it.
+    #[test]
+    fn failed_migration_freezes_the_tenant() {
+        let mut svc = Service::new(ServiceConfig {
+            nodes: vec![ChipNodeConfig::new(8, 8, 16), ChipNodeConfig::new(8, 8, 16)],
+            queue_capacity: 2,
+            queue_high_water: 1,
+            campaign_interval: 4,
+            lull: LullConfig {
+                idle_threshold: 2,
+                max_defer: 3,
+            },
+            ..small_config()
+        })
+        .expect("service");
+        svc.register(TenantSpec::Training(TrainingSpec {
+            name: "mig".into(),
+            inputs: 36,
+            hidden: 10,
+            classes: 3,
+            train_n: 24,
+            test_n: 6,
+            seed: 0x4D,
+            tile_quota: 12,
+            fault_fraction: 0.3,
+            spare_tiles: 1,
+            retire_fault_density: 0.02,
+            detection_interval: 4,
+            detection_warmup: 2,
+        }))
+        .expect("register");
+        let started = (1..=40)
+            .find(|_| {
+                svc.tick().expect("tick");
+                !svc.in_flight.is_empty()
+            })
+            .expect("a migration starts within 40 ticks");
+        let iteration = |svc: &Service| match &svc.backends[0] {
+            Backend::Training { trainer, .. } => trainer.iteration(),
+            Backend::Inference { .. } => unreachable!("tenant 0 trains"),
+        };
+        let frozen_at = iteration(&svc);
+        assert_eq!(frozen_at, started, "one training step per tick until then");
+        svc.in_flight[0].bytes[0] ^= 0xFF;
+        assert!(matches!(svc.tick(), Err(ServeError::Snapshot(_))));
+        for _ in 0..8 {
+            svc.tick().expect("later ticks run");
+        }
+        assert_eq!(iteration(&svc), frozen_at, "a frozen tenant must not train");
+        assert!(svc.in_flight.is_empty(), "no second migration may start");
+        assert_eq!(svc.migrations(), 0);
+        assert!(matches!(
+            svc.backends[0],
+            Backend::Training {
+                migrating: true,
+                migrated: false,
+                ..
+            }
+        ));
+    }
+
     #[test]
     fn rebuild_rejects_a_snapshot_that_does_not_fit_the_template() {
         let spec = TrainingSpec {

@@ -14,6 +14,12 @@ check:
 test-all:
     cargo test --workspace -q
 
+# nn's kernel oracles and the VGG-11 conv golden in the release profile the
+# benchmark builds (CI's test-all job runs them after the workspace tests).
+release-oracles:
+    cargo test --release -q -p nn
+    cargo test --release -q --test adversarial conv_flow
+
 # The repository benchmark (the BENCHMARK.json command): five end-to-end
 # workloads timed at thread budgets {1, nproc}. Extra arguments pass
 # through, e.g. `just bench --workload arena_reference --seed 3`.
